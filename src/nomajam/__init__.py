@@ -25,7 +25,6 @@ from .game import (
     mood_classify,
     monotonicity_check,
     pareto_ne_l1,
-    qos_binding_split,
 )
 from .harness import (
     ExperimentConfig,
@@ -47,12 +46,11 @@ from .jammer import (
     jammer_utility_curve,
 )
 from .rates import (
-    RateReport,
     StrategyProfile,
     bs_utility,
     jammer_utility,
     objective_p2,
-    rate_report,
+    qos_binding_split,
     rates_from_sinr,
     sinr_vector,
     user_rates,
@@ -68,7 +66,6 @@ __all__ = [
     "JammerAgent",
     "JammerConfig",
     "NeCertificate",
-    "RateReport",
     "SlotRecord",
     "StrategyGrid",
     "StrategyProfile",
@@ -93,7 +90,6 @@ __all__ = [
     "pareto_ne_l1",
     "path_loss",
     "qos_binding_split",
-    "rate_report",
     "rates_from_sinr",
     "read_csv",
     "run_experiment",

@@ -10,7 +10,6 @@ points, every certificate is explicitly grid-relative.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -19,9 +18,7 @@ import numpy as np
 
 from .channel import SRC_BS1, SRC_BS2, SRC_JAM, ChannelRealization
 from .jammer import BestResponse, JammerConfig, best_response
-from .rates import StrategyProfile, _rates4
-
-log = logging.getLogger(__name__)
+from .rates import StrategyProfile, _rates4, bs_utility, qos_binding_split
 
 EPS_NE = 1e-9
 
@@ -105,38 +102,6 @@ class NeCertificate:
 class MoodReport:
     mood: int
     ps_set: tuple[tuple[float, float], ...]
-
-
-def qos_binding_split(
-    ch: ChannelRealization,
-    p_bs1: float,
-    p_bs2: float,
-    p_j_star: float,
-    r0: float,
-    cell: int,
-) -> float:
-    """Weak-user power that makes its rate exactly meet the QoS threshold.
-
-    Closed form: with t = 2^r0 and A the denominator at full own-cell power,
-    p_weak = (t - 1) * A / (g_own * t).  Returns inf when the binding power
-    exceeds the cell's total (infeasible marker).
-    """
-    g = ch.gains
-    t = 2.0 ** r0
-    if cell == 1:
-        g_own, total = g[0, SRC_BS1], p_bs1
-        a = 1.0 + p_bs1 * g[0, SRC_BS1] + p_bs2 * g[0, SRC_BS2] + p_j_star * g[0, SRC_JAM]
-    elif cell == 2:
-        g_own, total = g[2, SRC_BS2], p_bs2
-        a = 1.0 + p_bs2 * g[2, SRC_BS2] + p_bs1 * g[2, SRC_BS1] + p_j_star * g[2, SRC_JAM]
-    else:
-        raise ValueError(f"cell must be 1 or 2, got {cell}")
-    if g_own <= 0:
-        raise ValueError("weak user's own-cell gain must be positive")
-    p_weak = (t - 1.0) * a / (g_own * t)
-    if p_weak > total + 1e-12 * max(1.0, total):
-        return math.inf
-    return p_weak
 
 
 def _binding_profile(
@@ -235,7 +200,6 @@ def mood_classify(
     strong users also meet QoS and both splits leave strictly positive
     strong-user power.
     """
-    rows = ch.gain_rows
     ps: list[tuple[float, float]] = []
     for p_bs1, p_bs2 in product(grid.totals, grid.totals):
         sol = _stackelberg_fixed_point(
@@ -246,17 +210,11 @@ def mood_classify(
         prof, _ = sol
         if prof.p2 <= 0 or prof.p4 <= 0:
             continue
-        r = _rates4(rows, *prof.as_tuple())
+        r = _rates4(ch, *prof.as_tuple())
         qtol = 1e-9 * max(1.0, r0)
         if r[1] >= r0 - qtol and r[3] >= r0 - qtol:
             ps.append((p_bs1, p_bs2))
     return MoodReport(mood=1 if ps else 2, ps_set=tuple(ps))
-
-
-def _u_from_rates(rates, p_j: float, r0: float, gamma: float, z: float) -> float:
-    i1 = 1.0 if min(rates[0], rates[1]) >= r0 else z
-    i2 = 1.0 if min(rates[2], rates[3]) >= r0 else z
-    return i1 * i2 * (rates[0] + rates[1] + rates[2] + rates[3] + gamma * p_j)
 
 
 class GridEvaluator:
@@ -277,7 +235,6 @@ class GridEvaluator:
         self.r0 = r0
         self.gamma = gamma
         self.z = z
-        self._rows = ch.gain_rows
         self._cache: dict[tuple[int, int], tuple[float, tuple, float]] = {}
         self._u: np.ndarray | None = None
 
@@ -289,8 +246,8 @@ class GridEvaluator:
         a1 = self.grid.actions[i]
         a2 = self.grid.actions[j]
         br = best_response(self.ch, a1, a2, self.jcfg)
-        r = _rates4(self._rows, a1[0], a1[1], a2[0], a2[1], br.p_j_star)
-        u = _u_from_rates(r, br.p_j_star, self.r0, self.gamma, self.z)
+        r = _rates4(self.ch, a1[0], a1[1], a2[0], a2[1], br.p_j_star)
+        u = bs_utility(r, br.p_j_star, self.r0, self.gamma, self.z)
         out = (br.p_j_star, r, u)
         self._cache[(i, j)] = out
         return out
@@ -359,7 +316,7 @@ def _slope_u_binding(
     prof = _binding_profile(ch, p_bs1, p_bs2, p_j, r0)
     if prof is None:
         return None
-    r = _rates4(ch.gain_rows, *prof.as_tuple())
+    r = _rates4(ch, *prof.as_tuple())
     return r[0] + r[1] + r[2] + r[3] + gamma * p_j
 
 
@@ -400,49 +357,8 @@ def leader_slopes_numeric(
     return s1, s2
 
 
-def leader_slopes_closed_form(
-    ch: ChannelRealization,
-    p_bs1: float,
-    p_bs2: float,
-    p_j: float,
-    r0: float,
-    gamma: float,
-) -> tuple[float, float]:
-    """Closed-form slope expressions for the scaled leader utility.
-
-    Kept only to cross-check the finite-difference slopes; the published
-    algebra is inconsistent with the exact utility in places, so sign
-    disagreements are logged rather than resolved silently.
-    """
-    g = ch.gains
-    t = 2.0 ** r0
-    g11, g12, g1j = g[0, SRC_BS1], g[0, SRC_BS2], g[0, SRC_JAM]
-    g21, g2j = g[1, SRC_BS1], g[1, SRC_JAM]
-    g31, g32, g3j = g[2, SRC_BS1], g[2, SRC_BS2], g[2, SRC_JAM]
-    g42, g4j = g[3, SRC_BS2], g[3, SRC_JAM]
-    pref = (
-        (g21 / (1.0 + p_j * g2j))
-        * (g42 / (1.0 + p_j * g4j))
-        * 2.0 ** (gamma * p_j + 2.0 * r0)
-    )
-    cross = (g31 / g32) * (g12 / g11)
-    b1 = (
-        -(2.0 * p_bs1 / t) * (g31 / g32)
-        + (1.0 / t**2 + cross) * p_bs2
-        - (1.0 / t) * (1.0 + p_j * g3j) / g32
-        + (g31 / g32) * (1.0 + p_j * g1j) / g11
-    )
-    b2 = (
-        -(2.0 * p_bs2 / t) * (g12 / g11)
-        + (1.0 / t**2 + cross) * p_bs1
-        - (1.0 / t) * (1.0 + p_j * g1j) / g11
-        + (g12 / g11) * (1.0 + p_j * g3j) / g32
-    )
-    return pref * b1, pref * b2
-
-
 def _grid_binding_strong(
-    ev: GridEvaluator, rates: tuple, p_j: float, strong_user: int, p_strong: float
+    ev: GridEvaluator, p_j: float, strong_user: int, p_strong: float
 ) -> bool:
     """Whether the strong user's QoS is binding at grid resolution.
 
@@ -452,12 +368,8 @@ def _grid_binding_strong(
     step = ev.grid.step
     if p_strong <= step + 1e-9 * step:
         return True
-    g = ev.ch.gains
-    if strong_user == 1:
-        s = (p_strong - step) * g[1, SRC_BS1] / (1.0 + p_j * g[1, SRC_JAM])
-    else:
-        s = (p_strong - step) * g[3, SRC_BS2] / (1.0 + p_j * g[3, SRC_JAM])
-    return math.log2(1.0 + s) < ev.r0
+    p = p_strong - step
+    return _rates4(ev.ch, 0.0, p, 0.0, p, p_j)[2 * strong_user - 1] < ev.r0
 
 
 def find_ne_l1(
@@ -518,8 +430,8 @@ def find_ne_l1(
                 continue
             s1, s2 = slopes
             stol = 1e-9 * max(1.0, abs(s1), abs(s2))
-            ok1 = s1 >= -stol or _grid_binding_strong(ev, r, pj, 1, a1[1])
-            ok2 = s2 >= -stol or _grid_binding_strong(ev, r, pj, 2, a2[1])
+            ok1 = s1 >= -stol or _grid_binding_strong(ev, pj, 1, a1[1])
+            ok2 = s2 >= -stol or _grid_binding_strong(ev, pj, 2, a2[1])
             if not (ok1 and ok2):
                 continue
             margin = ev.deviation_margin(i, j)
@@ -565,24 +477,6 @@ def pareto_ne_l1(
     return ParetoSelection(
         certificate=winner, tie=len(tied) > 1, tied_with=tuple(tied[1:])
     )
-
-
-def _best_case_weak_rate(
-    ch: ChannelRealization,
-    fail_cell: int,
-    own_total: float,
-    other_total: float,
-    p_j: float,
-) -> float:
-    """Weak-user rate with the failing cell's whole budget on that user."""
-    g = ch.gains
-    if fail_cell == 1:
-        s = own_total * g[0, SRC_BS1]
-        d = 1.0 + other_total * g[0, SRC_BS2] + p_j * g[0, SRC_JAM]
-    else:
-        s = own_total * g[2, SRC_BS2]
-        d = 1.0 + other_total * g[2, SRC_BS1] + p_j * g[2, SRC_JAM]
-    return math.log2(1.0 + s / d)
 
 
 def _full_power_slope_factor(
@@ -715,7 +609,11 @@ def _find_ne_full_power(
             # The failing cell can not reach QoS even with its whole budget
             # on the weak user.
             t_fail = a_fail[0] + a_fail[1]
-            if _best_case_weak_rate(ch, fail_cell, t_fail, grid.p_bs_max, pj) >= r0:
+            if fail_cell == 1:
+                best_case = (t_fail, 0.0, 0.0, grid.p_bs_max)
+            else:
+                best_case = (0.0, grid.p_bs_max, t_fail, 0.0)
+            if _rates4(ch, *best_case, pj)[weak_fail] >= r0:
                 continue
             # Failing cell's weak power at the grid minimum (its rate is a
             # write-off, so power there only drains the shared sum rate).
@@ -830,14 +728,13 @@ def monotonicity_check(
     scaled utility is concave in each total power along binding splits.
     """
     rng = np.random.default_rng(seed)
-    rows = ch.gain_rows
     rep = MonotonicityReport()
     h = 1e-4 * p_bs_max
 
     def utility(prof: StrategyProfile) -> tuple[float, tuple[bool, bool]]:
-        r = _rates4(rows, *prof.as_tuple())
+        r = _rates4(ch, *prof.as_tuple())
         flags = (min(r[0], r[1]) >= r0, min(r[2], r[3]) >= r0)
-        u = _u_from_rates(r, prof.p_j, r0, gamma, z)
+        u = bs_utility(r, prof.p_j, r0, gamma, z)
         return u, flags
 
     for _ in range(n_samples):
@@ -891,40 +788,6 @@ def monotonicity_check(
             if second > 1e-7 * max(1.0, abs(pts[1])):
                 rep.curvature_violations += 1
     return rep
-
-
-def slope_sign_disagreements(
-    ch: ChannelRealization,
-    mood_report: MoodReport,
-    jcfg: JammerConfig,
-    r0: float,
-    gamma: float,
-) -> int:
-    """Count sign mismatches between numeric and closed-form leader slopes.
-
-    Evaluated at every feasible total-power pair; mismatches are logged for
-    inspection, never resolved in favour of the closed form.
-    """
-    count = 0
-    for p_bs1, p_bs2 in mood_report.ps_set:
-        sol = _stackelberg_fixed_point(
-            ch, jcfg, lambda pj: _binding_profile(ch, p_bs1, p_bs2, pj, r0)
-        )
-        if sol is None:
-            continue
-        pj = sol[0].p_j
-        numeric = leader_slopes_numeric(ch, p_bs1, p_bs2, pj, r0, gamma)
-        if numeric is None:
-            continue
-        closed = leader_slopes_closed_form(ch, p_bs1, p_bs2, pj, r0, gamma)
-        for s_num, s_cl in zip(numeric, closed):
-            if s_num * s_cl < 0 and abs(s_num) > 1e-9:
-                count += 1
-                log.debug(
-                    "slope sign mismatch at (%.3f, %.3f): numeric=%g closed=%g",
-                    p_bs1, p_bs2, s_num, s_cl,
-                )
-    return count
 
 
 def analysis_report(
@@ -995,9 +858,6 @@ def analysis_report(
         "analytic_subset_of_brute_force": confirmed,
         "n_analytic": len(analytic),
         "n_brute_force": len(bf),
-        "closed_form_slope_disagreements": slope_sign_disagreements(
-            ch, mood, jcfg, r0, gamma
-        ),
         "jammer_unimodal_at_ne": sum(unimodal),
         "jammer_probed_at_ne": len(unimodal),
         "monotonicity": {

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -35,7 +36,6 @@ from .learn.agents import (
     hot_boot,
     observation_for,
     quantize_sinr,
-    selfish_reward,
 )
 from .rates import (
     StrategyProfile,
@@ -43,6 +43,7 @@ from .rates import (
     jammer_utility,
     objective_p2,
     rates_from_sinr,
+    selfish_reward,
     sinr_vector,
 )
 
@@ -111,14 +112,24 @@ class ExperimentConfig:
     eps_ne: float = 1e-9
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick from {SCHEMES}")
         if self.jammer_mode not in JAMMER_MODES:
             raise ValueError(f"unknown jammer mode {self.jammer_mode!r}")
-        if self.slots < 1:
-            raise ValueError("slots must be at least 1")
+        for name in (
+            "slots", "summary_window", "workers", "batch_size", "replay_capacity",
+            "target_sync_period", "hot_boot_scenarios", "hot_boot_slots",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be unique, got {self.seeds}")
         if self.grid_levels < 2:
             raise ValueError("grid_levels must be at least 2")
         for name in ("p_bs_max", "p_j_max"):
@@ -126,12 +137,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if self.sinr_levels < 2:
             raise ValueError("sinr_levels must be at least 2")
-        if self.summary_window < 1:
-            raise ValueError("summary_window must be at least 1")
         if self.redraw_period < 0:
             raise ValueError("redraw_period must be non-negative")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         self.geometry()  # validates positions/distances
 
     def geometry(self) -> Geometry:
@@ -273,6 +280,11 @@ def read_csv(path) -> list[SlotRecord]:
                 raise ValueError(f"{path}: unexpected header {header}")
             out = []
             for row in reader:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(
+                        f"{path}: row {reader.line_num} has {len(row)} fields, "
+                        f"expected {len(CSV_HEADER)}"
+                    )
                 kwargs = {
                     name: float(v) if name in _FLOAT_FIELDS else int(v)
                     for name, v in zip(CSV_HEADER, row)
@@ -336,21 +348,17 @@ class TwoCellEnv:
         self._last_uj = None
         return self.observations()
 
-    def _jammer_power(self, jammer, alloc1, alloc2) -> float:
-        if jammer is None:
-            jammer = self.jammer
-        if isinstance(jammer, JammerAgent):
-            state = jammer.observe_powers(*self._prev_totals)
-            return jammer.step(state, self._last_uj)
-        if callable(jammer):
-            return float(jammer(alloc1, alloc2))
+    def _jammer_power(self, alloc1, alloc2) -> float:
+        if self.jammer is not None:
+            state = self.jammer.observe_powers(*self._prev_totals)
+            return self.jammer.step(state, self._last_uj)
         return best_response(self.ch, alloc1, alloc2, self.jcfg).p_j_star
 
-    def step(self, a1_idx: int, a2_idx: int, jammer=None):
+    def step(self, a1_idx: int, a2_idx: int):
         cfg = self.cfg
         alloc1 = self.grid.actions[a1_idx]
         alloc2 = self.grid.actions[a2_idx]
-        p_j = self._jammer_power(jammer, alloc1, alloc2)
+        p_j = self._jammer_power(alloc1, alloc2)
         prof = StrategyProfile(
             p1=alloc1[0], p2=alloc1[1], p3=alloc2[0], p4=alloc2[1], p_j=p_j
         )
@@ -389,12 +397,12 @@ class TwoCellEnv:
         return obs1, obs2, r1, r2, record
 
 
-def run_slot(env: TwoCellEnv, agents, jammer=None) -> SlotRecord:
+def run_slot(env: TwoCellEnv, agents) -> SlotRecord:
     """One leader-follower slot: act, jam, realize rates, learn."""
     obs1, obs2 = env.observations()
     a1 = agents[0].act(obs1)
     a2 = agents[1].act(obs2)
-    nobs1, nobs2, r1, r2, record = env.step(a1, a2, jammer=jammer)
+    nobs1, nobs2, r1, r2, record = env.step(a1, a2)
     agents[0].learn(obs1, a1, r1, nobs1)
     agents[1].learn(obs2, a2, r2, nobs2)
     return record

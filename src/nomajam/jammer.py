@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SRC_BS1, SRC_BS2, SRC_JAM, ChannelRealization
+from .channel import ChannelRealization
 from .learn.agents import QTable, select_action
+from .rates import link_terms, sum_rate
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,29 +44,6 @@ class BestResponse:
     u_at_star: float
 
 
-def _rate_terms(
-    ch: ChannelRealization,
-    alloc1: tuple[float, float],
-    alloc2: tuple[float, float],
-) -> tuple[tuple[float, float, float], ...]:
-    """Per-user (signal, base interference, jammer gain) for fixed BS powers.
-
-    With these, user i's rate as a function of p_j is
-    log2(1 + s_i / (d_i + p_j * g_i)).
-    """
-    p1, p2 = alloc1
-    p3, p4 = alloc2
-    g1, g2, g3, g4 = ch.gain_rows
-    return (
-        (p1 * g1[SRC_BS1],
-         1.0 + p2 * g1[SRC_BS1] + (p3 + p4) * g1[SRC_BS2], g1[SRC_JAM]),
-        (p2 * g2[SRC_BS1], 1.0, g2[SRC_JAM]),
-        (p3 * g3[SRC_BS2],
-         1.0 + p4 * g3[SRC_BS2] + (p1 + p2) * g3[SRC_BS1], g3[SRC_JAM]),
-        (p4 * g4[SRC_BS2], 1.0, g4[SRC_JAM]),
-    )
-
-
 def jammer_utility_of(
     ch: ChannelRealization,
     alloc1: tuple[float, float],
@@ -73,13 +51,10 @@ def jammer_utility_of(
     gamma: float,
 ):
     """The jammer's utility as a scalar function of its power."""
-    terms = _rate_terms(ch, alloc1, alloc2)
+    terms = link_terms(ch, *alloc1, *alloc2)
 
     def u(p_j: float) -> float:
-        total = 0.0
-        for s, d, g in terms:
-            total += math.log2(1.0 + s / (d + p_j * g))
-        return -(total + gamma * p_j)
+        return -(sum_rate(terms, p_j) + gamma * p_j)
 
     return u
 
@@ -93,10 +68,7 @@ def jammer_utility_curve(
 ) -> np.ndarray:
     """Vectorized jammer utility over an array of jamming powers."""
     pj = np.asarray(p_j_values, dtype=float)
-    total = np.zeros_like(pj)
-    for s, d, g in _rate_terms(ch, alloc1, alloc2):
-        total += np.log2(1.0 + s / (d + pj * g))
-    return -(total + gamma * pj)
+    return -(sum_rate(link_terms(ch, *alloc1, *alloc2), pj, np.log2) + gamma * pj)
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> float:
@@ -253,7 +225,3 @@ class JammerAgent:
         self.eps = max(self.eps_floor, self.eps * self.eps_decay)
         return self.actions[action]
 
-
-def jql_step(agent: JammerAgent, state: int, reward: float | None) -> float:
-    """Functional wrapper around JammerAgent.step (mutates the agent)."""
-    return agent.step(state, reward)

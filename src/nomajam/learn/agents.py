@@ -119,19 +119,6 @@ def ql_update(table: QTable, t: Transition, levels: int = SINR_LEVELS) -> QTable
     return table
 
 
-def selfish_reward(
-    rates, own_cell: int, p_j: float, r0: float, gamma: float, z: float
-) -> float:
-    """Single-cell reward: own QoS indicator times own sum rate plus jam cost.
-
-    Ignores the other cell's rates entirely; used by the selfish baseline.
-    """
-    r = np.asarray(rates, dtype=float)
-    own = r[0:2] if own_cell == 1 else r[2:4]
-    indicator = 1.0 if float(own.min()) >= r0 else z
-    return indicator * (float(own.sum()) + gamma * p_j)
-
-
 @dataclass
 class EpsSchedule:
     start: float = 0.9

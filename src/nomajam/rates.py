@@ -2,7 +2,8 @@
 
 All functions are pure and operate on noise-normalized quantities: transmit
 powers are expressed in units of the noise power, so every SINR denominator
-starts at exactly 1.
+starts at exactly 1.  ``link_terms`` is the only place the link model is
+written; every SINR, rate and utility here and in the solvers derives from it.
 """
 
 from __future__ import annotations
@@ -55,35 +56,48 @@ class StrategyProfile:
         return (self.p1, self.p2, self.p3, self.p4, self.p_j)
 
 
-def _sinr4(
-    rows: tuple[tuple[float, float, float], ...],
-    p1: float,
-    p2: float,
-    p3: float,
-    p4: float,
-    p_j: float,
-) -> tuple[float, float, float, float]:
-    """Scalar fast path shared by the hot loops; rows = ch.gain_rows."""
-    g1, g2, g3, g4 = rows
-    s1 = p1 * g1[SRC_BS1] / (
-        1.0 + p2 * g1[SRC_BS1] + (p3 + p4) * g1[SRC_BS2] + p_j * g1[SRC_JAM]
+def link_terms(
+    ch: ChannelRealization, p1: float, p2: float, p3: float, p4: float
+) -> tuple[tuple[float, float, float], ...]:
+    """Each user's (signal, interference plus noise without the jammer, jammer gain).
+
+    The one statement of the link model under successive interference
+    cancellation: the weak users (UE1, UE3) see their cell's strong-user
+    power plus the other cell's total, and the strong users (UE2, UE4) have
+    the weak-user signal cancelled and see only noise.  User i's SINR at
+    jamming power p_j is s_i / (d_i + p_j * g_i).
+    """
+    g1, g2, g3, g4 = ch.gain_rows
+    return (
+        (p1 * g1[SRC_BS1],
+         1.0 + p2 * g1[SRC_BS1] + (p3 + p4) * g1[SRC_BS2], g1[SRC_JAM]),
+        (p2 * g2[SRC_BS1], 1.0, g2[SRC_JAM]),
+        (p3 * g3[SRC_BS2],
+         1.0 + p4 * g3[SRC_BS2] + (p1 + p2) * g3[SRC_BS1], g3[SRC_JAM]),
+        (p4 * g4[SRC_BS2], 1.0, g4[SRC_JAM]),
     )
-    s2 = p2 * g2[SRC_BS1] / (1.0 + p_j * g2[SRC_JAM])
-    s3 = p3 * g3[SRC_BS2] / (
-        1.0 + p4 * g3[SRC_BS2] + (p1 + p2) * g3[SRC_BS1] + p_j * g3[SRC_JAM]
-    )
-    s4 = p4 * g4[SRC_BS2] / (1.0 + p_j * g4[SRC_JAM])
-    return (s1, s2, s3, s4)
+
+
+def sinrs(terms, p_j: float) -> list[float]:
+    """Per-user SINRs from ``link_terms`` at jamming power p_j."""
+    return [s / (d + p_j * g) for s, d, g in terms]
+
+
+def sum_rate(terms, p_j, log2=math.log2):
+    """Sum rate from ``link_terms`` at jamming power p_j, added in user order.
+
+    Pass np.log2 when p_j is an array; the default math.log2 is the scalar
+    solvers' logarithm.
+    """
+    total = 0.0
+    for s, d, g in terms:
+        total += log2(1.0 + s / (d + p_j * g))
+    return total
 
 
 def sinr_vector(ch: ChannelRealization, prof: StrategyProfile) -> np.ndarray:
-    """SINRs of the four users under successive interference cancellation.
-
-    The weak users (UE1, UE3) see intra-cell interference from their cell's
-    strong user plus the full other-cell and jammer powers; the strong users
-    (UE2, UE4) have the weak-user signal cancelled and see only the jammer.
-    """
-    return np.array(_sinr4(ch.gain_rows, *prof.as_tuple()))
+    """SINRs of the four users under successive interference cancellation."""
+    return np.array(sinrs(link_terms(ch, prof.p1, prof.p2, prof.p3, prof.p4), prof.p_j))
 
 
 def rates_from_sinr(sinr) -> np.ndarray:
@@ -96,16 +110,43 @@ def user_rates(ch: ChannelRealization, prof: StrategyProfile) -> np.ndarray:
 
 
 def _rates4(
-    rows: tuple[tuple[float, float, float], ...],
-    p1: float,
-    p2: float,
-    p3: float,
-    p4: float,
-    p_j: float,
-) -> tuple[float, float, float, float]:
-    s1, s2, s3, s4 = _sinr4(rows, p1, p2, p3, p4, p_j)
-    return (math.log2(1.0 + s1), math.log2(1.0 + s2),
-            math.log2(1.0 + s3), math.log2(1.0 + s4))
+    ch: ChannelRealization, p1: float, p2: float, p3: float, p4: float, p_j: float
+) -> tuple[float, ...]:
+    """Per-user rates as plain floats (math.log2), for the scalar solvers."""
+    terms = link_terms(ch, p1, p2, p3, p4)
+    return tuple(math.log2(1.0 + sinr) for sinr in sinrs(terms, p_j))
+
+
+def qos_binding_split(
+    ch: ChannelRealization,
+    p_bs1: float,
+    p_bs2: float,
+    p_j_star: float,
+    r0: float,
+    cell: int,
+) -> float:
+    """Weak-user power that makes its rate exactly meet the QoS threshold.
+
+    Closed form: with t = 2^r0 and A the weak user's denominator with the
+    cell's whole total on its strong user, p_weak = (t - 1) * A / (g_own * t).
+    Returns inf when the binding power exceeds the cell's total (infeasible
+    marker).
+    """
+    if cell == 1:
+        weak, own, total = 0, SRC_BS1, p_bs1
+    elif cell == 2:
+        weak, own, total = 2, SRC_BS2, p_bs2
+    else:
+        raise ValueError(f"cell must be 1 or 2, got {cell}")
+    g_own = ch.gain_rows[weak][own]
+    if g_own <= 0:
+        raise ValueError("weak user's own-cell gain must be positive")
+    _, d, g_jam = link_terms(ch, 0.0, p_bs1, 0.0, p_bs2)[weak]
+    t = 2.0 ** r0
+    p_weak = (t - 1.0) * (d + p_j_star * g_jam) / (g_own * t)
+    if p_weak > total + 1e-12 * max(1.0, total):
+        return math.inf
+    return p_weak
 
 
 def objective_p2(rates, r0: float) -> float:
@@ -122,44 +163,25 @@ def bs_utility(rates, p_j: float, r0: float, gamma: float, z: float) -> float:
     rate plus the jamming cost gamma * p_j the jammer was forced to spend.
     Both indicators failing multiplies the base by z^2.
     """
+    i1 = 1.0 if min(rates[0], rates[1]) >= r0 else z
+    i2 = 1.0 if min(rates[2], rates[3]) >= r0 else z
+    return float(i1 * i2 * (rates[0] + rates[1] + rates[2] + rates[3] + gamma * p_j))
+
+
+def selfish_reward(
+    rates, own_cell: int, p_j: float, r0: float, gamma: float, z: float
+) -> float:
+    """Single-cell reward: own QoS indicator times own sum rate plus jam cost.
+
+    Ignores the other cell's rates entirely; used by the selfish baseline.
+    """
     r = np.asarray(rates, dtype=float)
-    i1 = 1.0 if min(r[0], r[1]) >= r0 else z
-    i2 = 1.0 if min(r[2], r[3]) >= r0 else z
-    return i1 * i2 * (float(r.sum()) + gamma * p_j)
+    own = r[0:2] if own_cell == 1 else r[2:4]
+    indicator = 1.0 if float(own.min()) >= r0 else z
+    return indicator * (float(own.sum()) + gamma * p_j)
 
 
 def jammer_utility(rates, p_j: float, gamma: float) -> float:
     """Jammer utility: negated sum rate minus the cost of the spent power."""
     r = np.asarray(rates, dtype=float)
     return -(float(r.sum()) + gamma * p_j)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Everything derived from one (channel, profile) evaluation."""
-
-    sinr: np.ndarray
-    rate: np.ndarray
-    qos_ok: np.ndarray
-    objective: float
-    u_bs: float
-    u_jammer: float
-
-
-def rate_report(
-    ch: ChannelRealization,
-    prof: StrategyProfile,
-    r0: float,
-    gamma: float,
-    z: float,
-) -> RateReport:
-    sinr = sinr_vector(ch, prof)
-    rate = rates_from_sinr(sinr)
-    return RateReport(
-        sinr=sinr,
-        rate=rate,
-        qos_ok=rate >= r0,
-        objective=objective_p2(rate, r0),
-        u_bs=bs_utility(rate, prof.p_j, r0, gamma, z),
-        u_jammer=jammer_utility(rate, prof.p_j, gamma),
-    )

@@ -14,9 +14,9 @@ from nomajam.learn.agents import (
     quantize_sinr,
     save_checkpoint,
     select_action,
-    selfish_reward,
 )
 from nomajam.learn.nn import Transition, mlp_forward
+from nomajam.rates import selfish_reward
 
 
 def test_quantize_clamps():

@@ -11,7 +11,6 @@ from nomajam.game import (
     find_ne_l1,
     find_ne_l2,
     find_ne_l3,
-    leader_slopes_closed_form,
     leader_slopes_numeric,
     monotonicity_check,
     mood_classify,
@@ -394,9 +393,9 @@ def test_finders_respect_mood_gate(geom, jcfg):
     assert find_ne_l1(ch2, grid, jcfg, R0, GAMMA, Z) == []
 
 
-def test_leader_slopes_cross_check(geom, jcfg):
-    # the closed-form slope is a diagnostic; signs usually agree with the
-    # finite-difference slope but mismatches are tolerated and counted
+def test_leader_slopes_numeric_on_feasible_set(geom, jcfg):
+    # the finite-difference slopes find_ne_l1 relies on exist and are finite
+    # at every feasible total-power pair
     grid = StrategyGrid.build(4, 40.0)
     seed, ch = first_seed_with_mood(geom, grid, jcfg, want=1)
     mood = mood_classify(ch, grid, jcfg, R0)
@@ -406,10 +405,8 @@ def test_leader_slopes_cross_check(geom, jcfg):
         )
         assert sol is not None
         numeric = leader_slopes_numeric(ch, t1, t2, sol[0].p_j, R0, GAMMA)
-        closed = leader_slopes_closed_form(ch, t1, t2, sol[0].p_j, R0, GAMMA)
         assert numeric is not None
         assert all(np.isfinite(v) for v in numeric)
-        assert all(np.isfinite(v) for v in closed)
 
 
 def test_monotonicity_zero_interference():

@@ -59,6 +59,24 @@ def test_config_validation_rejects(changes):
         ExperimentConfig(**changes).validate()
 
 
+def test_duplicate_seeds_rejected():
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig(seeds=(0, 0)).validate()
+    assert cli_main(["--seeds", "0,0", "--slots", "5"]) == 1
+
+
+FLOAT_KEYS = [
+    f.name for f in dataclasses.fields(ExperimentConfig) if isinstance(f.default, float)
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_rejects_nonfinite_floats(key, value):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**{key: value}).validate()
+
+
 def test_parse_seeds():
     assert parse_seeds("5") == (0, 1, 2, 3, 4)
     assert parse_seeds("3,1,2") == (3, 1, 2)
@@ -170,6 +188,16 @@ def test_csv_roundtrip_exact(tmp_path):
         header = fh.readline().strip().split(",")
     assert header == CSV_HEADER
     assert sum(1 for _ in open(path)) == len(records) + 1
+
+
+def test_read_csv_rejects_truncated_row(tmp_path):
+    path = tmp_path / "records.csv"
+    export_csv(run_seed(ExperimentConfig(**FAST), 0)[:3], path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[-1] = lines[-1][: lines[-1].index(",", 10)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"records\.csv: row 4 "):
+        read_csv(path)
 
 
 def test_replay_determinism_bytes(tmp_path):
@@ -284,6 +312,18 @@ def test_cli_rejects_zero_grid_levels(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("grid_levels = 0\n", encoding="utf-8")
     assert cli_main(["--config", str(cfgfile), "--slots", "5", "--seeds", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["batch_size", "replay_capacity", "target_sync_period",
+     "hot_boot_scenarios", "hot_boot_slots"],
+)
+def test_cli_rejects_counts_below_one(tmp_path, key, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scheme = HBDQLU\n{key} = 0\n", encoding="utf-8")
+    assert cli_main(["--config", str(cfgfile), "--slots", "5", "--seeds", "1"]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_shipped_default_config_matches_builtin_defaults():

@@ -8,9 +8,8 @@ from nomajam.jammer import (
     best_response,
     concavity_probe,
     jammer_utility_curve,
-    jql_step,
 )
-from nomajam.rates import StrategyProfile, jammer_utility, user_rates
+from nomajam.rates import StrategyProfile, jammer_utility, link_terms, user_rates
 
 from conftest import make_channel
 
@@ -43,9 +42,7 @@ def test_prohibitive_cost_never_jams(geom):
     # a cost above the initial marginal rate destruction dominates everywhere
     # (the rate drop is concave in jamming power, so its slope is largest at 0)
     ch = draw_channels(geom, 3)
-    from nomajam.jammer import _rate_terms
-
-    terms = _rate_terms(ch, (20.0, 10.0), (15.0, 10.0))
+    terms = link_terms(ch, 20.0, 10.0, 15.0, 10.0)
     marginal = sum(s * g / (d * (d + s) * np.log(2)) for s, d, g in terms)
     cfg = JammerConfig(gamma=1.1 * marginal)
     br = best_response(ch, (20.0, 10.0), (15.0, 10.0), cfg)
@@ -135,7 +132,7 @@ def test_jql_greedy_when_no_exploration(jcfg):
     agent = JammerAgent(jcfg, p_bs_max=40.0, seed=0, eps_start=0.0, eps_floor=0.0)
     state = agent.observe_powers(20.0, 20.0)
     agent.table.table[state, 4] = 10.0
-    assert jql_step(agent, state, None) == agent.actions[4]
+    assert agent.step(state, None) == agent.actions[4]
 
 
 def test_jql_full_exploration_uniform_over_non_greedy(jcfg):

@@ -6,7 +6,6 @@ from nomajam.rates import (
     bs_utility,
     jammer_utility,
     objective_p2,
-    rate_report,
     rates_from_sinr,
     sinr_vector,
     user_rates,
@@ -150,11 +149,3 @@ def test_rates_match_high_precision_reference():
         for a, b in zip(fast, ref):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
-
-def test_rate_report_consistency(channel):
-    prof = StrategyProfile(p1=20.0, p2=10.0, p3=15.0, p4=10.0, p_j=3.0)
-    rep = rate_report(channel, prof, r0=1.0, gamma=0.5, z=0.01)
-    assert np.allclose(rep.rate, np.log2(1 + rep.sinr))
-    assert rep.objective in (0.0, pytest.approx(rep.rate.sum()))
-    assert rep.u_jammer == pytest.approx(-(rep.rate.sum() + 0.5 * prof.p_j))
-    assert np.array_equal(rep.qos_ok, rep.rate >= 1.0)
