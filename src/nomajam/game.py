@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .channel import SRC_BS1, SRC_BS2, SRC_JAM, ChannelRealization
-from .jammer import BestResponse, JammerConfig, best_response
+from .jammer import BestResponse, JammerConfig, best_response, concavity_probe
 from .rates import StrategyProfile, _rates4, bs_utility, qos_binding_split
 
 EPS_NE = 1e-9
@@ -126,24 +126,17 @@ def _stackelberg_fixed_point(
     """Self-consistent (profile, jammer response) for a pj-dependent profile.
 
     ``profile_of_pj(pj)`` builds the BS profile given the jamming power, and
-    the jammer then best-responds to that profile.  Damped iteration first;
-    a bracketing bisection on pj - BR(pj) is the fallback.
+    the jammer then best-responds to that profile.  Damped iteration from
+    pj = 0; returns None when the profile is undefined along the way or when
+    100 steps do not converge.
     """
     tol = 1e-6 * jcfg.p_j_max
-
-    def respond(pj: float) -> tuple[StrategyProfile, BestResponse] | None:
+    pj = 0.0
+    for _ in range(100):
         prof = profile_of_pj(pj)
         if prof is None:
             return None
         br = best_response(ch, (prof.p1, prof.p2), (prof.p3, prof.p4), jcfg)
-        return prof, br
-
-    pj = 0.0
-    for _ in range(100):
-        out = respond(pj)
-        if out is None:
-            return None
-        prof, br = out
         nxt = 0.5 * pj + 0.5 * br.p_j_star
         if abs(nxt - pj) <= tol:
             prof = profile_of_pj(br.p_j_star)
@@ -153,38 +146,7 @@ def _stackelberg_fixed_point(
                 p1=prof.p1, p2=prof.p2, p3=prof.p3, p4=prof.p4, p_j=br.p_j_star
             ), br
         pj = nxt
-
-    # Bisection fallback on f(pj) = BR(profile(pj)) - pj, which changes sign
-    # on [0, p_j_max] whenever the map is defined there.
-    def gap(pj: float) -> float | None:
-        out = respond(pj)
-        return None if out is None else out[1].p_j_star - pj
-
-    lo, hi = 0.0, jcfg.p_j_max
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo is None or g_hi is None:
-        return None
-    if g_lo < 0 or g_hi > 0:
-        return None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if g_mid is None:
-            return None
-        if g_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    pj = 0.5 * (lo + hi)
-    out = respond(pj)
-    if out is None:
-        return None
-    prof, br = out
-    return StrategyProfile(
-        p1=prof.p1, p2=prof.p2, p3=prof.p3, p4=prof.p4, p_j=br.p_j_star
-    ), br
+    return None
 
 
 def mood_classify(
@@ -846,8 +808,6 @@ def analysis_report(
         report["pne_l3"] = pne3.to_dict() if pne3 else None
 
     confirmed = all(c.profile.as_tuple()[:4] in bf_keys for c in analytic)
-    from .jammer import concavity_probe
-
     unimodal = [
         concavity_probe(ch, (p.p1, p.p2), (p.p3, p.p4), jcfg).unimodal for p in bf
     ]

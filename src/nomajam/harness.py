@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .channel import (
     draw_channels,
 )
 from .game import StrategyGrid, analysis_report
-from .jammer import JammerAgent, JammerConfig, best_response
+from .jammer import MIN_SEARCH_TOLERANCE, JammerAgent, JammerConfig, best_response
 from .learn.agents import (
     DqnAgent,
     EpsSchedule,
@@ -130,16 +131,34 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be unique, got {self.seeds}")
-        if self.grid_levels < 2:
-            raise ValueError("grid_levels must be at least 2")
-        for name in ("p_bs_max", "p_j_max"):
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
+        for name in ("grid_levels", "sinr_levels", "jammer_grid_levels"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2")
+        for name in ("p_bs_max", "p_j_max", "alpha_dqn"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.sinr_levels < 2:
-            raise ValueError("sinr_levels must be at least 2")
+        for name, holds, need in (
+            ("z", 0 <= self.z <= 1, "lie in [0, 1]"),
+            ("discount", 0 <= self.discount < 1, "lie in [0, 1)"),
+            ("alpha_ql", 0 < self.alpha_ql <= 1, "lie in (0, 1]"),
+            ("eps_decay", 0 < self.eps_decay <= 1, "lie in (0, 1]"),
+            ("eps_floor", 0 <= self.eps_floor <= self.eps_start,
+             "lie in [0, eps_start]"),
+            ("eps_start", self.eps_start <= 1, "be at most 1"),
+            ("sinr_lo_db", self.sinr_lo_db < self.sinr_hi_db, "be below sinr_hi_db"),
+            ("jammer_search_tolerance",
+             self.jammer_search_tolerance >= MIN_SEARCH_TOLERANCE * self.p_j_max,
+             f"be at least {MIN_SEARCH_TOLERANCE} * p_j_max"),
+        ):
+            if not holds:
+                raise ValueError(f"{name} must {need}, got {getattr(self, name)}")
         if self.redraw_period < 0:
             raise ValueError("redraw_period must be non-negative")
         self.geometry()  # validates positions/distances
+        self.jammer_config()
+        self.grid()
 
     def geometry(self) -> Geometry:
         return Geometry(
@@ -175,14 +194,17 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     if len(parts) == 1 and "," not in text:
         n = int(parts[0])
         if n <= 0:
-            raise ValueError("seed count must be positive")
+            raise ValueError(f"seeds: a count must be positive, got {n}")
         return tuple(range(n))
-    return tuple(int(p) for p in parts)
+    seeds = tuple(int(p) for p in parts)
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {text.strip()!r}")
+    return seeds
 
 
 def _coerce(name: str, kind, raw: str):
     raw = raw.strip()
-    if kind is bool or str(kind) in ("bool", "<class 'bool'>"):
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
@@ -197,11 +219,7 @@ def _coerce(name: str, kind, raw: str):
 
 def load_config(path: str) -> ExperimentConfig:
     """Read a flat key=value file; '#' starts a comment, blank lines ignored."""
-    types = {
-        "bool": bool, "int": int, "float": float, "str": str,
-        "str | None": str, "tuple[int, ...]": None,
-    }
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    kinds = typing.get_type_hints(ExperimentConfig)
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -211,13 +229,12 @@ def load_config(path: str) -> ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in fields:
+            if key not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key == "seeds":
                 values[key] = parse_seeds(raw)
                 continue
-            kind = types.get(str(fields[key].type), str)
-            values[key] = _coerce(key, kind, raw)
+            values[key] = _coerce(key, kinds[key], raw)
     return ExperimentConfig(**values)
 
 
@@ -249,7 +266,7 @@ class SlotRecord:
 
 CSV_HEADER = [f.name for f in dataclasses.fields(SlotRecord)]
 _FLOAT_FIELDS = {
-    f.name for f in dataclasses.fields(SlotRecord) if f.type == "float"
+    name for name, kind in typing.get_type_hints(SlotRecord).items() if kind is float
 }
 
 

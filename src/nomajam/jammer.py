@@ -2,9 +2,12 @@
 
 The jammer is the follower of the leader-follower game: given both BS power
 allocations it picks the jamming power maximizing its utility (negated
-network sum rate minus a linear power cost) on [0, p_j_max].  The maximizer
-is found numerically from the exact utility; printed closed-form optimality
-conditions are not trusted.
+network sum rate minus a linear power cost) on [0, p_j_max].  That utility,
+-sum_i log2(1 + s_i / (d_i + p g_i)) - gamma p with d_i >= 1 and
+s_i, g_i >= 0, is concave in p: each term's marginal rate loss
+s_i g_i / ((d_i + p g_i)(d_i + s_i + p g_i)) falls as p grows.  So a coarse
+sweep brackets the maximizer and golden-section search refines it inside
+the bracket; printed closed-form optimality conditions are not trusted.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from .learn.agents import QTable, select_action
 from .rates import link_terms, sum_rate
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Smallest search tolerance, relative to p_j_max: golden-section search
+# cannot shrink its bracket below a few ulps, so a finer one never ends.
+MIN_SEARCH_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,10 @@ class JammerConfig:
             raise ValueError("gamma must be non-negative")
         if self.grid_levels < 2:
             raise ValueError("grid_levels must be at least 2")
+        if not self.search_tolerance >= MIN_SEARCH_TOLERANCE * self.p_j_max:
+            raise ValueError(
+                f"search_tolerance must be at least {MIN_SEARCH_TOLERANCE} * p_j_max"
+            )
 
 
 @dataclass(frozen=True)
@@ -88,14 +98,6 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _slope_sign_changes(values: np.ndarray) -> int:
-    """Sign changes of consecutive finite differences, ignoring flat steps."""
-    diffs = np.diff(values)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    signs = [1 if d > 1e-12 * scale else -1 for d in diffs if abs(d) > 1e-12 * scale]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def best_response(
     ch: ChannelRealization,
     alloc1: tuple[float, float],
@@ -104,9 +106,10 @@ def best_response(
 ) -> BestResponse:
     """Utility-maximizing jamming power on [0, p_j_max], clamped at the ends.
 
-    A coarse sweep checks unimodality; if it holds, golden-section search
-    refines the maximizer, otherwise a dense grid plus local refinement is
-    used.  Deterministic in its inputs.
+    The utility is concave in the jamming power (see the module docstring),
+    so the best of a 65-point sweep lies within one step of the maximizer;
+    golden-section search refines it on that bracket.  Deterministic in its
+    inputs.
     """
     if min(alloc1 + alloc2) < 0:
         raise ValueError("allocations must be non-negative")
@@ -116,18 +119,10 @@ def best_response(
 
     probe_pj = np.linspace(0.0, pmax, 65)
     probe_u = jammer_utility_curve(ch, alloc1, alloc2, cfg.gamma, probe_pj)
-    if _slope_sign_changes(probe_u) <= 1:
-        k = int(np.argmax(probe_u))
-        lo = probe_pj[max(0, k - 1)]
-        hi = probe_pj[min(len(probe_pj) - 1, k + 1)]
-        star = _golden_max(u, lo, hi, tol)
-    else:
-        dense_pj = np.linspace(0.0, pmax, 100_001)
-        dense_u = jammer_utility_curve(ch, alloc1, alloc2, cfg.gamma, dense_pj)
-        k = int(np.argmax(dense_u))
-        lo = dense_pj[max(0, k - 1)]
-        hi = dense_pj[min(len(dense_pj) - 1, k + 1)]
-        star = _golden_max(u, lo, hi, tol)
+    k = int(np.argmax(probe_u))
+    lo = probe_pj[max(0, k - 1)]
+    hi = probe_pj[min(len(probe_pj) - 1, k + 1)]
+    star = _golden_max(u, lo, hi, tol)
 
     # The ends are the clamp points; take whichever candidate wins outright.
     candidates = [0.0, float(star), pmax]
@@ -163,7 +158,10 @@ def concavity_probe(
         raise ValueError("n_points must be at least 10")
     pj = np.linspace(0.0, cfg.p_j_max, n_points)
     values = jammer_utility_curve(ch, alloc1, alloc2, cfg.gamma, pj)
-    changes = _slope_sign_changes(values)
+    diffs = np.diff(values)
+    flat = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    signs = [1 if d > 0 else -1 for d in diffs if abs(d) > flat]
+    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return UnimodalityReport(unimodal=changes <= 1, sign_changes=changes)
 
 

@@ -83,26 +83,15 @@ def select_action(qvalues: np.ndarray, eps: float, rng: np.random.Generator) -> 
 
 
 class QTable:
-    """Dense state-action value table with the standard one-step update.
+    """Dense state-action value table, zero at the start, with the one-step
+    Q-learning update."""
 
-    ``init`` > 0 starts every entry optimistic, which drives systematic
-    exploration of untried actions (useful for coordinating independent
-    learners); 0 is the plain pessimistic-neutral start.
-    """
-
-    def __init__(
-        self,
-        n_states: int,
-        n_actions: int,
-        alpha: float,
-        discount: float,
-        init: float = 0.0,
-    ):
+    def __init__(self, n_states: int, n_actions: int, alpha: float, discount: float):
         self.n_states = n_states
         self.n_actions = n_actions
         self.alpha = alpha
         self.discount = discount
-        self.table = np.full((n_states, n_actions), float(init))
+        self.table = np.zeros((n_states, n_actions))
 
     def update(self, state: int, action: int, reward: float, next_state: int) -> None:
         best_next = float(self.table[next_state].max())
@@ -139,10 +128,9 @@ class TabularAgent:
         discount: float,
         eps: EpsSchedule,
         seed: int,
-        q_init: float = 0.0,
     ) -> None:
         self.sinr_levels = sinr_levels
-        self.table = QTable(sinr_levels**4, n_actions, alpha, discount, init=q_init)
+        self.table = QTable(sinr_levels**4, n_actions, alpha, discount)
         self.rng = np.random.default_rng(seed)
         self.eps_schedule = eps
         self.eps = eps.start

@@ -92,31 +92,45 @@ def mlp_forward_batch(params: MlpParams, batch_obs: np.ndarray) -> np.ndarray:
     return _forward_cached(params, x)[-1]
 
 
+def _td_gradients(params: MlpParams, x: np.ndarray, actions, targets):
+    """Residuals Q(x, a) - target and their gradients, batch rows as samples.
+
+    The gradients are those of 0.5 * mean(residual^2) for every parameter;
+    only the taken actions' output units carry a residual.
+    """
+    _, w2, w3 = params.weights
+    z1, h1, z2, h2, q = _forward_cached(params, x)
+    n = x.shape[0]
+    rows = np.arange(n)
+    residual = q[rows, actions] - targets
+
+    dq = np.zeros_like(q)
+    dq[rows, actions] = residual / n
+    dw3 = dq.T @ h2
+    db3 = dq.sum(axis=0)
+    dh2 = dq @ w3
+    dz2 = dh2 * (z2 > 0)
+    dw2 = dz2.T @ h1
+    db2 = dz2.sum(axis=0)
+    dh1 = dz2 @ w2
+    dz1 = dh1 * (z1 > 0)
+    dw1 = dz1.T @ x
+    db1 = dz1.sum(axis=0)
+    return residual, [dw1, dw2, dw3], [db1, db2, db3]
+
+
 def mlp_backward(
     params: MlpParams, obs, action: int, target: float
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of 0.5 * (target - Q(obs, action))^2 for every parameter.
 
-    Only the taken action's output unit carries a residual; gradients of the
-    other output rows are zero.
+    The training step's batched pass on a batch of one.  Only the taken
+    action's output unit carries a residual; gradients of the other output
+    rows are zero.
     """
-    x = np.asarray(obs, dtype=float)
-    w1, w2, w3 = params.weights
-    z1, h1, z2, h2, q = _forward_cached(params, x)
-
-    dq = np.zeros_like(q)
-    dq[action] = q[action] - target
-    dw3 = np.outer(dq, h2)
-    db3 = dq
-    dh2 = w3.T @ dq
-    dz2 = dh2 * (z2 > 0)
-    dw2 = np.outer(dz2, h1)
-    db2 = dz2
-    dh1 = w2.T @ dz2
-    dz1 = dh1 * (z1 > 0)
-    dw1 = np.outer(dz1, x)
-    db1 = dz1
-    return [dw1, dw2, dw3], [db1, db2, db3]
+    x = np.asarray(obs, dtype=float)[None, :]
+    _, gw, gb = _td_gradients(params, x, np.array([action]), np.array([target]))
+    return gw, gb
 
 
 def dqn_train_step(
@@ -140,30 +154,12 @@ def dqn_train_step(
 
     next_q = mlp_forward_batch(target_net, nx)
     targets = rewards + discount * next_q.max(axis=1)
-
-    w1, w2, w3 = main.weights
-    z1, h1, z2, h2, q = _forward_cached(main, x)
-    n = len(batch)
-    rows = np.arange(n)
-    residual = q[rows, actions] - targets
+    residual, gw, gb = _td_gradients(main, x, actions, targets)
     loss = 0.5 * float(np.mean(residual**2))
 
-    dq = np.zeros_like(q)
-    dq[rows, actions] = residual / n
-    dw3 = dq.T @ h2
-    db3 = dq.sum(axis=0)
-    dh2 = dq @ w3
-    dz2 = dh2 * (z2 > 0)
-    dw2 = dz2.T @ h1
-    db2 = dz2.sum(axis=0)
-    dh1 = dz2 @ w2
-    dz1 = dh1 * (z1 > 0)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-
-    for w, dw in zip(main.weights, (dw1, dw2, dw3)):
+    for w, dw in zip(main.weights, gw):
         w -= lr * dw
-    for b, db in zip(main.biases, (db1, db2, db3)):
+    for b, db in zip(main.biases, gb):
         b -= lr * db
     return loss
 

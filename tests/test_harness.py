@@ -40,6 +40,28 @@ def test_config_defaults_validate():
     ExperimentConfig().validate()
 
 
+OUT_OF_RANGE = [
+    {"jammer_grid_levels": 1},
+    {"eps_start": 1.5},
+    {"eps_floor": -0.1},
+    {"eps_floor": 0.95},  # above eps_start
+    {"eps_decay": 0.0},
+    {"eps_decay": 1.5},
+    {"discount": 1.0},
+    {"discount": 2.0},
+    {"alpha_ql": 0.0},
+    {"alpha_ql": 1.5},
+    {"alpha_dqn": 0.0},
+    {"z": -1.0},
+    {"z": 1.5},
+    {"sinr_lo_db": 30.0},  # equal to sinr_hi_db
+    {"jammer_search_tolerance": 0.0},
+    {"jammer_search_tolerance": -1.0},
+    {"jammer_search_tolerance": 1e-20},
+    {"seeds": (-3, 1)},
+]
+
+
 @pytest.mark.parametrize(
     "changes",
     [
@@ -52,6 +74,7 @@ def test_config_defaults_validate():
         {"jammer_mode": "psychic"},
         {"xl_jammer": 250.0},  # coincides with a user position
         {"redraw_period": -1},
+        *OUT_OF_RANGE,
     ],
 )
 def test_config_validation_rejects(changes):
@@ -324,6 +347,23 @@ def test_cli_rejects_counts_below_one(tmp_path, key, capsys):
     cfgfile.write_text(f"scheme = HBDQLU\n{key} = 0\n", encoding="utf-8")
     assert cli_main(["--config", str(cfgfile), "--slots", "5", "--seeds", "1"]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", OUT_OF_RANGE)
+def test_cli_rejects_out_of_range(tmp_path, changes, capsys):
+    ((key, value),) = changes.items()
+    raw = ",".join(map(str, value)) if isinstance(value, tuple) else value
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    assert cli_main(["--config", str(cfgfile), "--slots", "3"]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_negative_seeds_rejected():
+    for text in ("-3,1", "-3"):
+        with pytest.raises(ValueError, match="seeds"):
+            parse_seeds(text)
+    assert cli_main(["--seeds=-3,1", "--slots", "3"]) == 1
 
 
 def test_shipped_default_config_matches_builtin_defaults():

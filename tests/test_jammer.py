@@ -27,6 +27,10 @@ def test_config_validation():
         JammerConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         JammerConfig(grid_levels=1)
+    # golden-section search never ends with a tolerance below float resolution
+    for tol in (0.0, -1.0, 1e-20):
+        with pytest.raises(ValueError, match="search_tolerance"):
+            JammerConfig(search_tolerance=tol)
 
 
 def test_zero_cost_jams_at_full_power(geom):
@@ -126,6 +130,28 @@ def test_probe_random_realizations_unimodal(geom, jcfg):
         a1, a2 = random_allocs(rng)
         hits += concavity_probe(ch, a1, a2, jcfg).unimodal
     assert hits >= 0.95 * total
+
+
+def test_probe_unimodal_on_every_random_profile(geom):
+    # best_response brackets the argmax of its 65-point sweep with no fallback;
+    # that is sound because the utility is concave in the jamming power
+    rng = np.random.default_rng(16)
+    channels = [draw_channels(geom, seed) for seed in range(40)]
+    gammas = (0.0, 0.5, 50.0)
+    failures = []
+    for i in range(2000):
+        ch = channels[i % len(channels)]
+        p = rng.uniform(0.0, 40.0, size=4)
+        if i % 5 == 1:
+            p[0] = 0.0
+        elif i % 5 == 2:
+            p[2] = 0.0
+        gamma = gammas[i % 3] if i % 4 else float(rng.uniform(0.0, 5.0))
+        a1, a2 = tuple(p[:2]), tuple(p[2:])
+        rep = concavity_probe(ch, a1, a2, JammerConfig(gamma=gamma), n_points=65)
+        if not rep.unimodal:
+            failures.append((i, p.tolist(), gamma))
+    assert failures == []
 
 
 def test_jql_greedy_when_no_exploration(jcfg):
