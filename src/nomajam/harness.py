@@ -34,7 +34,6 @@ from .learn.agents import (
     DqnAgent,
     EpsSchedule,
     TabularAgent,
-    hot_boot,
     observation_for,
     quantize_sinr,
 )
@@ -52,6 +51,9 @@ log = logging.getLogger(__name__)
 
 SCHEMES = ("QLU", "DQLU", "HBDQLU", "QLS", "NE-ANALYSIS")
 JAMMER_MODES = ("learning", "best-response")
+# Largest Q-table a tabular BS agent may allocate (sinr_levels**4 states by
+# one column per grid action, float64); QLU and QLS run two of them.
+MAX_Q_TABLE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,6 @@ class ExperimentConfig:
     sinr_levels: int = 8
     sinr_lo_db: float = -20.0
     sinr_hi_db: float = 30.0
-    replay: bool = True
     replay_capacity: int = 10_000
     batch_size: int = 32
     target_sync_period: int = 100
@@ -136,10 +137,12 @@ class ExperimentConfig:
         for name in ("grid_levels", "sinr_levels", "jammer_grid_levels"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
-        for name in ("p_bs_max", "p_j_max", "alpha_dqn"):
+        for name in ("p_bs_max", "p_j_max", "alpha_dqn", "reward_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name, holds, need in (
+            ("r0", self.r0 >= 0, "be non-negative"),
+            ("eps_ne", self.eps_ne >= 0, "be non-negative"),
             ("z", 0 <= self.z <= 1, "lie in [0, 1]"),
             ("discount", 0 <= self.discount < 1, "lie in [0, 1)"),
             ("alpha_ql", 0 < self.alpha_ql <= 1, "lie in (0, 1]"),
@@ -158,7 +161,14 @@ class ExperimentConfig:
             raise ValueError("redraw_period must be non-negative")
         self.geometry()  # validates positions/distances
         self.jammer_config()
-        self.grid()
+        n_actions = len(self.grid().actions)
+        table_bytes = self.sinr_levels**4 * n_actions * 8
+        if self.scheme in ("QLU", "QLS") and table_bytes > MAX_Q_TABLE_BYTES:
+            raise ValueError(
+                f"grid_levels = {self.grid_levels} and sinr_levels = "
+                f"{self.sinr_levels} need a {table_bytes / 2**20:.0f} MiB Q-table "
+                f"per BS, above the {MAX_Q_TABLE_BYTES // 2**20} MiB bound"
+            )
 
     def geometry(self) -> Geometry:
         return Geometry(
@@ -202,14 +212,14 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _coerce(name: str, kind, raw: str):
+def _coerce(kind, raw: str):
     raw = raw.strip()
     if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+        raise ValueError(f"expected a boolean, got {raw!r}")
     if kind is int:
         return int(raw)
     if kind is float:
@@ -231,10 +241,13 @@ def load_config(path: str) -> ExperimentConfig:
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "seeds":
-                values[key] = parse_seeds(raw)
-                continue
-            values[key] = _coerce(key, kinds[key], raw)
+            try:
+                values[key] = (
+                    parse_seeds(raw) if key == "seeds" else _coerce(kinds[key], raw)
+                )
+            except ValueError as exc:
+                msg = f"{path}:{lineno}: bad value for {key}: {exc}"
+                raise ValueError(msg) from None
     return ExperimentConfig(**values)
 
 
@@ -443,7 +456,6 @@ def _build_agents(cfg: ExperimentConfig, n_actions: int, seed_seqs, boot_params=
                 cfg.discount,
                 eps,
                 s,
-                replay=cfg.replay,
                 replay_capacity=cfg.replay_capacity,
                 batch_size=cfg.batch_size,
                 sync_period=cfg.target_sync_period,
@@ -455,24 +467,25 @@ def _build_agents(cfg: ExperimentConfig, n_actions: int, seed_seqs, boot_params=
     raise ValueError(f"scheme {cfg.scheme!r} has no agents")
 
 
-def _hot_boot_params(cfg: ExperimentConfig, boot_ss: np.random.SeedSequence):
-    """Pre-train on perturbed channel draws derived from the run seed."""
+def hot_boot(cfg: ExperimentConfig, boot_ss: np.random.SeedSequence):
+    """Pre-train a DQN pair on perturbed channel draws; return the BS1 weights.
+
+    Each scenario is a fresh environment seeded from ``boot_ss``, and one
+    pair of agents plays ``hot_boot_slots`` slots in each.  The per-scenario
+    mean training loss is logged so overfitting to the boot scenarios stays
+    visible; more scenarios converge faster but risk exactly that.
+    """
     children = boot_ss.spawn(cfg.hot_boot_scenarios + 2)
     scenario_seeds, agent_seeds = children[:-2], children[-2:]
-
-    def scenario_gen(i: int) -> TwoCellEnv:
-        return TwoCellEnv(cfg, scenario_seeds[i])
-
-    def make_agents(env: TwoCellEnv):
-        return _build_agents(cfg, env.n_actions, agent_seeds)
-
-    return hot_boot(
-        cfg.hot_boot_scenarios,
-        scenario_gen,
-        cfg.hot_boot_slots,
-        make_agents,
-        log=lambda i, loss: log.info("hot-boot scenario %d mean loss %.4g", i, loss),
-    )
+    agents = _build_agents(cfg, len(cfg.grid().actions), agent_seeds)
+    for i, scenario_ss in enumerate(scenario_seeds):
+        env = TwoCellEnv(cfg, scenario_ss)
+        losses = []
+        for _ in range(cfg.hot_boot_slots):
+            run_slot(env, agents)
+            losses.append(agents[0].last_loss)
+        log.info("hot-boot scenario %d mean loss %.4g", i, float(np.mean(losses)))
+    return agents[0].params.copy()
 
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> list[SlotRecord]:
@@ -483,7 +496,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> list[SlotRecord]:
     env.seed = seed
     boot_params = None
     if cfg.scheme == "HBDQLU":
-        boot_params = _hot_boot_params(cfg, boot_ss)
+        boot_params = hot_boot(cfg, boot_ss)
     agents = _build_agents(cfg, env.n_actions, (a1_ss, a2_ss), boot_params)
     env.reset()
     records = []

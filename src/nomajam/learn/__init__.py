@@ -6,12 +6,8 @@ from .agents import (
     QTable,
     TabularAgent,
     encode_observation,
-    hot_boot,
-    load_checkpoint,
     observation_for,
-    ql_update,
     quantize_sinr,
-    save_checkpoint,
     select_action,
     SINR_HI_DB,
     SINR_LEVELS,
@@ -19,7 +15,6 @@ from .agents import (
 )
 from .nn import (
     MlpParams,
-    Transition,
     dqn_train_step,
     init_mlp,
     mlp_backward,
@@ -37,19 +32,14 @@ __all__ = [
     "SINR_LEVELS",
     "SINR_LO_DB",
     "TabularAgent",
-    "Transition",
     "dqn_train_step",
     "encode_observation",
-    "hot_boot",
     "init_mlp",
-    "load_checkpoint",
     "mlp_backward",
     "mlp_forward",
     "mlp_forward_batch",
     "observation_for",
-    "ql_update",
     "quantize_sinr",
-    "save_checkpoint",
     "select_action",
     "target_sync",
 ]

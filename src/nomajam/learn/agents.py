@@ -7,21 +7,12 @@ users on the previous slot.
 
 from __future__ import annotations
 
-import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (
-    MlpParams,
-    Transition,
-    dqn_train_step,
-    init_mlp,
-    mlp_forward,
-    target_sync,
-)
+from .nn import MlpParams, dqn_train_step, init_mlp, mlp_forward, target_sync
 
 SINR_LEVELS = 8
 SINR_LO_DB = -20.0
@@ -87,8 +78,6 @@ class QTable:
     Q-learning update."""
 
     def __init__(self, n_states: int, n_actions: int, alpha: float, discount: float):
-        self.n_states = n_states
-        self.n_actions = n_actions
         self.alpha = alpha
         self.discount = discount
         self.table = np.zeros((n_states, n_actions))
@@ -100,14 +89,6 @@ class QTable:
         ] + self.alpha * (reward + self.discount * best_next)
 
 
-def ql_update(table: QTable, t: Transition, levels: int = SINR_LEVELS) -> QTable:
-    """Apply one transition (tuple observations) to the table; returns it."""
-    s = encode_observation(tuple(t.obs), levels)
-    s_next = encode_observation(tuple(t.next_obs), levels)
-    table.update(s, t.action, t.reward, s_next)
-    return table
-
-
 @dataclass
 class EpsSchedule:
     start: float = 0.9
@@ -117,8 +98,6 @@ class EpsSchedule:
 
 class TabularAgent:
     """Independent Q-learning BS agent over quantized-SINR states."""
-
-    kind = "qtable"
 
     def __init__(
         self,
@@ -146,30 +125,20 @@ class TabularAgent:
         reward: float,
         next_obs: tuple[int, ...],
     ) -> None:
-        ql_update(self.table, Transition(obs, action, reward, next_obs),
-                  self.sinr_levels)
+        self.table.update(
+            encode_observation(obs, self.sinr_levels), action, reward,
+            encode_observation(next_obs, self.sinr_levels),
+        )
         self.eps = max(self.eps_schedule.floor, self.eps * self.eps_schedule.decay)
-
-    def state_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sinr_levels": self.sinr_levels,
-            "n_actions": self.table.n_actions,
-            "alpha": self.table.alpha,
-            "discount": self.table.discount,
-            "eps": self.eps,
-            "table": self.table.table.tolist(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.eps = float(state["eps"])
-        self.table.table = np.array(state["table"], dtype=float)
 
 
 class DqnAgent:
-    """DQN BS agent: main/target networks, optional uniform replay."""
+    """DQN BS agent: main/target networks and uniform experience replay.
 
-    kind = "mlp"
+    The replay memory is a ring of four preallocated arrays holding the last
+    ``replay_capacity`` transitions, observations already normalized and
+    rewards already scaled.
+    """
 
     def __init__(
         self,
@@ -179,7 +148,6 @@ class DqnAgent:
         discount: float,
         eps: EpsSchedule,
         seed: int,
-        replay: bool = True,
         replay_capacity: int = 10_000,
         batch_size: int = 32,
         sync_period: int = 100,
@@ -187,7 +155,6 @@ class DqnAgent:
         init_params: MlpParams | None = None,
     ) -> None:
         self.sinr_levels = sinr_levels
-        self.n_actions = n_actions
         self.lr = lr
         self.discount = discount
         self.rng = np.random.default_rng(seed)
@@ -200,12 +167,15 @@ class DqnAgent:
         self.target = self.params.copy()
         self.eps_schedule = eps
         self.eps = eps.start
-        self.replay_enabled = replay
-        self.buffer: deque[Transition] = deque(maxlen=replay_capacity)
+        self.capacity = replay_capacity
+        self.obs_buf = np.empty((replay_capacity, 4))
+        self.next_obs_buf = np.empty((replay_capacity, 4))
+        self.action_buf = np.empty(replay_capacity, dtype=np.intp)
+        self.reward_buf = np.empty(replay_capacity)
         self.batch_size = batch_size
         self.sync_period = sync_period
         self.reward_scale = reward_scale
-        self.slot = 0
+        self.slot = 0  # transitions stored so far, wrapped ones included
         self.sync_count = 0
         self.last_loss = 0.0
 
@@ -223,99 +193,26 @@ class DqnAgent:
         reward: float,
         next_obs: tuple[int, ...],
     ) -> None:
-        t = Transition(
-            self._normalize(obs), action, reward * self.reward_scale,
-            self._normalize(next_obs),
-        )
-        if self.replay_enabled:
-            self.buffer.append(t)
-            n = min(self.batch_size, len(self.buffer))
-            idx = self.rng.integers(len(self.buffer), size=n)
-            batch = [self.buffer[int(i)] for i in idx]
-        else:
-            batch = [t]
-        self.last_loss = dqn_train_step(
-            self.params, self.target, batch, self.lr, self.discount
-        )
+        """Store the transition, then train on a uniform draw from the ring.
+
+        Drawn positions count from the oldest stored transition, so once the
+        ring has wrapped they pick what a deque of the same capacity would.
+        """
+        k = self.slot % self.capacity
+        self.obs_buf[k] = self._normalize(obs)
+        self.next_obs_buf[k] = self._normalize(next_obs)
+        self.action_buf[k] = action
+        self.reward_buf[k] = reward * self.reward_scale
         self.slot += 1
+        size = min(self.slot, self.capacity)
+        idx = self.rng.integers(size, size=min(self.batch_size, size))
+        if self.slot > self.capacity:
+            idx = (idx + self.slot) % self.capacity
+        self.last_loss = dqn_train_step(
+            self.params, self.target, self.obs_buf[idx], self.action_buf[idx],
+            self.reward_buf[idx], self.next_obs_buf[idx], self.lr, self.discount,
+        )
         if self.slot % self.sync_period == 0:
             target_sync(self.params, self.target)
             self.sync_count += 1
         self.eps = max(self.eps_schedule.floor, self.eps * self.eps_schedule.decay)
-
-    def state_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sinr_levels": self.sinr_levels,
-            "n_actions": self.n_actions,
-            "lr": self.lr,
-            "discount": self.discount,
-            "eps": self.eps,
-            "slot": self.slot,
-            "weights": [w.tolist() for w in self.params.weights],
-            "biases": [b.tolist() for b in self.params.biases],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.eps = float(state["eps"])
-        self.slot = int(state.get("slot", 0))
-        self.params = MlpParams(
-            weights=[np.array(w, dtype=float) for w in state["weights"]],
-            biases=[np.array(b, dtype=float) for b in state["biases"]],
-        )
-        self.target = self.params.copy()
-
-
-def save_checkpoint(agent: TabularAgent | DqnAgent, path) -> None:
-    """Serialize an agent (table or weights plus schedule position) as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(agent.state_dict(), fh)
-
-
-def load_checkpoint(agent: TabularAgent | DqnAgent, path) -> None:
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    if state["kind"] != agent.kind:
-        raise ValueError(f"checkpoint kind {state['kind']!r} does not match agent")
-    agent.load_state_dict(state)
-
-
-def hot_boot(
-    n_scenarios: int,
-    scenario_gen,
-    train_budget: int,
-    make_agents,
-    log=None,
-) -> MlpParams:
-    """Pre-train a DQN pair across similar scenarios; return the BS1 weights.
-
-    ``scenario_gen(i)`` must yield an environment with ``reset() ->
-    (obs1, obs2)`` and ``step(a1, a2)`` returning at least
-    ``(obs1, obs2, r1, r2)``;
-    ``make_agents(env)`` builds the two fresh agents used throughout.  The
-    per-scenario mean training loss is reported so overfitting to the boot
-    scenarios stays visible; more scenarios converge faster but risk exactly
-    that.
-    """
-    if n_scenarios < 1:
-        raise ValueError("n_scenarios must be at least 1")
-    if train_budget < 1:
-        raise ValueError("train_budget must be at least 1")
-    agents = None
-    for i in range(n_scenarios):
-        env = scenario_gen(i)
-        if agents is None:
-            agents = make_agents(env)
-        obs1, obs2 = env.reset()
-        losses = []
-        for _ in range(train_budget):
-            a1 = agents[0].act(obs1)
-            a2 = agents[1].act(obs2)
-            nobs1, nobs2, r1, r2 = env.step(a1, a2)[:4]
-            agents[0].learn(obs1, a1, r1, nobs1)
-            agents[1].learn(obs2, a2, r2, nobs2)
-            losses.append(agents[0].last_loss)
-            obs1, obs2 = nobs1, nobs2
-        if log is not None:
-            log(i, float(np.mean(losses)))
-    return agents[0].params.copy()

@@ -8,18 +8,10 @@ go through as matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 HIDDEN = 24
-
-
-class Transition(NamedTuple):
-    obs: np.ndarray
-    action: int
-    reward: float
-    next_obs: np.ndarray
 
 
 @dataclass
@@ -136,22 +128,21 @@ def mlp_backward(
 def dqn_train_step(
     main: MlpParams,
     target_net: MlpParams,
-    batch: list[Transition],
+    x: np.ndarray,
+    actions: np.ndarray,
+    rewards: np.ndarray,
+    nx: np.ndarray,
     lr: float,
     discount: float,
 ) -> float:
     """One SGD step on the mean squared temporal-difference loss.
 
-    Targets are reward + discount * max_a' T(next_obs, a') computed through
-    the frozen target network.  Returns the pre-step loss.
+    Row k of the batch is the transition (x[k], actions[k], rewards[k],
+    nx[k]).  Targets are reward + discount * max_a' T(nx, a') computed
+    through the frozen target network.  Returns the pre-step loss.
     """
-    if not batch:
+    if len(actions) == 0:
         raise ValueError("batch must be non-empty")
-    x = np.stack([np.asarray(t.obs, dtype=float) for t in batch])
-    nx = np.stack([np.asarray(t.next_obs, dtype=float) for t in batch])
-    actions = np.array([t.action for t in batch])
-    rewards = np.array([t.reward for t in batch], dtype=float)
-
     next_q = mlp_forward_batch(target_net, nx)
     targets = rewards + discount * next_q.max(axis=1)
     residual, gw, gb = _td_gradients(main, x, actions, targets)

@@ -12,6 +12,7 @@ from nomajam.harness import (
     TwoCellEnv,
     channel_for_seed,
     export_csv,
+    hot_boot,
     load_config,
     parse_seeds,
     read_csv,
@@ -22,7 +23,7 @@ from nomajam.harness import (
     run_slot,
     summarize,
 )
-from nomajam.learn.agents import EpsSchedule, TabularAgent
+from nomajam.learn.agents import EpsSchedule, QTable, TabularAgent
 from nomajam.rates import StrategyProfile, bs_utility, user_rates
 
 FAST = dict(slots=50, seeds=(0,), summary_window=20)
@@ -59,6 +60,10 @@ OUT_OF_RANGE = [
     {"jammer_search_tolerance": -1.0},
     {"jammer_search_tolerance": 1e-20},
     {"seeds": (-3, 1)},
+    {"r0": -1.0},
+    {"reward_scale": 0.0},
+    {"reward_scale": -0.5},
+    {"eps_ne": -1e-9},
 ]
 
 
@@ -135,6 +140,51 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("not_a_key = 1\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "key, raw", [("slots", "abc"), ("r0", "0.9.1"), ("fading", "maybe"),
+                 ("seeds", "1,x")],
+)
+def test_cli_names_line_and_key_of_malformed_value(tmp_path, key, raw, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scheme = QLU\n{key} = {raw}\n", encoding="utf-8")
+    assert cli_main(["--config", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert f"run.cfg:2: bad value for {key}" in err
+
+
+def test_q_table_memory_bound():
+    # 8**4 states x 8 bytes: 128 levels give 8,128 actions (254 MiB), 129 give
+    # 8,256 (258 MiB)
+    for scheme in ("QLU", "QLS"):
+        ExperimentConfig(scheme=scheme, grid_levels=128).validate()
+        with pytest.raises(ValueError, match="grid_levels = 129 and sinr_levels = 8"):
+            ExperimentConfig(scheme=scheme, grid_levels=129).validate()
+    ExperimentConfig(scheme="DQLU", grid_levels=200).validate()  # no table
+
+
+def test_cli_rejects_oversized_q_table_before_allocating(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Q-table was allocated")
+
+    monkeypatch.setattr(QTable, "__init__", refuse)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("grid_levels = 200\n", encoding="utf-8")
+    assert cli_main(["--config", str(cfgfile), "--slots", "3", "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "grid_levels" in err and "sinr_levels" in err
+
+
+def test_hot_boot_shape_and_determinism():
+    cfg = ExperimentConfig(scheme="HBDQLU", hot_boot_scenarios=2, hot_boot_slots=15)
+    a = hot_boot(cfg, np.random.SeedSequence(4))
+    b = hot_boot(cfg, np.random.SeedSequence(4))
+    assert a.n_outputs == len(cfg.grid().actions)
+    for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.array_equal(wa, wb)
+    c = hot_boot(cfg, np.random.SeedSequence(5))
+    assert not np.array_equal(a.weights[0], c.weights[0])
 
 
 def test_frozen_agents_repeat_identical_slots():

@@ -3,7 +3,6 @@ import pytest
 
 from nomajam.learn.nn import (
     MlpParams,
-    Transition,
     dqn_train_step,
     init_mlp,
     mlp_backward,
@@ -155,8 +154,8 @@ def test_train_step_zero_discount_uses_raw_rewards():
     target_net = main.copy()
     obs = rng.uniform(0, 1, 4)
     nxt = rng.uniform(0, 1, 4)
-    t = Transition(obs, 1, 0.7, nxt)
-    dqn_train_step(main, target_net, [t], lr=0.01, discount=0.0)
+    dqn_train_step(main, target_net, obs[None, :], np.array([1]), np.array([0.7]),
+                   nxt[None, :], lr=0.01, discount=0.0)
     # manual single-sample step with the target equal to the raw reward
     gw, gb = mlp_backward(ref, obs, 1, 0.7)
     for w, rw, g in zip(main.weights, ref.weights, gw):
@@ -176,8 +175,8 @@ def test_train_step_no_change_at_fixed_point():
     discount = 0.7
     reward = float(q[2] - discount * nq.max())  # makes target equal current Q
     before = main.copy()
-    loss = dqn_train_step(main, target_net, [Transition(obs, 2, reward, nxt)],
-                          lr=0.05, discount=discount)
+    loss = dqn_train_step(main, target_net, obs[None, :], np.array([2]),
+                          np.array([reward]), nxt[None, :], lr=0.05, discount=discount)
     assert loss == pytest.approx(0.0, abs=1e-20)
     for w, rw in zip(main.weights, before.weights):
         assert np.array_equal(w, rw)
@@ -187,13 +186,11 @@ def test_train_step_loss_decreases_on_fixed_batch():
     rng = np.random.default_rng(12)
     main = init_mlp(4, 6, rng)
     target_net = main.copy()
-    batch = [
-        Transition(rng.uniform(0, 1, 4), int(rng.integers(6)),
-                   float(rng.normal()), rng.uniform(0, 1, 4))
-        for _ in range(16)
-    ]
+    x, nx = rng.uniform(0, 1, (16, 4)), rng.uniform(0, 1, (16, 4))
+    actions, rewards = rng.integers(6, size=16), rng.normal(size=16)
     # keep the target net frozen so the targets are fixed
-    losses = [dqn_train_step(main, target_net, batch, lr=1e-3, discount=0.7)
+    losses = [dqn_train_step(main, target_net, x, actions, rewards, nx,
+                             lr=1e-3, discount=0.7)
               for _ in range(30)]
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
@@ -201,7 +198,8 @@ def test_train_step_loss_decreases_on_fixed_batch():
 def test_train_step_rejects_empty_batch():
     p = init_mlp(4, 6, np.random.default_rng(13))
     with pytest.raises(ValueError):
-        dqn_train_step(p, p.copy(), [], lr=0.1, discount=0.7)
+        dqn_train_step(p, p.copy(), np.empty((0, 4)), np.empty(0, dtype=int),
+                       np.empty(0), np.empty((0, 4)), lr=0.1, discount=0.7)
 
 
 def test_target_sync_copies_and_is_idempotent():
