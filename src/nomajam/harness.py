@@ -51,8 +51,10 @@ log = logging.getLogger(__name__)
 
 SCHEMES = ("QLU", "DQLU", "HBDQLU", "QLS", "NE-ANALYSIS")
 JAMMER_MODES = ("learning", "best-response")
-# Largest Q-table a tabular BS agent may allocate (sinr_levels**4 states by
-# one column per grid action, float64); QLU and QLS run two of them.
+# Largest Q-table a tabular agent may allocate, in float64: a BS agent's
+# (sinr_levels**4 states by one column per grid action; QLU and QLS run two)
+# or the learning jammer's ((jammer_grid_levels + 1)**2 states by
+# jammer_grid_levels + 1 actions).
 MAX_Q_TABLE_BYTES = 256 * 2**20
 
 
@@ -168,6 +170,14 @@ class ExperimentConfig:
                 f"grid_levels = {self.grid_levels} and sinr_levels = "
                 f"{self.sinr_levels} need a {table_bytes / 2**20:.0f} MiB Q-table "
                 f"per BS, above the {MAX_Q_TABLE_BYTES // 2**20} MiB bound"
+            )
+        jammer_bytes = (self.jammer_grid_levels + 1) ** 3 * 8
+        if (self.scheme != "NE-ANALYSIS" and self.jammer_mode == "learning"
+                and jammer_bytes > MAX_Q_TABLE_BYTES):
+            raise ValueError(
+                f"jammer_grid_levels = {self.jammer_grid_levels} needs a "
+                f"{jammer_bytes / 2**20:.0f} MiB jammer Q-table, above the "
+                f"{MAX_Q_TABLE_BYTES // 2**20} MiB bound"
             )
 
     def geometry(self) -> Geometry:

@@ -19,12 +19,14 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .learn.agents import QTable, select_action
-from .rates import link_terms, sum_rate
+from .rates import link_terms, sum_rate, sum_rate_curve
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Smallest search tolerance, relative to p_j_max: golden-section search
 # cannot shrink its bracket below a few ulps, so a finer one never ends.
 MIN_SEARCH_TOLERANCE = 1e-12
+# Points of the sweep that brackets the best response on [0, p_j_max].
+PROBE_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,13 @@ class JammerConfig:
             raise ValueError(
                 f"search_tolerance must be at least {MIN_SEARCH_TOLERANCE} * p_j_max"
             )
+        # best_response's sweep, built once per config: the read-only grid, its
+        # points as plain floats for the bracket ends, and the cost on it.
+        grid = np.linspace(0.0, self.p_j_max, PROBE_POINTS)
+        grid.setflags(write=False)
+        object.__setattr__(self, "probe_grid", grid)
+        object.__setattr__(self, "_probe_floats", tuple(grid.tolist()))
+        object.__setattr__(self, "_probe_cost", self.gamma * grid)
 
 
 @dataclass(frozen=True)
@@ -54,21 +63,6 @@ class BestResponse:
     u_at_star: float
 
 
-def jammer_utility_of(
-    ch: ChannelRealization,
-    alloc1: tuple[float, float],
-    alloc2: tuple[float, float],
-    gamma: float,
-):
-    """The jammer's utility as a scalar function of its power."""
-    terms = link_terms(ch, *alloc1, *alloc2)
-
-    def u(p_j: float) -> float:
-        return -(sum_rate(terms, p_j) + gamma * p_j)
-
-    return u
-
-
 def jammer_utility_curve(
     ch: ChannelRealization,
     alloc1: tuple[float, float],
@@ -76,9 +70,9 @@ def jammer_utility_curve(
     gamma: float,
     p_j_values: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized jammer utility over an array of jamming powers."""
+    """Vectorized jammer utility over a 1-D array of jamming powers."""
     pj = np.asarray(p_j_values, dtype=float)
-    return -(sum_rate(link_terms(ch, *alloc1, *alloc2), pj, np.log2) + gamma * pj)
+    return -(sum_rate_curve(link_terms(ch, *alloc1, *alloc2), pj) + gamma * pj)
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> float:
@@ -107,32 +101,32 @@ def best_response(
     """Utility-maximizing jamming power on [0, p_j_max], clamped at the ends.
 
     The utility is concave in the jamming power (see the module docstring),
-    so the best of a 65-point sweep lies within one step of the maximizer;
-    golden-section search refines it on that bracket.  Deterministic in its
-    inputs.
+    so the best of the config's 65-point sweep lies within one step of the
+    maximizer; golden-section search refines it on that bracket.
+    Deterministic in its inputs.
     """
-    if min(alloc1 + alloc2) < 0:
+    # Plain floats: numpy scalars would slow every step of the scalar search.
+    powers = tuple(map(float, alloc1 + alloc2))
+    if min(powers) < 0:
         raise ValueError("allocations must be non-negative")
-    u = jammer_utility_of(ch, alloc1, alloc2, cfg.gamma)
-    pmax = cfg.p_j_max
-    tol = cfg.search_tolerance
+    terms = link_terms(ch, *powers)
+    gamma, pmax, tol = cfg.gamma, cfg.p_j_max, cfg.search_tolerance
 
-    probe_pj = np.linspace(0.0, pmax, 65)
-    probe_u = jammer_utility_curve(ch, alloc1, alloc2, cfg.gamma, probe_pj)
-    k = int(np.argmax(probe_u))
-    lo = probe_pj[max(0, k - 1)]
-    hi = probe_pj[min(len(probe_pj) - 1, k + 1)]
-    star = _golden_max(u, lo, hi, tol)
+    def u(p_j: float) -> float:
+        return -(sum_rate(terms, p_j) + gamma * p_j)
 
-    # The ends are the clamp points; take whichever candidate wins outright.
-    candidates = [0.0, float(star), pmax]
-    values = [u(c) for c in candidates]
-    best = max(range(3), key=lambda i: (values[i], candidates[i]))
-    p_star = candidates[best]
+    # The sweep's largest utility is its smallest sum rate plus cost.
+    k = int(np.argmin(sum_rate_curve(terms, cfg.probe_grid) + cfg._probe_cost))
+    ends = cfg._probe_floats
+    star = _golden_max(u, ends[max(0, k - 1)], ends[min(len(ends) - 1, k + 1)], tol)
+
+    # The ends are the clamp points; the best utility wins outright, and a tie
+    # goes to the larger power.
+    u_star, p_star = max((u(0.0), 0.0), (u(star), star), (u(pmax), pmax))
     return BestResponse(
         p_j_star=p_star,
         interior=bool(tol < p_star < pmax - tol),
-        u_at_star=float(values[best]),
+        u_at_star=float(u_star),
     )
 
 

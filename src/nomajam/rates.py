@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import log2
 
 import numpy as np
 
@@ -83,16 +84,22 @@ def sinrs(terms, p_j: float) -> list[float]:
     return [s / (d + p_j * g) for s, d, g in terms]
 
 
-def sum_rate(terms, p_j, log2=math.log2):
-    """Sum rate from ``link_terms`` at jamming power p_j, added in user order.
-
-    Pass np.log2 when p_j is an array; the default math.log2 is the scalar
-    solvers' logarithm.
-    """
+def sum_rate(terms, p_j: float) -> float:
+    """Sum rate from ``link_terms`` at a scalar jamming power, added in user order."""
     total = 0.0
     for s, d, g in terms:
         total += log2(1.0 + s / (d + p_j * g))
     return total
+
+
+def sum_rate_curve(terms, p_j: np.ndarray) -> np.ndarray:
+    """Sum rate from ``link_terms`` at each power of a 1-D array, in one broadcast.
+
+    The users' terms form (4, 1) columns against the row of powers; the sum
+    over the user axis adds the rows in user order.
+    """
+    s, d, g = np.array(terms).T[:, :, None]
+    return np.log2(1.0 + s / (d + p_j * g)).sum(axis=0)
 
 
 def sinr_vector(ch: ChannelRealization, prof: StrategyProfile) -> np.ndarray:

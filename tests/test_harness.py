@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import json
 import os
 
@@ -162,6 +163,15 @@ def test_q_table_memory_bound():
         with pytest.raises(ValueError, match="grid_levels = 129 and sinr_levels = 8"):
             ExperimentConfig(scheme=scheme, grid_levels=129).validate()
     ExperimentConfig(scheme="DQLU", grid_levels=200).validate()  # no table
+    # the learning jammer's (levels + 1)**3 x 8 bytes: 322**3 is 254.7 MiB,
+    # 323**3 is 257.1 MiB
+    for scheme in ("QLU", "QLS", "DQLU", "HBDQLU"):
+        ExperimentConfig(scheme=scheme, jammer_grid_levels=321).validate()
+        with pytest.raises(ValueError, match="jammer_grid_levels = 322"):
+            ExperimentConfig(scheme=scheme, jammer_grid_levels=322).validate()
+    # no jammer table: NE analysis and the best-response jammer
+    ExperimentConfig(scheme="NE-ANALYSIS", jammer_grid_levels=400).validate()
+    ExperimentConfig(jammer_mode="best-response", jammer_grid_levels=400).validate()
 
 
 def test_cli_rejects_oversized_q_table_before_allocating(tmp_path, monkeypatch, capsys):
@@ -170,10 +180,14 @@ def test_cli_rejects_oversized_q_table_before_allocating(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(QTable, "__init__", refuse)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("grid_levels = 200\n", encoding="utf-8")
-    assert cli_main(["--config", str(cfgfile), "--slots", "3", "--seeds", "1"]) == 1
-    err = capsys.readouterr().err
-    assert "grid_levels" in err and "sinr_levels" in err
+    for line, keys in (
+        ("grid_levels = 200", ("grid_levels", "sinr_levels")),
+        ("jammer_grid_levels = 400", ("jammer_grid_levels",)),
+    ):
+        cfgfile.write_text(line + "\n", encoding="utf-8")
+        assert cli_main(["--config", str(cfgfile), "--slots", "3", "--seeds", "1"]) == 1
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), (line, err)
 
 
 def test_hot_boot_shape_and_determinism():
@@ -207,6 +221,26 @@ def test_best_response_jammer_with_zero_cost_always_full_power():
     cfg = ExperimentConfig(gamma=0.0, jammer_mode="best-response", **FAST)
     records = run_seed(cfg, 0)
     assert all(r.p_j == pytest.approx(cfg.p_j_max) for r in records)
+
+
+BR_SIM_REFERENCE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "reference",
+    "br-sim-QLU-BR-seed0.csv.gz",
+)
+
+
+def test_best_response_run_matches_committed_reference_csv(tmp_path):
+    # the benchmark's br-sim unit: one follower solve per slot, 2000 slots;
+    # its CSV must stay byte-exact against the committed reference
+    cfg = ExperimentConfig(
+        scheme="QLU", jammer_mode="best-response", seeds=(0,), slots=2000,
+        workers=1, out_dir=str(tmp_path),
+    )
+    run_experiment(cfg)
+    with open(records_path(cfg.out_dir, "QLU", 0), "rb") as fh:
+        produced = fh.read()
+    with gzip.open(BR_SIM_REFERENCE, "rb") as fh:
+        assert produced == fh.read()
 
 
 def test_logged_utilities_replay_from_channel_seed():

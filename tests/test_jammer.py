@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,13 @@ from nomajam.jammer import (
     concavity_probe,
     jammer_utility_curve,
 )
-from nomajam.rates import StrategyProfile, jammer_utility, link_terms, user_rates
+from nomajam.rates import (
+    StrategyProfile,
+    jammer_utility,
+    link_terms,
+    sum_rate,
+    user_rates,
+)
 
 from conftest import make_channel
 
@@ -152,6 +160,83 @@ def test_probe_unimodal_on_every_random_profile(geom):
         if not rep.unimodal:
             failures.append((i, p.tolist(), gamma))
     assert failures == []
+
+
+def reference_utility_curve(terms, gamma, pj):
+    """The sweep as first written: one np.log2 pass per user, in user order."""
+    total = 0.0
+    for s, d, g in terms:
+        total += np.log2(1.0 + s / (d + pj * g))
+    return -(total + gamma * pj)
+
+
+def reference_best_response(ch, alloc1, alloc2, cfg):
+    """The follower as first written: a grid per call, the per-user sweep, and
+    golden-section search on a sum_rate closure."""
+    terms = link_terms(ch, *alloc1, *alloc2)
+
+    def u(p_j):
+        return -(sum_rate(terms, p_j) + cfg.gamma * p_j)
+
+    probe_pj = np.linspace(0.0, cfg.p_j_max, 65)
+    k = int(np.argmax(reference_utility_curve(terms, cfg.gamma, probe_pj)))
+    a, b = probe_pj[max(0, k - 1)], probe_pj[min(64, k + 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - (b - a) * invphi, a + (b - a) * invphi
+    fc, fd = u(c), u(d)
+    while (b - a) > cfg.search_tolerance:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * invphi
+            fc = u(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * invphi
+            fd = u(d)
+    candidates = [0.0, float(0.5 * (a + b)), cfg.p_j_max]
+    values = [u(x) for x in candidates]
+    best = max(range(3), key=lambda i: (values[i], candidates[i]))
+    p_star, tol = candidates[best], cfg.search_tolerance
+    return p_star, bool(tol < p_star < cfg.p_j_max - tol), float(values[best])
+
+
+def test_best_response_equals_reference_bit_for_bit(geom):
+    rng = np.random.default_rng(17)
+    channels = [draw_channels(geom, seed) for seed in range(40)]
+    configs = [
+        JammerConfig(p_j_max=p_j_max, gamma=gamma)
+        for p_j_max in (1e-3, 20.0, 1e6)
+        for gamma in (0.0, 0.5, 50.0)
+    ]
+    sweep = {cfg: np.linspace(0.0, cfg.p_j_max, 201) for cfg in configs}
+    for i in range(2000):
+        ch, cfg = channels[i % len(channels)], configs[i % len(configs)]
+        p = rng.uniform(0.0, 40.0, size=4)
+        if i % 5 == 1:
+            p[0] = 0.0
+        elif i % 5 == 2:
+            p[2] = 0.0
+        # numpy scalars (as the game passes) and plain floats alike
+        powers = tuple(p) if i % 2 else tuple(p.tolist())
+        a1, a2 = powers[:2], powers[2:]
+        br = best_response(ch, a1, a2, cfg)
+        assert (br.p_j_star, br.interior, br.u_at_star) == reference_best_response(
+            ch, a1, a2, cfg
+        ), (i, p.tolist(), cfg)
+        assert type(br.p_j_star) is float and type(br.u_at_star) is float
+        curve = jammer_utility_curve(ch, a1, a2, cfg.gamma, sweep[cfg])
+        reference = reference_utility_curve(
+            link_terms(ch, *powers), cfg.gamma, sweep[cfg]
+        )
+        assert np.array_equal(curve, reference), (i, p.tolist(), cfg)
+
+
+def test_probe_grid_is_read_only():
+    cfg = JammerConfig(p_j_max=7.0)
+    assert np.array_equal(cfg.probe_grid, np.linspace(0.0, 7.0, 65))
+    assert not cfg.probe_grid.flags.writeable
+    with pytest.raises(ValueError):
+        cfg.probe_grid[1] = 1.0
 
 
 def test_jql_greedy_when_no_exploration(jcfg):
