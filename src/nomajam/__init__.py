@@ -12,7 +12,6 @@ from .channel import (
     default_geometry,
     draw_channels,
     path_loss,
-    sic_order_valid,
 )
 from .game import (
     NeCertificate,
@@ -95,7 +94,6 @@ __all__ = [
     "run_experiment",
     "run_ne_analysis",
     "run_slot",
-    "sic_order_valid",
     "sinr_vector",
     "user_rates",
 ]

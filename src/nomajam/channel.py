@@ -128,20 +128,3 @@ def draw_channels(geom: Geometry, seed: int, fading: bool = True) -> ChannelReal
     gains = large_scale * f / geom.noise_power
     return ChannelRealization(gains=gains, seed=seed)
 
-
-def sic_order_valid(
-    ch: ChannelRealization, p_bs1: float, p_bs2: float, p_j: float
-) -> bool:
-    """Whether interference leaves the in-cell SIC decoding order unchanged.
-
-    Cell 1: UE1's effective channel under BS2-plus-jammer interference must
-    not exceed UE2's; cell 2 mirrors this for UE3 versus UE4.
-    """
-    if min(p_bs1, p_bs2, p_j) < 0:
-        raise ValueError("powers must be non-negative")
-    g = ch.gains
-    lhs1 = g[0, SRC_BS1] / (1.0 + p_bs2 * g[0, SRC_BS2] + p_j * g[0, SRC_JAM])
-    rhs1 = g[1, SRC_BS1] / (1.0 + p_bs2 * g[1, SRC_BS2] + p_j * g[1, SRC_JAM])
-    lhs2 = g[2, SRC_BS2] / (1.0 + p_bs1 * g[2, SRC_BS1] + p_j * g[2, SRC_JAM])
-    rhs2 = g[3, SRC_BS2] / (1.0 + p_bs1 * g[3, SRC_BS1] + p_j * g[3, SRC_JAM])
-    return lhs1 <= rhs1 and lhs2 <= rhs2

@@ -118,35 +118,64 @@ def _binding_profile(
     return StrategyProfile(p1=p1, p2=p2, p3=p3, p4=p4, p_j=p_j)
 
 
+@dataclass(frozen=True)
+class FixedPointFailure:
+    """Why ``_stackelberg_fixed_point`` gave up, and the jamming power it stopped at.
+
+    ``reason`` is ``"undefined_profile"`` when ``profile_of_pj(p_j)`` returned
+    None, or ``"no_convergence"`` when the evaluation budget ran out.
+    """
+
+    reason: str
+    p_j: float
+
+
 def _stackelberg_fixed_point(
     ch: ChannelRealization,
     jcfg: JammerConfig,
     profile_of_pj,
-) -> tuple[StrategyProfile, BestResponse] | None:
+) -> tuple[StrategyProfile, BestResponse] | FixedPointFailure:
     """Self-consistent (profile, jammer response) for a pj-dependent profile.
 
     ``profile_of_pj(pj)`` builds the BS profile given the jamming power, and
-    the jammer then best-responds to that profile.  Damped iteration from
-    pj = 0; returns None when the profile is undefined along the way or when
-    100 steps do not converge.
+    the jammer then best-responds to that profile.  The root of
+    h(pj) = BR(profile_of_pj(pj)).p_j_star - pj is found by a secant
+    iteration: h is evaluated at pj = 0, the first step goes to
+    BR(profile_of_pj(0)), and every later step is the secant through the last
+    two evaluations.  When the secant step leaves [0, p_j_max], or the two
+    values of h are equal, the damped step pj + h(pj) / 2 is taken instead.
+    The iteration stops when |h(pj)| <= 2e-6 * p_j_max and returns
+    ``profile_of_pj(br.p_j_star)`` with ``p_j = br.p_j_star``, together with
+    ``br``.  It gives up with a ``FixedPointFailure``: ``undefined_profile``
+    when ``profile_of_pj`` returns None, ``no_convergence`` after 100
+    evaluations of h.
     """
-    tol = 1e-6 * jcfg.p_j_max
-    pj = 0.0
+    tol = 2e-6 * jcfg.p_j_max
+    x_prev = h_prev = None
+    x = 0.0
     for _ in range(100):
-        prof = profile_of_pj(pj)
+        prof = profile_of_pj(x)
         if prof is None:
-            return None
+            return FixedPointFailure("undefined_profile", x)
         br = best_response(ch, (prof.p1, prof.p2), (prof.p3, prof.p4), jcfg)
-        nxt = 0.5 * pj + 0.5 * br.p_j_star
-        if abs(nxt - pj) <= tol:
+        h = br.p_j_star - x
+        if abs(h) <= tol:
             prof = profile_of_pj(br.p_j_star)
             if prof is None:
-                return None
+                return FixedPointFailure("undefined_profile", br.p_j_star)
             return StrategyProfile(
                 p1=prof.p1, p2=prof.p2, p3=prof.p3, p4=prof.p4, p_j=br.p_j_star
             ), br
-        pj = nxt
-    return None
+        if h_prev is None:
+            nxt = br.p_j_star
+        elif h == h_prev:
+            nxt = x + 0.5 * h
+        else:
+            nxt = x - h * (x - x_prev) / (h - h_prev)
+            if not 0.0 <= nxt <= jcfg.p_j_max:
+                nxt = x + 0.5 * h
+        x_prev, h_prev, x = x, h, nxt
+    return FixedPointFailure("no_convergence", x_prev)
 
 
 def mood_classify(
@@ -167,7 +196,7 @@ def mood_classify(
         sol = _stackelberg_fixed_point(
             ch, jcfg, lambda pj: _binding_profile(ch, p_bs1, p_bs2, pj, r0)
         )
-        if sol is None:
+        if isinstance(sol, FixedPointFailure):
             continue
         prof, _ = sol
         if prof.p2 <= 0 or prof.p4 <= 0:
@@ -497,7 +526,7 @@ def _full_power_root(
             return StrategyProfile(p1=p1, p2=pmax - p1, p3=0.0, p4=x, p_j=pj)
 
         sol = _stackelberg_fixed_point(ch, jcfg, prof_of)
-        if sol is None:
+        if isinstance(sol, FixedPointFailure):
             return None
         return _full_power_slope_factor(ch, full_cell, x, pmax, sol[0].p_j, r0)
 
@@ -731,7 +760,7 @@ def monotonicity_check(
         sol = _stackelberg_fixed_point(
             ch, jcfg, lambda pj: _binding_profile(ch, t1, t2, pj, r0)
         )
-        if sol is None:
+        if isinstance(sol, FixedPointFailure):
             rep.skipped += 1
             continue
         pj = sol[0].p_j

@@ -8,10 +8,7 @@ from nomajam.channel import (
     default_geometry,
     draw_channels,
     path_loss,
-    sic_order_valid,
 )
-
-from conftest import make_channel
 
 # 10^-3.53 / 250^3.76 evaluated with 60-digit mpmath arithmetic.
 PATH_LOSS_250 = 2.842795160196713e-13
@@ -94,38 +91,6 @@ def test_unit_mean_fading_monte_carlo(geom):
     mean = total / n
     expected = draw_channels(geom, seed=0, fading=False).gains
     assert np.all(np.abs(mean / expected - 1.0) < 0.02)
-
-
-def test_sic_order_equal_gains_is_valid():
-    ch = make_channel(np.ones((4, 3)))
-    assert sic_order_valid(ch, 10.0, 10.0, 5.0)
-
-
-def test_sic_order_stronger_near_user_no_interference():
-    g = np.zeros((4, 3))
-    g[0, 0], g[1, 0] = 1.0, 2.0  # UE2 stronger toward BS1
-    g[2, 1], g[3, 1] = 1.0, 2.0
-    ch = make_channel(g)
-    assert sic_order_valid(ch, 7.0, 3.0, 2.0)
-
-
-def test_sic_order_matches_scalar_oracle():
-    rng = np.random.default_rng(42)
-    for _ in range(300):
-        g = rng.exponential(1.0, size=(4, 3)) * rng.uniform(0.1, 100)
-        ch = make_channel(g)
-        p1, p2, pj = rng.uniform(0, 50, size=3)
-        lhs1 = g[0, 0] / (1 + p2 * g[0, 1] + pj * g[0, 2])
-        rhs1 = g[1, 0] / (1 + p2 * g[1, 1] + pj * g[1, 2])
-        lhs2 = g[2, 1] / (1 + p1 * g[2, 0] + pj * g[2, 2])
-        rhs2 = g[3, 1] / (1 + p1 * g[3, 0] + pj * g[3, 2])
-        assert sic_order_valid(ch, p1, p2, pj) == (lhs1 <= rhs1 and lhs2 <= rhs2)
-
-
-def test_sic_order_rejects_negative_power():
-    ch = make_channel(np.ones((4, 3)))
-    with pytest.raises(ValueError):
-        sic_order_valid(ch, -1.0, 0.0, 0.0)
 
 
 def test_default_geometry_distances():

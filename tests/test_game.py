@@ -1,10 +1,13 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+from nomajam import game
 from nomajam.channel import ChannelRealization, draw_channels
 from nomajam.game import (
+    FixedPointFailure,
     GridEvaluator,
     StrategyGrid,
     brute_force_ne,
@@ -21,6 +24,7 @@ from nomajam.game import (
     _stackelberg_fixed_point,
     _binding_profile,
 )
+from nomajam.harness import ExperimentConfig, channel_for_seed
 from nomajam.jammer import JammerConfig, best_response
 from nomajam.rates import StrategyProfile, user_rates
 
@@ -188,13 +192,120 @@ def test_mood_agrees_with_split_grid_search(geom, jcfg):
         sol = _stackelberg_fixed_point(
             ch, jcfg, lambda pj: _binding_profile(ch, t1, t2, pj, R0)
         )
-        assert sol is not None
+        assert not isinstance(sol, FixedPointFailure)
         prof, br = sol
         rates = user_rates(ch, prof)
         assert rates[0] == pytest.approx(R0, abs=1e-7)
         assert rates[2] == pytest.approx(R0, abs=1e-7)
         assert rates[1] >= R0 - 1e-9 and rates[3] >= R0 - 1e-9
         assert prof.p_j == pytest.approx(br.p_j_star)
+
+
+def damped_fixed_point(ch, jcfg, profile_of_pj):
+    """The damped iteration (weight 0.5) the secant fixed point replaced.
+
+    Kept as the reference; it returns the same failure type so that it can
+    stand in for ``_stackelberg_fixed_point`` inside ``analysis_report``.
+    """
+    tol = 1e-6 * jcfg.p_j_max
+    pj = 0.0
+    for _ in range(100):
+        prof = profile_of_pj(pj)
+        if prof is None:
+            return FixedPointFailure("undefined_profile", pj)
+        br = best_response(ch, (prof.p1, prof.p2), (prof.p3, prof.p4), jcfg)
+        nxt = 0.5 * pj + 0.5 * br.p_j_star
+        if abs(nxt - pj) <= tol:
+            prof = profile_of_pj(br.p_j_star)
+            if prof is None:
+                return FixedPointFailure("undefined_profile", br.p_j_star)
+            return StrategyProfile(
+                p1=prof.p1, p2=prof.p2, p3=prof.p3, p4=prof.p4, p_j=br.p_j_star
+            ), br
+        pj = nxt
+    return FixedPointFailure("no_convergence", pj)
+
+
+def test_fixed_point_agrees_with_damped_reference(geom, jcfg):
+    # every total-power pair mood_classify asks about at grid levels 4 and 6,
+    # plus random pairs, over realizations not used elsewhere: both methods
+    # fail on the same pairs for the same reason, and converged jamming
+    # powers agree to the stopping tolerance
+    rng = np.random.default_rng(2024)
+    grid_pairs = [
+        pair
+        for levels in (4, 6)
+        for pair in product(StrategyGrid.build(levels, 40.0).totals, repeat=2)
+    ]
+    checked = converged = 0
+    for seed in range(40, 60):
+        ch = draw_channels(geom, seed)
+        pairs = grid_pairs + [tuple(rng.uniform(0.5, 40.0, size=2)) for _ in range(20)]
+        for t1, t2 in pairs:
+            def prof_of(pj):
+                return _binding_profile(ch, t1, t2, pj, R0)
+
+            got = _stackelberg_fixed_point(ch, jcfg, prof_of)
+            ref = damped_fixed_point(ch, jcfg, prof_of)
+            checked += 1
+            assert isinstance(got, FixedPointFailure) == isinstance(ref, FixedPointFailure)
+            if isinstance(ref, FixedPointFailure):
+                assert got.reason == ref.reason
+                continue
+            converged += 1
+            assert abs(got[0].p_j - ref[0].p_j) <= 2e-6 * jcfg.p_j_max
+            assert got[0].p_j == got[1].p_j_star
+    assert checked >= 1000
+    assert converged >= 600
+
+
+@pytest.mark.parametrize("levels,seeds", [(4, (0, 11, 22)), (6, (1, 12, 15))])
+def test_analysis_report_unchanged_under_damped_reference(monkeypatch, levels, seeds):
+    # seeds 11 and 22 at grid 4 and 11 and 15 at grid 6 are mood 2
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=levels, seeds=seeds)
+    grid, jcfg = cfg.grid(), cfg.jammer_config()
+    args = (grid, jcfg, cfg.r0, cfg.gamma, cfg.z, cfg.eps_ne)
+    for seed in seeds:
+        ch = channel_for_seed(cfg, seed)
+        want = game.analysis_report(ch, *args)
+        with monkeypatch.context() as m:
+            m.setattr(game, "_stackelberg_fixed_point", damped_fixed_point)
+            assert game.analysis_report(ch, *args) == want
+
+
+def test_fixed_point_undefined_profile_reports_where(jcfg):
+    ch = make_channel(np.full((4, 3), 5.0))
+    loud = StrategyProfile(20.0, 20.0, 20.0, 20.0)
+    assert _stackelberg_fixed_point(ch, jcfg, lambda pj: None) == FixedPointFailure(
+        "undefined_profile", 0.0
+    )
+    # defined at pj = 0 only: the iteration stops at its first step,
+    # the jammer's response to that profile
+    first = best_response(ch, (20.0, 20.0), (20.0, 20.0), jcfg).p_j_star
+    assert first > 0.0
+    out = _stackelberg_fixed_point(ch, jcfg, lambda pj: loud if pj == 0.0 else None)
+    assert out == FixedPointFailure("undefined_profile", first)
+
+
+def test_fixed_point_no_convergence_without_root(jcfg):
+    # h(pj) = BR(profile(pj)) - pj jumps from positive to negative at pj = 3
+    # with no root: the jammer answers the loud profile with about 4.6 and
+    # the silent one with 0
+    ch = make_channel(np.full((4, 3), 5.0))
+    loud = StrategyProfile(20.0, 20.0, 20.0, 20.0)
+    silent = StrategyProfile(0.0, 0.0, 0.0, 0.0)
+    assert best_response(ch, (20.0, 20.0), (20.0, 20.0), jcfg).p_j_star > 3.0
+    assert best_response(ch, (0.0, 0.0), (0.0, 0.0), jcfg).p_j_star == 0.0
+    asked = []
+
+    def prof_of(pj):
+        asked.append(pj)
+        return loud if pj < 3.0 else silent
+
+    out = _stackelberg_fixed_point(ch, jcfg, prof_of)
+    assert out == FixedPointFailure("no_convergence", asked[-1])
+    assert len(asked) == 100
+    assert 0.0 <= out.p_j <= jcfg.p_j_max
 
 
 def test_brute_force_single_action_grid(channel, jcfg):
@@ -338,7 +449,7 @@ def test_ne_l2_slope_root(geom, jcfg):
     # at an interior root the slope factor crosses zero
     if 1e-3 < x_bar < grid.p_bs_max - 1e-3:
         sol = _stackelberg_fixed_point(ch, jcfg, write_off_profile)
-        if sol is not None:
+        if not isinstance(sol, FixedPointFailure):
             f = _full_power_slope_factor(
                 ch, 2, x_bar, grid.p_bs_max, sol[0].p_j, R0
             )
@@ -403,7 +514,7 @@ def test_leader_slopes_numeric_on_feasible_set(geom, jcfg):
         sol = _stackelberg_fixed_point(
             ch, jcfg, lambda pj: _binding_profile(ch, t1, t2, pj, R0)
         )
-        assert sol is not None
+        assert not isinstance(sol, FixedPointFailure)
         numeric = leader_slopes_numeric(ch, t1, t2, sol[0].p_j, R0, GAMMA)
         assert numeric is not None
         assert all(np.isfinite(v) for v in numeric)

@@ -223,10 +223,10 @@ def test_best_response_jammer_with_zero_cost_always_full_power():
     assert all(r.p_j == pytest.approx(cfg.p_j_max) for r in records)
 
 
-BR_SIM_REFERENCE = os.path.join(
-    os.path.dirname(__file__), os.pardir, "perfbench", "reference",
-    "br-sim-QLU-BR-seed0.csv.gz",
+REFERENCE_DIR = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "reference"
 )
+BR_SIM_REFERENCE = os.path.join(REFERENCE_DIR, "br-sim-QLU-BR-seed0.csv.gz")
 
 
 def test_best_response_run_matches_committed_reference_csv(tmp_path):
@@ -241,6 +241,30 @@ def test_best_response_run_matches_committed_reference_csv(tmp_path):
         produced = fh.read()
     with gzip.open(BR_SIM_REFERENCE, "rb") as fh:
         assert produced == fh.read()
+
+
+@pytest.mark.parametrize("levels,seed", [(4, 0), (4, 11), (6, 1), (6, 12)])
+def test_ne_analysis_matches_committed_reference(tmp_path, levels, seed):
+    # the benchmark's ne reference units (seed 11 at grid 4 is mood 2): mood,
+    # feasible total-power pairs, brute-force equilibria and certificate
+    # indices must match perfbench/reference/ne-NE-g<levels>-seed<seed>.json
+    cfg = ExperimentConfig(
+        scheme="NE-ANALYSIS", grid_levels=levels, seeds=(seed,), slots=2000,
+        workers=1, out_dir=str(tmp_path),
+    )
+    run_ne_analysis(cfg)
+    with open(tmp_path / f"ne_analysis_seed{seed}.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    with open(os.path.join(REFERENCE_DIR, f"ne-NE-g{levels}-seed{seed}.json"),
+              encoding="utf-8") as fh:
+        ref = json.load(fh)
+    assert report["mood"] == ref["mood"]
+    assert report["ps_pairs"] == ref["ps_pairs"]
+    assert sorted([p["p1"], p["p2"], p["p3"], p["p4"]]
+                  for p in report["brute_force"]) == ref["brute_force"]
+    for cls in ("ne_l1", "ne_l2", "ne_l3"):
+        assert sorted([c["a1_index"], c["a2_index"]]
+                      for c in report[cls]) == ref["certificates"][cls]
 
 
 def test_logged_utilities_replay_from_channel_seed():
