@@ -52,7 +52,6 @@ from .rates import (
     qos_binding_split,
     rates_from_sinr,
     sinr_vector,
-    user_rates,
 )
 
 __version__ = "0.1.0"
@@ -95,5 +94,4 @@ __all__ = [
     "run_ne_analysis",
     "run_slot",
     "sinr_vector",
-    "user_rates",
 ]

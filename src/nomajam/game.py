@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -27,16 +28,19 @@ NE_L1, NE_L2, NE_L3 = "NE_L1", "NE_L2", "NE_L3"
 
 @dataclass(frozen=True)
 class StrategyGrid:
-    """Per-BS action set: (weak, strong) power pairs on a uniform grid.
+    """Per-BS action set: (weak, strong) power pairs on an integer level lattice.
 
-    Levels k = 1..L of size p_bs_max / L, every ordered pair with a total
-    within the budget; duplicate-free and lexicographically ordered so grid
-    indices break ties deterministically.
+    A power level is a multiple of step = p_bs_max / L.  Action k is the
+    level pair ``action_levels[k]`` = (w, s) with w, s >= 1 and w + s <= L,
+    and its powers are (w * step, s * step).  Pairs are in lexicographic
+    order, so grid indices break ties deterministically; ``index`` maps a
+    level pair back to its action.
     """
 
     levels: int
     p_bs_max: float
     actions: tuple[tuple[float, float], ...]
+    action_levels: tuple[tuple[int, int], ...]
 
     @classmethod
     def build(cls, levels: int, p_bs_max: float) -> "StrategyGrid":
@@ -45,30 +49,27 @@ class StrategyGrid:
         if p_bs_max <= 0:
             raise ValueError("p_bs_max must be positive")
         step = p_bs_max / levels
-        actions = tuple(
-            (i * step, j * step)
-            for i in range(1, levels + 1)
-            for j in range(1, levels + 1)
-            if (i + j) <= levels
+        pairs = tuple(
+            (w, s) for w in range(1, levels) for s in range(1, levels + 1 - w)
         )
-        if not actions:
+        if not pairs:
             # L = 1 leaves no room for two positive powers; L >= 2 always does.
             raise ValueError(f"no feasible actions with {levels} levels")
-        return cls(levels=levels, p_bs_max=p_bs_max, actions=actions)
+        actions = tuple((w * step, s * step) for w, s in pairs)
+        return cls(levels=levels, p_bs_max=p_bs_max, actions=actions, action_levels=pairs)
 
     @property
     def step(self) -> float:
         return self.p_bs_max / self.levels
 
+    @cached_property
+    def index(self) -> dict[tuple[int, int], int]:
+        return {pair: k for k, pair in enumerate(self.action_levels)}
+
     @property
     def totals(self) -> tuple[float, ...]:
-        return tuple(sorted({a[0] + a[1] for a in self.actions}))
-
-    def actions_with_total(self, total: float) -> list[tuple[int, tuple[float, float]]]:
-        tol = 1e-9 * self.p_bs_max
-        return [
-            (k, a) for k, a in enumerate(self.actions) if abs(a[0] + a[1] - total) <= tol
-        ]
+        """Total power k * step of each total level k = 2..L."""
+        return tuple(k * self.step for k in range(2, self.levels + 1))
 
 
 @dataclass
@@ -100,8 +101,11 @@ class NeCertificate:
 
 @dataclass(frozen=True)
 class MoodReport:
+    """The mood and the feasible total-power pairs, as powers and as total levels."""
+
     mood: int
     ps_set: tuple[tuple[float, float], ...]
+    ps_levels: tuple[tuple[int, int], ...]
 
 
 def _binding_profile(
@@ -191,8 +195,10 @@ def mood_classify(
     strong users also meet QoS and both splits leave strictly positive
     strong-user power.
     """
-    ps: list[tuple[float, float]] = []
-    for p_bs1, p_bs2 in product(grid.totals, grid.totals):
+    ps: list[tuple[int, int]] = []
+    total_levels = range(2, grid.levels + 1)
+    for k1, k2 in product(total_levels, total_levels):
+        p_bs1, p_bs2 = k1 * grid.step, k2 * grid.step
         sol = _stackelberg_fixed_point(
             ch, jcfg, lambda pj: _binding_profile(ch, p_bs1, p_bs2, pj, r0)
         )
@@ -204,12 +210,46 @@ def mood_classify(
         r = _rates4(ch, *prof.as_tuple())
         qtol = 1e-9 * max(1.0, r0)
         if r[1] >= r0 - qtol and r[3] >= r0 - qtol:
-            ps.append((p_bs1, p_bs2))
-    return MoodReport(mood=1 if ps else 2, ps_set=tuple(ps))
+            ps.append((k1, k2))
+    return MoodReport(
+        mood=1 if ps else 2,
+        ps_set=tuple((k1 * grid.step, k2 * grid.step) for k1, k2 in ps),
+        ps_levels=tuple(ps),
+    )
+
+
+def deviation_margins(u: np.ndarray) -> np.ndarray:
+    """u[i, j] minus the best unilateral deviation from (i, j), for every profile.
+
+    Leader 1 deviates along column j and leader 2 along row i.  The best
+    value in column j other than row i is the column's largest, or its
+    second largest when row i holds the largest (argmax, the first of tied
+    maxima); rows likewise.  A 1 x 1 game has no deviation: its margin is inf.
+    """
+    n = u.shape[0]
+    if n == 1:
+        return np.full((1, 1), math.inf)
+    idx = np.arange(n)
+    col = np.sort(u, axis=0)
+    col_best = np.where(idx[:, None] == u.argmax(axis=0), col[-2], col[-1])
+    row = np.sort(u, axis=1)
+    row_best = np.where(
+        idx == u.argmax(axis=1)[:, None], row[:, -2:-1], row[:, -1:]
+    )
+    return u - np.maximum(col_best, row_best)
+
+
+# Peak bytes per joint profile while GridEvaluator fills its table (tracemalloc,
+# grid_levels 16): seven float64 columns plus the margin pass's temporaries.
+TABLE_BYTES_PER_PROFILE = 114
 
 
 class GridEvaluator:
-    """Caches (jammer response, rates, utility) for every joint grid profile."""
+    """One table of every joint grid profile's jammer response, rates, utility and margin.
+
+    The first call to ``u_matrix`` (every other method makes it) solves the
+    follower at all n^2 profiles and fills the table; nothing is solved later.
+    """
 
     def __init__(
         self,
@@ -226,47 +266,42 @@ class GridEvaluator:
         self.r0 = r0
         self.gamma = gamma
         self.z = z
-        self._cache: dict[tuple[int, int], tuple[float, tuple, float]] = {}
-        self._u: np.ndarray | None = None
+        # table[i, j] = (p_j_star, r1, r2, r3, r4, utility, deviation margin)
+        self._table: np.ndarray | None = None
+
+    def u_matrix(self) -> np.ndarray:
+        if self._table is None:
+            actions = self.grid.actions
+            table = np.empty((len(actions), len(actions), 7))
+            for i, a1 in enumerate(actions):
+                for j, a2 in enumerate(actions):
+                    pj = best_response(self.ch, a1, a2, self.jcfg).p_j_star
+                    r = _rates4(self.ch, a1[0], a1[1], a2[0], a2[1], pj)
+                    u = bs_utility(r, pj, self.r0, self.gamma, self.z)
+                    table[i, j, :6] = (pj, *r, u)
+            table[:, :, 6] = deviation_margins(table[:, :, 5])
+            self._table = table
+        return self._table[:, :, 5]
+
+    def margin_matrix(self) -> np.ndarray:
+        self.u_matrix()
+        return self._table[:, :, 6]
 
     def entry(self, i: int, j: int) -> tuple[float, tuple, float]:
         """(p_j_star, rates, shared BS utility) for action indices (i, j)."""
-        hit = self._cache.get((i, j))
-        if hit is not None:
-            return hit
-        a1 = self.grid.actions[i]
-        a2 = self.grid.actions[j]
-        br = best_response(self.ch, a1, a2, self.jcfg)
-        r = _rates4(self.ch, a1[0], a1[1], a2[0], a2[1], br.p_j_star)
-        u = bs_utility(r, br.p_j_star, self.r0, self.gamma, self.z)
-        out = (br.p_j_star, r, u)
-        self._cache[(i, j)] = out
-        return out
-
-    def u_matrix(self) -> np.ndarray:
-        if self._u is None:
-            n = len(self.grid.actions)
-            u = np.empty((n, n))
-            for i in range(n):
-                for j in range(n):
-                    u[i, j] = self.entry(i, j)[2]
-            self._u = u
-        return self._u
+        self.u_matrix()
+        pj, *r, u, _ = self._table[i, j].tolist()
+        return pj, tuple(r), u
 
     def deviation_margin(self, i: int, j: int) -> float:
         """Smallest utility loss over all unilateral grid deviations."""
-        u = self.u_matrix()
-        n = u.shape[0]
-        if n == 1:
-            return math.inf
-        col = np.delete(u[:, j], i)
-        row = np.delete(u[i, :], j)
-        return float(u[i, j] - max(col.max(), row.max()))
+        return float(self.margin_matrix()[i, j])
 
     def profile(self, i: int, j: int) -> StrategyProfile:
-        pj = self.entry(i, j)[0]
         a1, a2 = self.grid.actions[i], self.grid.actions[j]
-        return StrategyProfile(p1=a1[0], p2=a1[1], p3=a2[0], p4=a2[1], p_j=pj)
+        return StrategyProfile(
+            p1=a1[0], p2=a1[1], p3=a2[0], p4=a2[1], p_j=self.entry(i, j)[0]
+        )
 
 
 def brute_force_ne(
@@ -283,16 +318,11 @@ def brute_force_ne(
 
     The jammer re-best-responds after every deviation (each profile's
     utility already embeds the follower optimum).  Independent oracle for
-    the analytic finders; deterministic grid-index ordering.
+    the analytic finders; deterministic grid-index (row-major) ordering.
     """
     ev = evaluator or GridEvaluator(ch, grid, jcfg, r0, gamma, z)
-    n = len(grid.actions)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if ev.deviation_margin(i, j) >= -eps_ne:
-                out.append(ev.profile(i, j))
-    return out
+    margins = ev.margin_matrix()
+    return [ev.profile(i, j) for i, j in np.argwhere(margins >= -eps_ne).tolist()]
 
 
 def _slope_u_binding(
@@ -348,18 +378,15 @@ def leader_slopes_numeric(
     return s1, s2
 
 
-def _grid_binding_strong(
-    ev: GridEvaluator, p_j: float, strong_user: int, p_strong: float
-) -> bool:
+def _grid_binding_strong(ev: GridEvaluator, p_j: float, strong_user: int, level: int) -> bool:
     """Whether the strong user's QoS is binding at grid resolution.
 
-    True when one grid step less strong-user power (same jamming) would
-    break its QoS, or when no lower level exists.
+    True when one grid level less strong-user power (same jamming) would
+    break its QoS, or when the strong user is at the lowest level.
     """
-    step = ev.grid.step
-    if p_strong <= step + 1e-9 * step:
+    if level == 1:
         return True
-    p = p_strong - step
+    p = (level - 1) * ev.grid.step
     return _rates4(ev.ch, 0.0, p, 0.0, p, p_j)[2 * strong_user - 1] < ev.r0
 
 
@@ -385,44 +412,36 @@ def find_ne_l1(
     if mood.mood != 1:
         return []
     ev = evaluator or GridEvaluator(ch, grid, jcfg, r0, gamma, z)
-    tol_total = 1e-9 * grid.p_bs_max
-    ps_pairs = mood.ps_set
+    ps_levels = set(mood.ps_levels)
     qtol = 1e-9 * max(1.0, r0)
     certs: list[NeCertificate] = []
-    n = len(grid.actions)
-    for i in range(n):
-        a1 = grid.actions[i]
-        for j in range(n):
-            a2 = grid.actions[j]
-            t1, t2 = a1[0] + a1[1], a2[0] + a2[1]
-            if not any(
-                abs(t1 - q1) <= tol_total and abs(t2 - q2) <= tol_total
-                for q1, q2 in ps_pairs
-            ):
+    for i, (w1, s1) in enumerate(grid.action_levels):
+        for j, (w2, s2) in enumerate(grid.action_levels):
+            k1, k2 = w1 + s1, w2 + s2
+            if (k1, k2) not in ps_levels:
                 continue
             pj, r, u = ev.entry(i, j)
             if min(r) < r0 - qtol:
                 continue
             # Weak users at the lowest grid split that still meets QoS.
-            minimal = True
-            for k, alt in grid.actions_with_total(t1):
-                if alt[0] < a1[0] - tol_total and ev.entry(k, j)[1][0] >= r0 - qtol:
-                    minimal = False
-                    break
-            if minimal:
-                for k, alt in grid.actions_with_total(t2):
-                    if alt[0] < a2[0] - tol_total and ev.entry(i, k)[1][2] >= r0 - qtol:
-                        minimal = False
-                        break
-            if not minimal:
+            if any(
+                ev.entry(grid.index[w, k1 - w], j)[1][0] >= r0 - qtol
+                for w in range(1, w1)
+            ) or any(
+                ev.entry(i, grid.index[w, k2 - w])[1][2] >= r0 - qtol
+                for w in range(1, w2)
+            ):
                 continue
-            slopes = leader_slopes_numeric(ch, t1, t2, pj, r0, gamma)
+            a1, a2 = grid.actions[i], grid.actions[j]
+            slopes = leader_slopes_numeric(
+                ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0, gamma
+            )
             if slopes is None:
                 continue
-            s1, s2 = slopes
-            stol = 1e-9 * max(1.0, abs(s1), abs(s2))
-            ok1 = s1 >= -stol or _grid_binding_strong(ev, pj, 1, a1[1])
-            ok2 = s2 >= -stol or _grid_binding_strong(ev, pj, 2, a2[1])
+            d1, d2 = slopes
+            stol = 1e-9 * max(1.0, abs(d1), abs(d2))
+            ok1 = d1 >= -stol or _grid_binding_strong(ev, pj, 1, s1)
+            ok2 = d2 >= -stol or _grid_binding_strong(ev, pj, 2, s2)
             if not (ok1 and ok2):
                 continue
             margin = ev.deviation_margin(i, j)
@@ -446,7 +465,6 @@ def find_ne_l1(
 class ParetoSelection:
     certificate: NeCertificate
     tie: bool
-    tied_with: tuple[NeCertificate, ...] = ()
 
 
 def pareto_ne_l1(
@@ -465,9 +483,7 @@ def pareto_ne_l1(
     tied = [c for c in ne_set if best_u - c.utility <= tie_eps * scale]
     winner = tied[0]
     winner.pareto = True
-    return ParetoSelection(
-        certificate=winner, tie=len(tied) > 1, tied_with=tuple(tied[1:])
-    )
+    return ParetoSelection(certificate=winner, tie=len(tied) > 1)
 
 
 def _full_power_slope_factor(
@@ -579,19 +595,18 @@ def _find_ne_full_power(
     fail_cell = 1 if full_cell == 2 else 2
     weak_fail, weak_full = (0, 2) if full_cell == 2 else (2, 0)
     strong_full = weak_full + 1
-    tol_total = 1e-9 * grid.p_bs_max
     qtol = 1e-9 * max(1.0, r0)
-    step = grid.step
+    L = grid.levels
+    # The full cell spends its whole budget; the failing cell's weak user is
+    # at the lowest level (its rate is a write-off, so power there only
+    # drains the shared sum rate).
+    full = [grid.index[w, L - w] for w in range(1, L)]
+    fail = [grid.index[1, s] for s in range(1, L)]
+    rows, cols = (fail, full) if full_cell == 2 else (full, fail)
     certs: list[NeCertificate] = []
-    n = len(grid.actions)
-    full_actions = grid.actions_with_total(grid.p_bs_max)
-    for i in range(n):
-        for j in range(n):
-            a1, a2 = grid.actions[i], grid.actions[j]
-            a_full = a2 if full_cell == 2 else a1
-            a_fail = a1 if full_cell == 2 else a2
-            if abs(a_full[0] + a_full[1] - grid.p_bs_max) > tol_total:
-                continue
+    for i in rows:
+        for j in cols:
+            k_full, k_fail = (j, i) if full_cell == 2 else (i, j)
             pj, r, u = ev.entry(i, j)
             if not (r[weak_full] >= r0 - qtol and r[strong_full] >= r0 - qtol):
                 continue
@@ -599,6 +614,7 @@ def _find_ne_full_power(
                 continue
             # The failing cell can not reach QoS even with its whole budget
             # on the weak user.
+            a_fail = grid.actions[k_fail]
             t_fail = a_fail[0] + a_fail[1]
             if fail_cell == 1:
                 best_case = (t_fail, 0.0, 0.0, grid.p_bs_max)
@@ -606,28 +622,14 @@ def _find_ne_full_power(
                 best_case = (0.0, grid.p_bs_max, t_fail, 0.0)
             if _rates4(ch, *best_case, pj)[weak_fail] >= r0:
                 continue
-            # Failing cell's weak power at the grid minimum (its rate is a
-            # write-off, so power there only drains the shared sum rate).
-            if a_fail[0] > step + tol_total:
-                continue
-            # Full cell's weak user at the lowest admissible split.
-            if a_full[0] > step + tol_total:
-                shifted = (a_full[0] - step, a_full[1] + step)
-                kk = next(
-                    (
-                        k for k, alt in full_actions
-                        if abs(alt[0] - shifted[0]) <= tol_total
-                        and abs(alt[1] - shifted[1]) <= tol_total
-                    ),
-                    None,
-                )
-                if kk is not None:
-                    if full_cell == 2:
-                        r_alt = ev.entry(i, kk)[1]
-                    else:
-                        r_alt = ev.entry(kk, j)[1]
-                    if r_alt[weak_full] >= r0 - qtol:
-                        continue
+            # Full cell's weak user at the lowest admissible split: one level
+            # less (same total) must break its QoS.
+            w_full = grid.action_levels[k_full][0]
+            if w_full > 1:
+                k = grid.index[w_full - 1, L - w_full + 1]
+                r_alt = ev.entry(i, k)[1] if full_cell == 2 else ev.entry(k, j)[1]
+                if r_alt[weak_full] >= r0 - qtol:
+                    continue
             slope = _full_power_slope_factor(
                 ch, full_cell, t_fail, grid.p_bs_max, pj, r0
             )
@@ -794,9 +796,21 @@ def analysis_report(
     ev = GridEvaluator(ch, grid, jcfg, r0, gamma, z)
     mood = mood_classify(ch, grid, jcfg, r0)
     bf = brute_force_ne(ch, grid, jcfg, r0, gamma, z, eps_ne, evaluator=ev)
+    # Each finder is empty outside its own mood.
+    l1 = find_ne_l1(ch, grid, jcfg, r0, gamma, z, eps_ne, mood, ev)
+    l2, pne2 = find_ne_l2(ch, grid, jcfg, r0, gamma, z, eps_ne, mood, ev)
+    l3, pne3 = find_ne_l3(ch, grid, jcfg, r0, gamma, z, eps_ne, mood, ev)
+    ne_l1 = [c.to_dict() for c in l1]  # before the Pareto pick flags its winner
+    sel = pareto_ne_l1(l1) if l1 else None
     bf_keys = {p.as_tuple()[:4] for p in bf}
-
-    report: dict = {
+    analytic = l1 + l2 + l3
+    unimodal = [
+        concavity_probe(ch, (p.p1, p.p2), (p.p3, p.p4), jcfg).unimodal for p in bf
+    ]
+    mono = monotonicity_check(
+        ch, jcfg, r0, gamma, z, grid.p_bs_max, n_samples=50, seed=ch.seed
+    )
+    return {
         "seed": ch.seed,
         "grid_levels": grid.levels,
         "p_bs_max": grid.p_bs_max,
@@ -809,52 +823,26 @@ def analysis_report(
             {"p1": p.p1, "p2": p.p2, "p3": p.p3, "p4": p.p4, "p_j": p.p_j}
             for p in bf
         ],
-    }
-    analytic: list[NeCertificate] = []
-    if mood.mood == 1:
-        l1 = find_ne_l1(ch, grid, jcfg, r0, gamma, z, eps_ne, mood, ev)
-        analytic.extend(l1)
-        report["ne_l1"] = [c.to_dict() for c in l1]
-        if l1:
-            sel = pareto_ne_l1(l1)
-            report["pareto_l1"] = {**sel.certificate.to_dict(), "tie": sel.tie}
-        else:
-            report["pareto_l1"] = None
-        report["ne_l2"] = []
-        report["ne_l3"] = []
-        report["pne_l2"] = None
-        report["pne_l3"] = None
-    else:
-        l2, pne2 = find_ne_l2(ch, grid, jcfg, r0, gamma, z, eps_ne, mood, ev)
-        l3, pne3 = find_ne_l3(ch, grid, jcfg, r0, gamma, z, eps_ne, mood, ev)
-        analytic.extend(l2)
-        analytic.extend(l3)
-        report["ne_l1"] = []
-        report["pareto_l1"] = None
-        report["ne_l2"] = [c.to_dict() for c in l2]
-        report["ne_l3"] = [c.to_dict() for c in l3]
-        report["pne_l2"] = pne2.to_dict() if pne2 else None
-        report["pne_l3"] = pne3.to_dict() if pne3 else None
-
-    confirmed = all(c.profile.as_tuple()[:4] in bf_keys for c in analytic)
-    unimodal = [
-        concavity_probe(ch, (p.p1, p.p2), (p.p3, p.p4), jcfg).unimodal for p in bf
-    ]
-    mono = monotonicity_check(
-        ch, jcfg, r0, gamma, z, grid.p_bs_max, n_samples=50, seed=ch.seed
-    )
-    report["verification"] = {
-        "analytic_subset_of_brute_force": confirmed,
-        "n_analytic": len(analytic),
-        "n_brute_force": len(bf),
-        "jammer_unimodal_at_ne": sum(unimodal),
-        "jammer_probed_at_ne": len(unimodal),
-        "monotonicity": {
-            "slope_checked": mono.slope_checked,
-            "slope_violations": mono.slope_violations,
-            "curvature_checked": mono.curvature_checked,
-            "curvature_violations": mono.curvature_violations,
-            "skipped": mono.skipped,
+        "ne_l1": ne_l1,
+        "pareto_l1": {**sel.certificate.to_dict(), "tie": sel.tie} if sel else None,
+        "ne_l2": [c.to_dict() for c in l2],
+        "ne_l3": [c.to_dict() for c in l3],
+        "pne_l2": pne2.to_dict() if pne2 else None,
+        "pne_l3": pne3.to_dict() if pne3 else None,
+        "verification": {
+            "analytic_subset_of_brute_force": all(
+                c.profile.as_tuple()[:4] in bf_keys for c in analytic
+            ),
+            "n_analytic": len(analytic),
+            "n_brute_force": len(bf),
+            "jammer_unimodal_at_ne": sum(unimodal),
+            "jammer_probed_at_ne": len(unimodal),
+            "monotonicity": {
+                "slope_checked": mono.slope_checked,
+                "slope_violations": mono.slope_violations,
+                "curvature_checked": mono.curvature_checked,
+                "curvature_violations": mono.curvature_violations,
+                "skipped": mono.skipped,
+            },
         },
     }
-    return report

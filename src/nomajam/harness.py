@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import operator
 import os
 import typing
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .channel import (
     Geometry,
     draw_channels,
 )
-from .game import StrategyGrid, analysis_report
+from .game import TABLE_BYTES_PER_PROFILE, StrategyGrid, analysis_report
 from .jammer import MIN_SEARCH_TOLERANCE, JammerAgent, JammerConfig, best_response
 from .learn.agents import (
     DqnAgent,
@@ -54,7 +55,8 @@ JAMMER_MODES = ("learning", "best-response")
 # Largest Q-table a tabular agent may allocate, in float64: a BS agent's
 # (sinr_levels**4 states by one column per grid action; QLU and QLS run two)
 # or the learning jammer's ((jammer_grid_levels + 1)**2 states by
-# jammer_grid_levels + 1 actions).
+# jammer_grid_levels + 1 actions).  NE-ANALYSIS's table of joint grid
+# profiles is held to the same bound.
 MAX_Q_TABLE_BYTES = 256 * 2**20
 
 
@@ -170,6 +172,13 @@ class ExperimentConfig:
                 f"grid_levels = {self.grid_levels} and sinr_levels = "
                 f"{self.sinr_levels} need a {table_bytes / 2**20:.0f} MiB Q-table "
                 f"per BS, above the {MAX_Q_TABLE_BYTES // 2**20} MiB bound"
+            )
+        ne_bytes = n_actions**2 * TABLE_BYTES_PER_PROFILE
+        if self.scheme == "NE-ANALYSIS" and ne_bytes > MAX_Q_TABLE_BYTES:
+            raise ValueError(
+                f"grid_levels = {self.grid_levels} needs a {ne_bytes / 2**20:.0f} "
+                f"MiB table of joint grid profiles, above the "
+                f"{MAX_Q_TABLE_BYTES // 2**20} MiB bound"
             )
         jammer_bytes = (self.jammer_grid_levels + 1) ** 3 * 8
         if (self.scheme != "NE-ANALYSIS" and self.jammer_mode == "learning"
@@ -335,23 +344,38 @@ def read_csv(path) -> list[SlotRecord]:
         raise OSError(f"failed to read {path}: {exc}") from exc
 
 
+def _seed_streams(seed: int | np.random.SeedSequence) -> tuple:
+    """(channel seed, jammer, redraw, BS1 agent, BS2 agent, hot boot) streams of a seed.
+
+    The one statement of the spawn layout: a run's seed spawns (environment,
+    BS1 agent, BS2 agent, hot boot) streams and the environment stream spawns
+    (channel, jammer, redraw).  A SeedSequence is taken as an environment
+    stream (a hot-boot scenario) and gets None for the last three.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        env_ss, agents_and_boot = seed, (None, None, None)
+    else:
+        env_ss, *agents_and_boot = np.random.SeedSequence(seed).spawn(4)
+    ch_ss, jam_ss, redraw_ss = env_ss.spawn(3)
+    return (int(ch_ss.generate_state(1)[0]), jam_ss, redraw_ss, *agents_and_boot)
+
+
 class TwoCellEnv:
     """Per-slot environment seen by the two BS agents.
 
     Leader-follower sequencing within a slot: both BSs commit their actions
     first, then the jammer (learning agent or exact best response) picks its
     power, and only then are rates and rewards realized.  Observations fed
-    to the BSs are the previous slot's quantized SINRs.
+    to the BSs are the previous slot's quantized SINRs.  ``seed`` is a run's
+    seed, or a hot-boot scenario's SeedSequence (whose records log seed -1).
     """
 
     def __init__(self, cfg: ExperimentConfig, seed) -> None:
         self.cfg = cfg
-        self.seed = seed if isinstance(seed, int) else -1
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        ch_ss, jam_ss, redraw_ss = ss.spawn(3)
+        self.seed = -1 if isinstance(seed, np.random.SeedSequence) else seed
+        self.channel_seed, jam_ss, redraw_ss, *_ = _seed_streams(seed)
         self._redraw_rng = np.random.default_rng(redraw_ss)
         self.geometry = cfg.geometry()
-        self.channel_seed = int(ch_ss.generate_state(1)[0])
         self.ch = draw_channels(self.geometry, self.channel_seed, cfg.fading)
         self.grid = cfg.grid()
         self.jcfg = cfg.jammer_config()
@@ -500,10 +524,8 @@ def hot_boot(cfg: ExperimentConfig, boot_ss: np.random.SeedSequence):
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> list[SlotRecord]:
     """One full learning run; pure function of (cfg, seed)."""
-    ss = np.random.SeedSequence(seed)
-    env_ss, a1_ss, a2_ss, boot_ss = ss.spawn(4)
-    env = TwoCellEnv(cfg, env_ss)
-    env.seed = seed
+    *_, a1_ss, a2_ss, boot_ss = _seed_streams(seed)
+    env = TwoCellEnv(cfg, seed)
     boot_params = None
     if cfg.scheme == "HBDQLU":
         boot_params = hot_boot(cfg, boot_ss)
@@ -587,9 +609,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def channel_for_seed(cfg: ExperimentConfig, seed: int) -> ChannelRealization:
     """The realization a learning run with this seed would see (slot 0)."""
-    env_ss = np.random.SeedSequence(seed).spawn(4)[0]
-    ch_ss = env_ss.spawn(3)[0]
-    return draw_channels(cfg.geometry(), int(ch_ss.generate_state(1)[0]), cfg.fading)
+    return draw_channels(cfg.geometry(), _seed_streams(seed)[0], cfg.fading)
 
 
 def _modal_joint_action(records: list[SlotRecord], window: int):
@@ -600,25 +620,26 @@ def _modal_joint_action(records: list[SlotRecord], window: int):
     return counter.most_common(1)[0][0]
 
 
-def _near(profile_tuple, certified, step: float) -> bool:
-    tol = step + 1e-9 * step
-    return any(
-        all(abs(a - b) <= tol for a, b in zip(profile_tuple, other))
-        for other in certified
-    )
-
-
 def run_ne_analysis(cfg: ExperimentConfig) -> dict:
     """Per-seed equilibrium reports plus the learning-run cross-check.
 
     For each seed, the channel realization matches what a learning run with
     that seed sees.  If a companion learning CSV exists in out_dir, the
-    modal converged joint action is compared against the certified
-    equilibria (within one grid step); otherwise the check is skipped.
+    modal converged joint action is compared, by grid levels, against the
+    certified equilibria (within one level in every power) and the Pareto
+    point (exactly); otherwise the check is skipped.
     """
     cfg.validate()
     grid = cfg.grid()
     jcfg = cfg.jammer_config()
+    level_of = dict(zip(grid.actions, grid.action_levels))
+    powers = operator.itemgetter("p1", "p2", "p3", "p4")
+
+    def levels(p) -> tuple[int, ...] | None:
+        """(w1, s1, w2, s2) of joint grid powers (p1, p2, p3, p4), or None off the grid."""
+        a1, a2 = level_of.get((p[0], p[1])), level_of.get((p[2], p[3]))
+        return a1 + a2 if a1 and a2 else None
+
     out: dict = {"per_seed": {}, "mood_counts": {1: 0, 2: 0}}
     for seed in cfg.seeds:
         ch = channel_for_seed(cfg, seed)
@@ -635,24 +656,20 @@ def run_ne_analysis(cfg: ExperimentConfig) -> dict:
                 if os.path.exists(path):
                     records = read_csv(path)
                     modal = _modal_joint_action(records, cfg.summary_window)
-                    certified = [
-                        (c["p1"], c["p2"], c["p3"], c["p4"])
-                        for c in report["brute_force"]
-                    ]
-                    pareto = report.get("pareto_l1") or report.get("pne_l2") or report.get("pne_l3")
-                    on_pareto = False
-                    if pareto is not None:
-                        on_pareto = _near(
-                            modal,
-                            [(pareto["p1"], pareto["p2"], pareto["p3"], pareto["p4"])],
-                            0.0,
-                        )
+                    at = levels(modal)
+                    pareto = report["pareto_l1"] or report["pne_l2"] or report["pne_l3"]
                     cross = {
                         "status": "ok",
                         "scheme": scheme,
                         "modal_action": list(modal),
-                        "near_certified_ne": _near(modal, certified, grid.step),
-                        "on_pareto_ne": on_pareto,
+                        "near_certified_ne": at is not None and any(
+                            max(abs(a - b) for a, b in zip(at, levels(powers(c)))) <= 1
+                            for c in report["brute_force"]
+                        ),
+                        "on_pareto_ne": (
+                            at is not None and pareto is not None
+                            and at == levels(powers(pareto))
+                        ),
                     }
                     break
         report["learning_cross_check"] = cross

@@ -46,13 +46,6 @@ class StrategyProfile:
     def p_bs2(self) -> float:
         return self.p3 + self.p4
 
-    def check_budgets(self, p_bs_max: float, p_j_max: float) -> None:
-        tol = 1e-9 * max(1.0, p_bs_max, p_j_max)
-        if self.p_bs1 > p_bs_max + tol or self.p_bs2 > p_bs_max + tol:
-            raise ValueError("per-BS power budget exceeded")
-        if self.p_j > p_j_max + tol:
-            raise ValueError("jammer power budget exceeded")
-
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.p1, self.p2, self.p3, self.p4, self.p_j)
 
@@ -110,10 +103,6 @@ def sinr_vector(ch: ChannelRealization, prof: StrategyProfile) -> np.ndarray:
 def rates_from_sinr(sinr) -> np.ndarray:
     """Shannon rates log2(1 + SINR), elementwise, in bit/s/Hz."""
     return np.log2(1.0 + np.asarray(sinr, dtype=float))
-
-
-def user_rates(ch: ChannelRealization, prof: StrategyProfile) -> np.ndarray:
-    return rates_from_sinr(sinr_vector(ch, prof))
 
 
 def _rates4(

@@ -1,5 +1,6 @@
 import math
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from nomajam import game
 from nomajam.channel import ChannelRealization, draw_channels
 from nomajam.game import (
+    TABLE_BYTES_PER_PROFILE,
     FixedPointFailure,
     GridEvaluator,
     StrategyGrid,
     brute_force_ne,
+    deviation_margins,
     find_ne_l1,
     find_ne_l2,
     find_ne_l3,
@@ -26,7 +29,7 @@ from nomajam.game import (
 )
 from nomajam.harness import ExperimentConfig, channel_for_seed
 from nomajam.jammer import JammerConfig, best_response
-from nomajam.rates import StrategyProfile, user_rates
+from nomajam.rates import StrategyProfile, rates_from_sinr, sinr_vector
 
 from conftest import make_channel
 
@@ -78,6 +81,21 @@ def test_grid_actions_small():
     assert len(set(grid.actions)) == len(grid.actions)
 
 
+@pytest.mark.parametrize("p_bs_max", [1.0, 7.3, 13.0, 40.0])
+def test_grid_levels_index_actions_and_totals(p_bs_max):
+    for levels in range(2, 17):
+        grid = StrategyGrid.build(levels, p_bs_max)
+        step = grid.step
+        assert grid.totals == tuple(k * step for k in range(2, levels + 1))
+        assert len(set(grid.totals)) == levels - 1
+        for k, (w, s) in enumerate(grid.action_levels):
+            assert grid.index[w, s] == k
+            assert grid.actions[k] == (w * step, s * step)
+            total = grid.actions[k][0] + grid.actions[k][1]
+            assert abs(total - grid.totals[w + s - 2]) <= 1e-9 * p_bs_max
+        assert len(grid.index) == len(grid.actions) == levels * (levels - 1) // 2
+
+
 def test_grid_rejects_degenerate():
     with pytest.raises(ValueError):
         StrategyGrid.build(0, 40.0)
@@ -99,10 +117,10 @@ def test_binding_split_substitution(channel):
             continue
         if cell == 1:
             prof = StrategyProfile(p_weak, 30.0 - p_weak, 12.0, 13.0, 4.0)
-            rate = user_rates(channel, prof)[0]
+            rate = rates_from_sinr(sinr_vector(channel, prof))[0]
         else:
             prof = StrategyProfile(15.0, 15.0, p_weak, 25.0 - p_weak, 4.0)
-            rate = user_rates(channel, prof)[2]
+            rate = rates_from_sinr(sinr_vector(channel, prof))[2]
         assert rate == pytest.approx(R0, abs=1e-10)
 
 
@@ -118,7 +136,7 @@ def test_binding_split_matches_bisection(geom):
 
         def rate1(p1):
             prof = StrategyProfile(p1, t1 - p1, 0.6 * t2, 0.4 * t2, pj)
-            return user_rates(ch, prof)[0]
+            return rates_from_sinr(sinr_vector(ch, prof))[0]
 
         lo, hi = 0.0, t1
         if rate1(hi) < R0:
@@ -181,7 +199,7 @@ def test_mood_agrees_with_split_grid_search(geom, jcfg):
                                        (prof.p3, prof.p4), jcfg)
                     check = StrategyProfile(prof.p1, prof.p2, prof.p3, prof.p4,
                                             br.p_j_star)
-                    if float(user_rates(ch, check).min()) >= R0:
+                    if float(rates_from_sinr(sinr_vector(ch, check)).min()) >= R0:
                         oracle_feasible = True
                         break
                 if oracle_feasible:
@@ -194,7 +212,7 @@ def test_mood_agrees_with_split_grid_search(geom, jcfg):
         )
         assert not isinstance(sol, FixedPointFailure)
         prof, br = sol
-        rates = user_rates(ch, prof)
+        rates = rates_from_sinr(sinr_vector(ch, prof))
         assert rates[0] == pytest.approx(R0, abs=1e-7)
         assert rates[2] == pytest.approx(R0, abs=1e-7)
         assert rates[1] >= R0 - 1e-9 and rates[3] >= R0 - 1e-9
@@ -333,6 +351,70 @@ def test_brute_force_excludes_improvable(geom, jcfg):
             assert improvable == (prof.as_tuple()[:4] not in keys)
 
 
+def delete_margins(u):
+    """The per-profile np.delete formula the top-two margins replaced, kept as the reference."""
+    n = u.shape[0]
+    out = np.empty_like(u)
+    for i in range(n):
+        for j in range(n):
+            if n == 1:
+                out[i, j] = math.inf
+                continue
+            col = np.delete(u[:, j], i)
+            row = np.delete(u[i, :], j)
+            out[i, j] = u[i, j] - max(col.max(), row.max())
+    return out
+
+
+def test_deviation_margins_match_delete_reference():
+    rng = np.random.default_rng(5)
+    cases = [
+        np.array([[3.0]]),
+        np.array([[1.0, 2.0], [3.0, 4.0]]),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+        np.array([[2.0, 0.5], [2.0, -1.0]]),  # tied column maximum
+        np.array([[5.0, 1.0, 5.0], [0.0, 2.0, 3.0], [5.0, 4.0, 4.0]]),  # tied rows and columns
+        np.zeros((4, 4)),
+    ]
+    cases += [rng.integers(0, 3, size=(n, n)).astype(float) for n in range(2, 9)]
+    cases += [rng.normal(size=(n, n)) for n in (1, 2, 3, 15, 28)]
+    for u in cases:
+        assert np.array_equal(deviation_margins(u), delete_margins(u)), u
+
+
+def test_grid_table_stays_within_its_byte_bound(geom, jcfg):
+    # the figure behind the NE-ANALYSIS grid bound in config validation;
+    # 256 KiB covers the follower's fixed working memory
+    ch = draw_channels(geom, 0)
+    # a first table builds the follower's per-config sweep grid outside the trace
+    GridEvaluator(ch, StrategyGrid.build(3, 40.0), jcfg, R0, GAMMA, Z).u_matrix()
+    grid = StrategyGrid.build(8, 40.0)
+    ev = GridEvaluator(ch, grid, jcfg, R0, GAMMA, Z)
+    tracemalloc.start()
+    try:
+        ev.u_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(grid.actions)
+    assert peak <= TABLE_BYTES_PER_PROFILE * n * n + 256 * 1024
+
+
+def test_mood_ps_pairs_distinct_at_grid_levels_7():
+    # 7 levels of 40 give ulp-apart sums such as 28.57142857142857 and
+    # 28.571428571428573 for the same total level
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=7)
+    grid = cfg.grid()
+    mood = mood_classify(channel_for_seed(cfg, 0), grid, cfg.jammer_config(), cfg.r0)
+    assert len(mood.ps_set) > 1
+    tol = 1e-9 * grid.p_bs_max
+    for a, b in combinations(mood.ps_set, 2):
+        assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) > tol
+    assert mood.ps_set == tuple(
+        (k1 * grid.step, k2 * grid.step) for k1, k2 in mood.ps_levels
+    )
+
+
 def test_analytic_ne_l1_confirmed_by_brute_force(geom, jcfg):
     grid = StrategyGrid.build(4, 40.0)
     seed, ch, certs = first_seed_with_l1(geom, grid, jcfg)
@@ -341,7 +423,7 @@ def test_analytic_ne_l1_confirmed_by_brute_force(geom, jcfg):
         assert c.profile.as_tuple() in bf
         assert c.deviation_margin >= -1e-9
         # every certified profile meets QoS for all four users
-        assert float(user_rates(ch, c.profile).min()) >= R0 - 1e-9
+        assert float(rates_from_sinr(sinr_vector(ch, c.profile)).min()) >= R0 - 1e-9
 
 
 def test_certificates_use_follower_best_response(geom, jcfg):
@@ -405,7 +487,7 @@ def test_pareto_never_dominated_by_brute_force(geom, jcfg):
         for j in range(n)
         if ev.profile(i, j).as_tuple() in {p.as_tuple() for p in bf}
         and ev.profile(i, j).as_tuple()[:4] != best.profile.as_tuple()[:4]
-        and float(user_rates(ch, ev.profile(i, j)).min()) >= R0 - 1e-9
+        and float(rates_from_sinr(sinr_vector(ch, ev.profile(i, j))).min()) >= R0 - 1e-9
     ]
     assert all(best.utility >= v - 1e-9 for v in bf_utils)
 
@@ -428,7 +510,7 @@ def test_ne_l2_structure_and_brute_force(geom, jcfg):
     bf = {p.as_tuple() for p in brute_force_ne(ch, grid, jcfg, R0, GAMMA, Z)}
     for c in l2:
         assert c.profile.p_bs2 == pytest.approx(grid.p_bs_max)
-        rates = user_rates(ch, c.profile)
+        rates = rates_from_sinr(sinr_vector(ch, c.profile))
         assert rates[0] < R0  # cell 1 is the write-off side
         assert rates[2] >= R0 - 1e-9 and rates[3] >= R0 - 1e-9
         assert c.profile.as_tuple() in bf

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nomajam.cli import main as cli_main
+from nomajam.game import GridEvaluator
 from nomajam.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -25,7 +26,7 @@ from nomajam.harness import (
     summarize,
 )
 from nomajam.learn.agents import EpsSchedule, QTable, TabularAgent
-from nomajam.rates import StrategyProfile, bs_utility, user_rates
+from nomajam.rates import StrategyProfile, bs_utility, rates_from_sinr, sinr_vector
 
 FAST = dict(slots=50, seeds=(0,), summary_window=20)
 
@@ -179,15 +180,28 @@ def test_cli_rejects_oversized_q_table_before_allocating(tmp_path, monkeypatch, 
         raise AssertionError("a Q-table was allocated")
 
     monkeypatch.setattr(QTable, "__init__", refuse)
+    monkeypatch.setattr(GridEvaluator, "u_matrix", refuse)
     cfgfile = tmp_path / "run.cfg"
     for line, keys in (
         ("grid_levels = 200", ("grid_levels", "sinr_levels")),
         ("jammer_grid_levels = 400", ("jammer_grid_levels",)),
+        ("scheme = NE-ANALYSIS\ngrid_levels = 56", ("grid_levels",)),
     ):
         cfgfile.write_text(line + "\n", encoding="utf-8")
         assert cli_main(["--config", str(cfgfile), "--slots", "3", "--seeds", "1"]) == 1
         err = capsys.readouterr().err
         assert all(key in err for key in keys), (line, err)
+
+
+def test_ne_table_bound_at_the_config_boundary():
+    # 55 levels hold 1485 actions, 56 hold 1540: 2.21 M against 2.37 M joint
+    # profiles at TABLE_BYTES_PER_PROFILE (114) each, around the 256 MiB bound
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=55)
+    cfg.validate()
+    with pytest.raises(ValueError, match="grid_levels = 56"):
+        cfg.replaced(grid_levels=56).validate()
+    # only NE-ANALYSIS builds the table
+    cfg.replaced(scheme="QLU", grid_levels=56).validate()
 
 
 def test_hot_boot_shape_and_determinism():
@@ -204,7 +218,6 @@ def test_hot_boot_shape_and_determinism():
 def test_frozen_agents_repeat_identical_slots():
     cfg = ExperimentConfig(jammer_mode="best-response", **FAST)
     env = TwoCellEnv(cfg, seed=3)
-    env.seed = 3
     agents = greedy_agents(env)
     env.reset()
     records = [run_slot(env, agents) for _ in range(10)]
@@ -275,9 +288,18 @@ def test_logged_utilities_replay_from_channel_seed():
     ch = channel_for_seed(cfg, 5)
     for rec in records:
         prof = StrategyProfile(rec.p1, rec.p2, rec.p3, rec.p4, rec.p_j)
-        rates = user_rates(ch, prof)
+        rates = rates_from_sinr(sinr_vector(ch, prof))
         assert float(rates[0]) == rec.r1 and float(rates[3]) == rec.r4
         assert bs_utility(rates, rec.p_j, cfg.r0, cfg.gamma, cfg.z) == rec.u_bs
+
+
+def test_env_of_an_int_seed_is_the_run_seed_environment():
+    # run_seed's environment is TwoCellEnv(cfg, seed); its records carry the seed
+    cfg = ExperimentConfig(jammer_mode="best-response", **FAST)
+    env = TwoCellEnv(cfg, seed=4)
+    assert env.seed == 4
+    assert np.array_equal(env.ch.gains, channel_for_seed(cfg, 4).gains)
+    assert {r.seed for r in run_seed(cfg, 4)} == {4}
 
 
 def test_run_experiment_single_slot():
@@ -317,8 +339,8 @@ def test_csv_roundtrip_exact(tmp_path):
     assert back == records
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        assert sum(1 for _ in fh) == len(records)
     assert header == CSV_HEADER
-    assert sum(1 for _ in open(path)) == len(records) + 1
 
 
 def test_read_csv_rejects_truncated_row(tmp_path):

@@ -15,8 +15,9 @@ from nomajam.rates import (
     StrategyProfile,
     jammer_utility,
     link_terms,
+    rates_from_sinr,
+    sinr_vector,
     sum_rate,
-    user_rates,
 )
 
 from conftest import make_channel
@@ -80,7 +81,7 @@ def test_best_response_u_value_consistent(geom, jcfg):
     ch = draw_channels(geom, 5)
     a1, a2 = (22.0, 11.0), (18.0, 9.0)
     br = best_response(ch, a1, a2, jcfg)
-    rates = user_rates(ch, StrategyProfile(*a1, *a2, p_j=br.p_j_star))
+    rates = rates_from_sinr(sinr_vector(ch, StrategyProfile(*a1, *a2, p_j=br.p_j_star)))
     assert br.u_at_star == pytest.approx(
         jammer_utility(rates, br.p_j_star, jcfg.gamma), rel=1e-12
     )
@@ -273,7 +274,7 @@ def test_jql_converges_to_best_response(geom, jcfg):
     chosen = []
     for _ in range(10_000):
         pj = agent.step(state, reward)
-        rates = user_rates(ch, StrategyProfile(*a1, *a2, p_j=pj))
+        rates = rates_from_sinr(sinr_vector(ch, StrategyProfile(*a1, *a2, p_j=pj)))
         reward = jammer_utility(rates, pj, jcfg.gamma)
         chosen.append(pj)
     grid_step = jcfg.p_j_max / jcfg.grid_levels
