@@ -38,7 +38,6 @@ from .harness import (
 )
 from .jammer import (
     BestResponse,
-    JammerAgent,
     JammerConfig,
     best_response,
     concavity_probe,
@@ -61,7 +60,6 @@ __all__ = [
     "ChannelRealization",
     "ExperimentConfig",
     "Geometry",
-    "JammerAgent",
     "JammerConfig",
     "NeCertificate",
     "SlotRecord",

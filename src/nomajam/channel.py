@@ -99,9 +99,6 @@ class ChannelRealization:
         g.setflags(write=False)
         object.__setattr__(self, "gains", g)
 
-    def gain(self, user: int, source: int) -> float:
-        return float(self.gains[user, source])
-
     @property
     def gain_rows(self) -> tuple[tuple[float, float, float], ...]:
         """Gains as nested tuples of plain floats (fast path for hot loops)."""

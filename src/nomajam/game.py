@@ -66,11 +66,6 @@ class StrategyGrid:
     def index(self) -> dict[tuple[int, int], int]:
         return {pair: k for k, pair in enumerate(self.action_levels)}
 
-    @property
-    def totals(self) -> tuple[float, ...]:
-        """Total power k * step of each total level k = 2..L."""
-        return tuple(k * self.step for k in range(2, self.levels + 1))
-
 
 @dataclass
 class NeCertificate:
@@ -800,7 +795,6 @@ def analysis_report(
     l1 = find_ne_l1(ch, grid, jcfg, r0, gamma, z, eps_ne, mood, ev)
     l2, pne2 = find_ne_l2(ch, grid, jcfg, r0, gamma, z, eps_ne, mood, ev)
     l3, pne3 = find_ne_l3(ch, grid, jcfg, r0, gamma, z, eps_ne, mood, ev)
-    ne_l1 = [c.to_dict() for c in l1]  # before the Pareto pick flags its winner
     sel = pareto_ne_l1(l1) if l1 else None
     bf_keys = {p.as_tuple()[:4] for p in bf}
     analytic = l1 + l2 + l3
@@ -823,7 +817,7 @@ def analysis_report(
             {"p1": p.p1, "p2": p.p2, "p3": p.p3, "p4": p.p4, "p_j": p.p_j}
             for p in bf
         ],
-        "ne_l1": ne_l1,
+        "ne_l1": [c.to_dict() for c in l1],
         "pareto_l1": {**sel.certificate.to_dict(), "tie": sel.tie} if sel else None,
         "ne_l2": [c.to_dict() for c in l2],
         "ne_l3": [c.to_dict() for c in l3],

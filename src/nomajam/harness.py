@@ -30,7 +30,7 @@ from .channel import (
     draw_channels,
 )
 from .game import TABLE_BYTES_PER_PROFILE, StrategyGrid, analysis_report
-from .jammer import MIN_SEARCH_TOLERANCE, JammerAgent, JammerConfig, best_response
+from .jammer import MIN_SEARCH_TOLERANCE, JammerConfig, best_response
 from .learn.agents import (
     DqnAgent,
     EpsSchedule,
@@ -201,7 +201,6 @@ class ExperimentConfig:
         return JammerConfig(
             p_j_max=self.p_j_max,
             gamma=self.gamma,
-            grid_levels=self.jammer_grid_levels,
             search_tolerance=self.jammer_search_tolerance,
         )
 
@@ -366,8 +365,12 @@ class TwoCellEnv:
     Leader-follower sequencing within a slot: both BSs commit their actions
     first, then the jammer (learning agent or exact best response) picks its
     power, and only then are rates and rewards realized.  Observations fed
-    to the BSs are the previous slot's quantized SINRs.  ``seed`` is a run's
-    seed, or a hot-boot scenario's SeedSequence (whose records log seed -1).
+    to the BSs are the previous slot's quantized SINRs.  The learning jammer
+    is a ``TabularAgent`` whose observation is the previous slot's pair of BS
+    total powers, each binned to the nearest of jammer_grid_levels + 1 levels
+    on [0, p_bs_max]; its action k jams at k * p_j_max / jammer_grid_levels.
+    ``seed`` is a run's seed, or a hot-boot scenario's SeedSequence (whose
+    records log seed -1).
     """
 
     def __init__(self, cfg: ExperimentConfig, seed) -> None:
@@ -380,23 +383,15 @@ class TwoCellEnv:
         self.grid = cfg.grid()
         self.jcfg = cfg.jammer_config()
         self.selfish = cfg.scheme == "QLS"
+        self.jammer = None
         if cfg.jammer_mode == "learning":
-            self.jammer = JammerAgent(
-                self.jcfg,
-                cfg.p_bs_max,
-                seed=jam_ss,
-                alpha=cfg.alpha_ql,
-                discount=cfg.discount,
-                eps_start=cfg.eps_start,
-                eps_decay=cfg.eps_decay,
-                eps_floor=cfg.eps_floor,
+            bins = cfg.jammer_grid_levels + 1
+            self.jammer = TabularAgent(
+                bins, bins, 2, cfg.alpha_ql, cfg.discount, cfg.eps_schedule(), jam_ss
             )
-        else:
-            self.jammer = None
         self.slot = 0
         self._q_prev = (0, 0, 0, 0)
-        self._prev_totals = (0.0, 0.0)
-        self._last_uj: float | None = None
+        self._jam_obs = (0, 0)
 
     @property
     def n_actions(self) -> int:
@@ -405,24 +400,15 @@ class TwoCellEnv:
     def observations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return observation_for(1, self._q_prev), observation_for(2, self._q_prev)
 
-    def reset(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        self.slot = 0
-        self._q_prev = (0, 0, 0, 0)
-        self._prev_totals = (0.0, 0.0)
-        self._last_uj = None
-        return self.observations()
-
-    def _jammer_power(self, alloc1, alloc2) -> float:
-        if self.jammer is not None:
-            state = self.jammer.observe_powers(*self._prev_totals)
-            return self.jammer.step(state, self._last_uj)
-        return best_response(self.ch, alloc1, alloc2, self.jcfg).p_j_star
-
     def step(self, a1_idx: int, a2_idx: int):
         cfg = self.cfg
         alloc1 = self.grid.actions[a1_idx]
         alloc2 = self.grid.actions[a2_idx]
-        p_j = self._jammer_power(alloc1, alloc2)
+        if self.jammer is None:
+            p_j = best_response(self.ch, alloc1, alloc2, self.jcfg).p_j_star
+        else:
+            a_j = self.jammer.act(self._jam_obs)
+            p_j = a_j * cfg.p_j_max / cfg.jammer_grid_levels
         prof = StrategyProfile(
             p1=alloc1[0], p2=alloc1[1], p3=alloc2[0], p4=alloc2[1], p_j=p_j
         )
@@ -446,8 +432,16 @@ class TwoCellEnv:
             qos1=int(rates[0] >= cfg.r0), qos2=int(rates[1] >= cfg.r0),
             qos3=int(rates[2] >= cfg.r0), qos4=int(rates[3] >= cfg.r0),
         )
-        self._last_uj = jammer_utility(rates, p_j, cfg.gamma)
-        self._prev_totals = (prof.p_bs1, prof.p_bs2)
+        if self.jammer is not None:
+            levels = cfg.jammer_grid_levels
+            jam_obs = tuple(
+                min(max(int(round(p / cfg.p_bs_max * levels)), 0), levels)
+                for p in (prof.p_bs1, prof.p_bs2)
+            )
+            self.jammer.learn(
+                self._jam_obs, a_j, jammer_utility(rates, p_j, cfg.gamma), jam_obs
+            )
+            self._jam_obs = jam_obs
         q = tuple(
             quantize_sinr(float(s), cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db)
             for s in sinr
@@ -477,7 +471,7 @@ def _build_agents(cfg: ExperimentConfig, n_actions: int, seed_seqs, boot_params=
     if cfg.scheme in ("QLU", "QLS"):
         return tuple(
             TabularAgent(
-                n_actions, cfg.sinr_levels, cfg.alpha_ql, cfg.discount, eps, s
+                n_actions, cfg.sinr_levels, 4, cfg.alpha_ql, cfg.discount, eps, s
             )
             for s in seed_seqs
         )
@@ -530,7 +524,6 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> list[SlotRecord]:
     if cfg.scheme == "HBDQLU":
         boot_params = hot_boot(cfg, boot_ss)
     agents = _build_agents(cfg, env.n_actions, (a1_ss, a2_ss), boot_params)
-    env.reset()
     records = []
     for _ in range(cfg.slots):
         records.append(run_slot(env, agents))

@@ -1,4 +1,4 @@
-"""The smart jammer: exact best response, unimodality probe, learning agent.
+"""The smart jammer as follower: exact best response and unimodality probe.
 
 The jammer is the follower of the leader-follower game: given both BS power
 allocations it picks the jamming power maximizing its utility (negated
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .learn.agents import QTable, select_action
 from .rates import link_terms, sum_rate, sum_rate_curve
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -33,7 +32,6 @@ PROBE_POINTS = 65
 class JammerConfig:
     p_j_max: float = 20.0
     gamma: float = 0.5
-    grid_levels: int = 10
     search_tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
@@ -41,8 +39,6 @@ class JammerConfig:
             raise ValueError("p_j_max must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if self.grid_levels < 2:
-            raise ValueError("grid_levels must be at least 2")
         if not self.search_tolerance >= MIN_SEARCH_TOLERANCE * self.p_j_max:
             raise ValueError(
                 f"search_tolerance must be at least {MIN_SEARCH_TOLERANCE} * p_j_max"
@@ -157,63 +153,3 @@ def concavity_probe(
     signs = [1 if d > 0 else -1 for d in diffs if abs(d) > flat]
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return UnimodalityReport(unimodal=changes <= 1, sign_changes=changes)
-
-
-class JammerAgent:
-    """Tabular Q-learning jammer with quantized power levels.
-
-    Actions are the grid {k * p_j_max / L : k = 0..L}.  The agent observes
-    only the previous slot's quantized per-BS total powers; it never sees
-    gains or the BS split.  Single-writer: one environment drives one agent.
-    """
-
-    def __init__(
-        self,
-        cfg: JammerConfig,
-        p_bs_max: float,
-        seed: int,
-        alpha: float = 0.2,
-        discount: float = 0.7,
-        eps_start: float = 0.9,
-        eps_decay: float = 0.998,
-        eps_floor: float = 0.05,
-    ) -> None:
-        levels = cfg.grid_levels
-        self.cfg = cfg
-        self.p_bs_max = p_bs_max
-        self.actions = tuple(k * cfg.p_j_max / levels for k in range(levels + 1))
-        self.obs_bins = levels + 1
-        self.table = QTable(
-            n_states=self.obs_bins ** 2,
-            n_actions=len(self.actions),
-            alpha=alpha,
-            discount=discount,
-        )
-        self.rng = np.random.default_rng(seed)
-        self.eps = eps_start
-        self.eps_decay = eps_decay
-        self.eps_floor = eps_floor
-        self._prev: tuple[int, int] | None = None
-
-    def observe_powers(self, p_bs1: float, p_bs2: float) -> int:
-        """State index from quantized BS total powers."""
-        def bin_of(p: float) -> int:
-            k = int(round(p / self.p_bs_max * (self.obs_bins - 1)))
-            return min(max(k, 0), self.obs_bins - 1)
-
-        return bin_of(p_bs1) * self.obs_bins + bin_of(p_bs2)
-
-    def step(self, state: int, reward: float | None) -> float:
-        """Update for the previous transition, then pick the next power.
-
-        ``reward`` is the utility earned by the previous action (None on the
-        first call).  Returns the jamming power to transmit this slot.
-        """
-        if self._prev is not None and reward is not None:
-            ps, pa = self._prev
-            self.table.update(ps, pa, reward, state)
-        action = select_action(self.table.table[state], self.eps, self.rng)
-        self._prev = (state, action)
-        self.eps = max(self.eps_floor, self.eps * self.eps_decay)
-        return self.actions[action]
-

@@ -2,7 +2,8 @@
 
 Both base stations run independent learners.  The observation is the vector
 of four quantized SINR indices, ordered own-cell-first, fed back by the
-users on the previous slot.
+users on the previous slot.  The learning jammer is a ``TabularAgent`` too,
+over the binned BS total powers of the previous slot.
 """
 
 from __future__ import annotations
@@ -97,25 +98,27 @@ class EpsSchedule:
 
 
 class TabularAgent:
-    """Independent Q-learning BS agent over quantized-SINR states."""
+    """Independent Q-learning agent over ``obs_len`` quantized values in
+    [0, levels): a BS's four SINR indices, or the jammer's two binned BS totals."""
 
     def __init__(
         self,
         n_actions: int,
-        sinr_levels: int,
+        levels: int,
+        obs_len: int,
         alpha: float,
         discount: float,
         eps: EpsSchedule,
         seed: int,
     ) -> None:
-        self.sinr_levels = sinr_levels
-        self.table = QTable(sinr_levels**4, n_actions, alpha, discount)
+        self.levels = levels
+        self.table = QTable(levels**obs_len, n_actions, alpha, discount)
         self.rng = np.random.default_rng(seed)
         self.eps_schedule = eps
         self.eps = eps.start
 
     def act(self, obs: tuple[int, ...]) -> int:
-        state = encode_observation(obs, self.sinr_levels)
+        state = encode_observation(obs, self.levels)
         return select_action(self.table.table[state], self.eps, self.rng)
 
     def learn(
@@ -126,8 +129,8 @@ class TabularAgent:
         next_obs: tuple[int, ...],
     ) -> None:
         self.table.update(
-            encode_observation(obs, self.sinr_levels), action, reward,
-            encode_observation(next_obs, self.sinr_levels),
+            encode_observation(obs, self.levels), action, reward,
+            encode_observation(next_obs, self.levels),
         )
         self.eps = max(self.eps_schedule.floor, self.eps * self.eps_schedule.decay)
 

@@ -150,7 +150,7 @@ def test_selfish_reward_ignores_other_cell():
 
 
 def make_tab(seed=0, **kw):
-    return TabularAgent(6, 8, alpha=0.2, discount=0.7,
+    return TabularAgent(6, 8, 4, alpha=0.2, discount=0.7,
                         eps=EpsSchedule(0.9, 0.998, 0.05), seed=seed, **kw)
 
 

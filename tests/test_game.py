@@ -12,6 +12,7 @@ from nomajam.game import (
     FixedPointFailure,
     GridEvaluator,
     StrategyGrid,
+    analysis_report,
     brute_force_ne,
     deviation_margins,
     find_ne_l1,
@@ -36,6 +37,19 @@ from conftest import make_channel
 R0 = 0.9
 GAMMA = 0.5
 Z = 0.01
+
+
+def interference_free_channel():
+    # each user hears only its own BS, at gain 5; the jammer is unheard
+    g = np.zeros((4, 3))
+    for i, src in ((0, 0), (1, 0), (2, 1), (3, 1)):
+        g[i, src] = 5.0
+    return make_channel(g)
+
+
+def total_powers(grid):
+    """The total power k * step of each total level k = 2..L."""
+    return [k * grid.step for k in range(2, grid.levels + 1)]
 
 
 def mirror_channel(ch: ChannelRealization) -> ChannelRealization:
@@ -77,22 +91,29 @@ def test_grid_actions_small():
         (10.0, 10.0), (10.0, 20.0), (10.0, 30.0),
         (20.0, 10.0), (20.0, 20.0), (30.0, 10.0),
     )
-    assert grid.totals == (20.0, 30.0, 40.0)
+    # every total pair is feasible on this channel
+    report = mood_classify(interference_free_channel(), grid, JammerConfig(), r0=0.1)
+    assert report.ps_set == tuple(product((20.0, 30.0, 40.0), repeat=2))
     assert len(set(grid.actions)) == len(grid.actions)
 
 
 @pytest.mark.parametrize("p_bs_max", [1.0, 7.3, 13.0, 40.0])
 def test_grid_levels_index_actions_and_totals(p_bs_max):
+    ch = interference_free_channel()
     for levels in range(2, 17):
         grid = StrategyGrid.build(levels, p_bs_max)
         step = grid.step
-        assert grid.totals == tuple(k * step for k in range(2, levels + 1))
-        assert len(set(grid.totals)) == levels - 1
+        # every total pair is feasible here, so ps_set lists each total-level
+        # pair once, at k * step, with no ulp-apart duplicates
+        ps_set = mood_classify(ch, grid, JammerConfig(), r0=0.1).ps_set
+        totals = [k * step for k in range(2, levels + 1)]
+        assert ps_set == tuple(product(totals, repeat=2))
+        assert len(set(ps_set)) == (levels - 1) ** 2
         for k, (w, s) in enumerate(grid.action_levels):
             assert grid.index[w, s] == k
             assert grid.actions[k] == (w * step, s * step)
             total = grid.actions[k][0] + grid.actions[k][1]
-            assert abs(total - grid.totals[w + s - 2]) <= 1e-9 * p_bs_max
+            assert abs(total - totals[w + s - 2]) <= 1e-9 * p_bs_max
         assert len(grid.index) == len(grid.actions) == levels * (levels - 1) // 2
 
 
@@ -161,12 +182,8 @@ def test_binding_split_infeasible_marker():
 
 
 def test_mood_interference_free_easy_qos():
-    g = np.zeros((4, 3))
-    for i, src in ((0, 0), (1, 0), (2, 1), (3, 1)):
-        g[i, src] = 5.0
-    ch = make_channel(g)
     grid = StrategyGrid.build(4, 40.0)
-    report = mood_classify(ch, grid, JammerConfig(), r0=0.1)
+    report = mood_classify(interference_free_channel(), grid, JammerConfig(), r0=0.1)
     assert report.mood == 1
     assert (40.0, 40.0) in report.ps_set
 
@@ -188,8 +205,8 @@ def test_mood_agrees_with_split_grid_search(geom, jcfg):
     ch = draw_channels(geom, 9)
     report = mood_classify(ch, grid, jcfg, R0)
     ps = set(report.ps_set)
-    for t1 in grid.totals:
-        for t2 in grid.totals:
+    for t1 in total_powers(grid):
+        for t2 in total_powers(grid):
             oracle_feasible = False
             for f1 in np.linspace(0.05, 0.95, 19):
                 for f2 in np.linspace(0.05, 0.95, 19):
@@ -253,7 +270,7 @@ def test_fixed_point_agrees_with_damped_reference(geom, jcfg):
     grid_pairs = [
         pair
         for levels in (4, 6)
-        for pair in product(StrategyGrid.build(levels, 40.0).totals, repeat=2)
+        for pair in product(total_powers(StrategyGrid.build(levels, 40.0)), repeat=2)
     ]
     checked = converged = 0
     for seed in range(40, 60):
@@ -415,6 +432,20 @@ def test_mood_ps_pairs_distinct_at_grid_levels_7():
     )
 
 
+def test_ne_l1_weak_users_at_lowest_qos_split():
+    # UE2's own-cell gain is far below UE1's.  At grid 6 the profile (6, 14),
+    # BS1 at levels (2, 2), would also meet its weak user's QoS at w = 1, so
+    # the lowest-split rule drops it; a scan of lower splits from w = 2 keeps it
+    ch = make_channel([
+        [63.86194830334209, 10.785633532193238, 0.38685728568777056],
+        [0.029120546558594942, 0.3474414727156652, 0.09694387649068505],
+        [5.325133456827016, 1.294248245459549, 0.6223180112431925],
+        [0.8547709046442054, 1.09637897650142, 1.352292148553844],
+    ])
+    certs = find_ne_l1(ch, StrategyGrid.build(6, 40.0), JammerConfig(), 0.3, 0.5, 0.01)
+    assert [(c.a1_index, c.a2_index) for c in certs] == [(1, 13)]
+
+
 def test_analytic_ne_l1_confirmed_by_brute_force(geom, jcfg):
     grid = StrategyGrid.build(4, 40.0)
     seed, ch, certs = first_seed_with_l1(geom, grid, jcfg)
@@ -470,6 +501,19 @@ def test_pareto_singleton_and_dominance(geom, jcfg):
 def test_pareto_rejects_empty():
     with pytest.raises(ValueError):
         pareto_ne_l1([])
+
+
+def test_pareto_winner_flagged_in_ne_l1_of_report():
+    # seed 0 at grid 6 certifies two level-1 equilibria; the report flags
+    # exactly the Pareto pick among them
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=6)
+    report = analysis_report(
+        channel_for_seed(cfg, 0), cfg.grid(), cfg.jammer_config(), cfg.r0,
+        cfg.gamma, cfg.z, cfg.eps_ne,
+    )
+    assert len(report["ne_l1"]) == 2
+    winner = {k: v for k, v in report["pareto_l1"].items() if k != "tie"}
+    assert [c for c in report["ne_l1"] if c["pareto"]] == [winner]
 
 
 def test_pareto_never_dominated_by_brute_force(geom, jcfg):

@@ -34,8 +34,8 @@ FAST = dict(slots=50, seeds=(0,), summary_window=20)
 def greedy_agents(env):
     eps = EpsSchedule(start=0.0, decay=1.0, floor=0.0)
     return (
-        TabularAgent(env.n_actions, 8, alpha=0.2, discount=0.7, eps=eps, seed=1),
-        TabularAgent(env.n_actions, 8, alpha=0.2, discount=0.7, eps=eps, seed=2),
+        TabularAgent(env.n_actions, 8, 4, alpha=0.2, discount=0.7, eps=eps, seed=1),
+        TabularAgent(env.n_actions, 8, 4, alpha=0.2, discount=0.7, eps=eps, seed=2),
     )
 
 
@@ -219,7 +219,6 @@ def test_frozen_agents_repeat_identical_slots():
     cfg = ExperimentConfig(jammer_mode="best-response", **FAST)
     env = TwoCellEnv(cfg, seed=3)
     agents = greedy_agents(env)
-    env.reset()
     records = [run_slot(env, agents) for _ in range(10)]
     # greedy tie-break on an all-zero table repeats one action forever
     first = dataclasses.asdict(records[0])
@@ -239,20 +238,29 @@ def test_best_response_jammer_with_zero_cost_always_full_power():
 REFERENCE_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, "perfbench", "reference"
 )
-BR_SIM_REFERENCE = os.path.join(REFERENCE_DIR, "br-sim-QLU-BR-seed0.csv.gz")
 
 
-def test_best_response_run_matches_committed_reference_csv(tmp_path):
-    # the benchmark's br-sim unit: one follower solve per slot, 2000 slots;
-    # its CSV must stay byte-exact against the committed reference
+# The benchmark's reference units that log slots, 2000 each: the four
+# learning-jammer runs and the br-sim run (one follower solve per slot).
+REFERENCE_RUNS = {
+    "tabular-QLU-seed0": dict(scheme="QLU", seeds=(0,)),
+    "tabular-QLS-seed1": dict(scheme="QLS", seeds=(1,)),
+    "dqn-DQLU-seed0": dict(scheme="DQLU", seeds=(0,)),
+    "dqn-HBDQLU-seed1": dict(scheme="HBDQLU", seeds=(1,)),
+    "br-sim-QLU-BR-seed0": dict(scheme="QLU", jammer_mode="best-response", seeds=(0,)),
+}
+
+
+@pytest.mark.parametrize("unit", list(REFERENCE_RUNS))
+def test_run_matches_committed_reference_csv(tmp_path, unit):
+    # each CSV must stay byte-exact against perfbench/reference/<unit>.csv.gz
     cfg = ExperimentConfig(
-        scheme="QLU", jammer_mode="best-response", seeds=(0,), slots=2000,
-        workers=1, out_dir=str(tmp_path),
+        slots=2000, workers=1, out_dir=str(tmp_path), **REFERENCE_RUNS[unit]
     )
     run_experiment(cfg)
-    with open(records_path(cfg.out_dir, "QLU", 0), "rb") as fh:
+    with open(records_path(cfg.out_dir, cfg.scheme, cfg.seeds[0]), "rb") as fh:
         produced = fh.read()
-    with gzip.open(BR_SIM_REFERENCE, "rb") as fh:
+    with gzip.open(os.path.join(REFERENCE_DIR, f"{unit}.csv.gz"), "rb") as fh:
         assert produced == fh.read()
 
 
@@ -366,7 +374,6 @@ def test_replay_determinism_bytes(tmp_path):
 def test_redraw_period_changes_channel():
     cfg = ExperimentConfig(redraw_period=10, **FAST)
     env = TwoCellEnv(cfg, seed=0)
-    env.reset()
     g0 = env.ch.gains.copy()
     agents = greedy_agents(env)
     for _ in range(10):

@@ -46,3 +46,45 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _definitions(tree):
+    """(name, first line, last line) of every function, class and method."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    """(name, line) of every name, attribute and ``__all__`` entry."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            for elt in node.value.elts:
+                yield elt.value, elt.lineno
+
+
+def test_every_definition_is_referenced():
+    # a function, class or method that nothing under src/ names outside its
+    # own body is dead code or test-only API; dunder methods are called by
+    # Python itself
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.rglob("*.py"))}
+    refs: dict[str, list] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+    dead = [
+        f"{path.relative_to(PACKAGE)}:{first} {name}"
+        for path, tree in trees.items()
+        for name, first, last in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and not any(p != path or not first <= line <= last
+                    for p, line in refs.get(name, ()))
+    ]
+    assert not dead, f"defined but never referenced under src/: {dead}"

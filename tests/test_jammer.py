@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from nomajam.channel import draw_channels
+from nomajam.harness import ExperimentConfig, TwoCellEnv
 from nomajam.jammer import (
-    JammerAgent,
     JammerConfig,
     best_response,
     concavity_probe,
     jammer_utility_curve,
 )
+from nomajam.learn.agents import EpsSchedule, TabularAgent, encode_observation
 from nomajam.rates import (
     StrategyProfile,
     jammer_utility,
@@ -34,8 +35,6 @@ def test_config_validation():
         JammerConfig(p_j_max=0.0)
     with pytest.raises(ValueError):
         JammerConfig(gamma=-0.1)
-    with pytest.raises(ValueError):
-        JammerConfig(grid_levels=1)
     # golden-section search never ends with a tolerance below float resolution
     for tol in (0.0, -1.0, 1e-20):
         with pytest.raises(ValueError, match="search_tolerance"):
@@ -240,26 +239,15 @@ def test_probe_grid_is_read_only():
         cfg.probe_grid[1] = 1.0
 
 
-def test_jql_greedy_when_no_exploration(jcfg):
-    agent = JammerAgent(jcfg, p_bs_max=40.0, seed=0, eps_start=0.0, eps_floor=0.0)
-    state = agent.observe_powers(20.0, 20.0)
-    agent.table.table[state, 4] = 10.0
-    assert agent.step(state, None) == agent.actions[4]
-
-
-def test_jql_full_exploration_uniform_over_non_greedy(jcfg):
-    agent = JammerAgent(jcfg, p_bs_max=40.0, seed=1, eps_start=1.0, eps_decay=1.0)
-    state = 0
-    n = 20_000
-    counts = np.zeros(len(agent.actions))
-    for _ in range(n):
-        p = agent.step(state, None)
-        counts[agent.actions.index(p)] += 1
-    # greedy (index 0 on an all-zero table) is never taken; the rest uniform
-    assert counts[0] == 0
-    expected = n / (len(agent.actions) - 1)
-    sigma = np.sqrt(n * (1 / 10) * (9 / 10))
-    assert np.all(np.abs(counts[1:] - expected) < 4 * sigma)
+def test_jql_greedy_when_no_exploration():
+    # the learning jammer observes the previous slot's BS totals binned to
+    # jammer_grid_levels + 1 levels, and its action k jams at k * p_j_max / L
+    cfg = ExperimentConfig(eps_start=0.0, eps_floor=0.0, jammer_grid_levels=10)
+    env = TwoCellEnv(cfg, seed=0)
+    a1, a2 = env.grid.index[2, 1], env.grid.index[3, 3]  # totals 20 and 40
+    env.jammer.table.table[encode_observation((5, 10), 11), 4] = 10.0
+    assert env.step(a1, a2)[-1].p_j == 0.0  # greedy on the all-zero start (0, 0)
+    assert env.step(a1, a2)[-1].p_j == 4 * cfg.p_j_max / 10
 
 
 def test_jql_converges_to_best_response(geom, jcfg):
@@ -268,14 +256,17 @@ def test_jql_converges_to_best_response(geom, jcfg):
     ch = draw_channels(geom, 21)
     a1, a2 = (25.0, 10.0), (20.0, 13.0)
     br = best_response(ch, a1, a2, jcfg)
-    agent = JammerAgent(jcfg, p_bs_max=40.0, seed=2, eps_decay=0.9995)
-    state = agent.observe_powers(a1[0] + a1[1], a2[0] + a2[1])
-    reward = None
+    levels = 10
+    agent = TabularAgent(
+        levels + 1, levels + 1, 2, alpha=0.2, discount=0.7,
+        eps=EpsSchedule(0.9, 0.9995, 0.05), seed=2,
+    )
+    obs = (9, 8)  # totals 35 and 33 of 40, binned to 10 levels
     chosen = []
     for _ in range(10_000):
-        pj = agent.step(state, reward)
+        k = agent.act(obs)
+        pj = k * jcfg.p_j_max / levels
         rates = rates_from_sinr(sinr_vector(ch, StrategyProfile(*a1, *a2, p_j=pj)))
-        reward = jammer_utility(rates, pj, jcfg.gamma)
+        agent.learn(obs, k, jammer_utility(rates, pj, jcfg.gamma), obs)
         chosen.append(pj)
-    grid_step = jcfg.p_j_max / jcfg.grid_levels
-    assert abs(np.mean(chosen[-1000:]) - br.p_j_star) <= grid_step
+    assert abs(np.mean(chosen[-1000:]) - br.p_j_star) <= jcfg.p_j_max / levels
