@@ -26,8 +26,8 @@ from .game import (
     pareto_ne_l1,
 )
 from .harness import (
+    RECORD_DTYPE,
     ExperimentConfig,
-    SlotRecord,
     TwoCellEnv,
     export_csv,
     load_config,
@@ -62,7 +62,7 @@ __all__ = [
     "Geometry",
     "JammerConfig",
     "NeCertificate",
-    "SlotRecord",
+    "RECORD_DTYPE",
     "StrategyGrid",
     "StrategyProfile",
     "TwoCellEnv",

@@ -58,6 +58,7 @@ JAMMER_MODES = ("learning", "best-response")
 # jammer_grid_levels + 1 actions).  NE-ANALYSIS's table of joint grid
 # profiles is held to the same bound.
 MAX_Q_TABLE_BYTES = 256 * 2**20
+MAX_SEED = 2**63 - 1  # the records' int64 seed column
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,8 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be unique, got {self.seeds}")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
+        if not 0 <= min(self.seeds) <= max(self.seeds) <= MAX_SEED:
+            raise ValueError(f"seeds must lie in [0, 2**63 - 1], got {self.seeds}")
         for name in ("grid_levels", "sinr_levels", "jammer_grid_levels"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
@@ -166,6 +167,11 @@ class ExperimentConfig:
         self.geometry()  # validates positions/distances
         self.jammer_config()
         n_actions = len(self.grid().actions)
+        if self.scheme != "NE-ANALYSIS" and n_actions < 2:
+            raise ValueError(
+                f"grid_levels must be at least 3 for {self.scheme}: "
+                f"{self.grid_levels} levels give a single action"
+            )
         table_bytes = self.sinr_levels**4 * n_actions * 8
         if self.scheme in ("QLU", "QLS") and table_bytes > MAX_Q_TABLE_BYTES:
             raise ValueError(
@@ -225,8 +231,8 @@ def parse_seeds(text: str) -> tuple[int, ...]:
             raise ValueError(f"seeds: a count must be positive, got {n}")
         return tuple(range(n))
     seeds = tuple(int(p) for p in parts)
-    if min(seeds) < 0:
-        raise ValueError(f"seeds must be non-negative, got {text.strip()!r}")
+    if not 0 <= min(seeds) <= max(seeds) <= MAX_SEED:
+        raise ValueError(f"seeds must lie in [0, 2**63 - 1], got {text.strip()!r}")
     return seeds
 
 
@@ -269,76 +275,47 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-@dataclass
-class SlotRecord:
-    """Everything logged for one slot; re-derivable from actions and seed."""
-
-    seed: int
-    slot: int
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-    p_j: float
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-    sum_rate: float
-    objective: float
-    u_bs: float
-    selfish_1: float
-    selfish_2: float
-    qos1: int
-    qos2: int
-    qos3: int
-    qos4: int
+# One row per slot, in CSV column order: the field names are the CSV header.
+RECORD_DTYPE = np.dtype(
+    [("seed", np.int64), ("slot", np.int64)]
+    + [(name, np.float64) for name in (
+        "p1", "p2", "p3", "p4", "p_j", "r1", "r2", "r3", "r4", "sum_rate",
+        "objective", "u_bs", "selfish_1", "selfish_2",
+    )]
+    + [(f"qos{i}", np.int64) for i in range(1, 5)]
+)
+CSV_HEADER = list(RECORD_DTYPE.names)
+# 17 significant digits round-trip every float exactly
+_ROW_FORMAT = ",".join(
+    "%d" if RECORD_DTYPE[name].kind == "i" else "%.17g" for name in CSV_HEADER
+) + "\r\n"
 
 
-CSV_HEADER = [f.name for f in dataclasses.fields(SlotRecord)]
-_FLOAT_FIELDS = {
-    name for name, kind in typing.get_type_hints(SlotRecord).items() if kind is float
-}
-
-
-def export_csv(records: list[SlotRecord], path) -> None:
-    """Write records with 17-significant-digit floats (exact round-trip)."""
+def export_csv(records: np.recarray, path) -> None:
+    """Write the header, then one line per record (see ``RECORD_DTYPE``)."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for rec in records:
-                row = [
-                    format(getattr(rec, name), ".17g")
-                    if name in _FLOAT_FIELDS
-                    else str(getattr(rec, name))
-                    for name in CSV_HEADER
-                ]
-                writer.writerow(row)
+            fh.write(",".join(CSV_HEADER) + "\r\n")
+            for row in records:
+                fh.write(_ROW_FORMAT % row.item())
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
 
 
-def read_csv(path) -> list[SlotRecord]:
+def read_csv(path) -> np.recarray:
+    """The records of a per-slot CSV, as ``run_seed`` returned them."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             if header != CSV_HEADER:
                 raise ValueError(f"{path}: unexpected header {header}")
-            out = []
-            for row in reader:
-                if len(row) != len(CSV_HEADER):
-                    raise ValueError(
-                        f"{path}: row {reader.line_num} has {len(row)} fields, "
-                        f"expected {len(CSV_HEADER)}"
-                    )
-                kwargs = {
-                    name: float(v) if name in _FLOAT_FIELDS else int(v)
-                    for name, v in zip(CSV_HEADER, row)
-                }
-                out.append(SlotRecord(**kwargs))
-            return out
+            try:
+                return np.fromiter(map(tuple, reader), RECORD_DTYPE).view(np.recarray)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(
+                    f"{path}: row {reader.line_num} does not fit the record: {exc}"
+                ) from None
     except OSError as exc:
         raise OSError(f"failed to read {path}: {exc}") from exc
 
@@ -370,7 +347,7 @@ class TwoCellEnv:
     total powers, each binned to the nearest of jammer_grid_levels + 1 levels
     on [0, p_bs_max]; its action k jams at k * p_j_max / jammer_grid_levels.
     ``seed`` is a run's seed, or a hot-boot scenario's SeedSequence (whose
-    records log seed -1).
+    rows log seed -1).
     """
 
     def __init__(self, cfg: ExperimentConfig, seed) -> None:
@@ -418,19 +395,11 @@ class TwoCellEnv:
         s1 = selfish_reward(rates, 1, p_j, cfg.r0, cfg.gamma, cfg.z)
         s2 = selfish_reward(rates, 2, p_j, cfg.r0, cfg.gamma, cfg.z)
         r1, r2 = (s1, s2) if self.selfish else (u, u)
-        record = SlotRecord(
-            seed=self.seed,
-            slot=self.slot,
-            p1=prof.p1, p2=prof.p2, p3=prof.p3, p4=prof.p4, p_j=p_j,
-            r1=float(rates[0]), r2=float(rates[1]),
-            r3=float(rates[2]), r4=float(rates[3]),
-            sum_rate=float(rates.sum()),
-            objective=objective_p2(rates, cfg.r0),
-            u_bs=u,
-            selfish_1=s1,
-            selfish_2=s2,
-            qos1=int(rates[0] >= cfg.r0), qos2=int(rates[1] >= cfg.r0),
-            qos3=int(rates[2] >= cfg.r0), qos4=int(rates[3] >= cfg.r0),
+        user_rates = rates.tolist()
+        row = (
+            self.seed, self.slot, *prof.as_tuple(), *user_rates, float(rates.sum()),
+            objective_p2(rates, cfg.r0), u, s1, s2,
+            *(int(r >= cfg.r0) for r in user_rates),
         )
         if self.jammer is not None:
             levels = cfg.jammer_grid_levels
@@ -452,18 +421,18 @@ class TwoCellEnv:
             new_seed = int(self._redraw_rng.integers(2**63))
             self.ch = draw_channels(self.geometry, new_seed, cfg.fading)
         obs1, obs2 = self.observations()
-        return obs1, obs2, r1, r2, record
+        return obs1, obs2, r1, r2, row
 
 
-def run_slot(env: TwoCellEnv, agents) -> SlotRecord:
-    """One leader-follower slot: act, jam, realize rates, learn."""
+def run_slot(env: TwoCellEnv, agents) -> tuple:
+    """One leader-follower slot: act, jam, realize rates, learn; the slot's row."""
     obs1, obs2 = env.observations()
     a1 = agents[0].act(obs1)
     a2 = agents[1].act(obs2)
-    nobs1, nobs2, r1, r2, record = env.step(a1, a2)
+    nobs1, nobs2, r1, r2, row = env.step(a1, a2)
     agents[0].learn(obs1, a1, r1, nobs1)
     agents[1].learn(obs2, a2, r2, nobs2)
-    return record
+    return row
 
 
 def _build_agents(cfg: ExperimentConfig, n_actions: int, seed_seqs, boot_params=None):
@@ -516,36 +485,34 @@ def hot_boot(cfg: ExperimentConfig, boot_ss: np.random.SeedSequence):
     return agents[0].params.copy()
 
 
-def run_seed(cfg: ExperimentConfig, seed: int) -> list[SlotRecord]:
-    """One full learning run; pure function of (cfg, seed)."""
+def run_seed(cfg: ExperimentConfig, seed: int) -> np.recarray:
+    """One full learning run, one ``RECORD_DTYPE`` row per slot; pure in (cfg, seed)."""
     *_, a1_ss, a2_ss, boot_ss = _seed_streams(seed)
     env = TwoCellEnv(cfg, seed)
     boot_params = None
     if cfg.scheme == "HBDQLU":
         boot_params = hot_boot(cfg, boot_ss)
     agents = _build_agents(cfg, env.n_actions, (a1_ss, a2_ss), boot_params)
-    records = []
-    for _ in range(cfg.slots):
-        records.append(run_slot(env, agents))
-    return records
+    rows = (run_slot(env, agents) for _ in range(cfg.slots))
+    return np.fromiter(rows, RECORD_DTYPE, cfg.slots).view(np.recarray)
 
 
-def summarize(records: list[SlotRecord], window: int) -> dict:
+def summarize(records: np.recarray, window: int) -> dict:
     tail = records[-window:]
     return {
         "window": len(tail),
-        "mean_reward": float(np.mean([r.u_bs for r in tail])),
-        "mean_sum_rate": float(np.mean([r.sum_rate for r in tail])),
-        "mean_objective": float(np.mean([r.objective for r in tail])),
-        "mean_selfish_1": float(np.mean([r.selfish_1 for r in tail])),
-        "mean_selfish_2": float(np.mean([r.selfish_2 for r in tail])),
+        "mean_reward": float(np.mean(tail.u_bs)),
+        "mean_sum_rate": float(np.mean(tail.sum_rate)),
+        "mean_objective": float(np.mean(tail.objective)),
+        "mean_selfish_1": float(np.mean(tail.selfish_1)),
+        "mean_selfish_2": float(np.mean(tail.selfish_2)),
     }
 
 
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    per_seed: dict[int, list[SlotRecord]] = field(default_factory=dict)
+    per_seed: dict[int, np.recarray] = field(default_factory=dict)
     summaries: dict[int, dict] = field(default_factory=dict)
 
     @property
@@ -574,7 +541,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.workers > 1 and len(cfg.seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(cfg.seeds))) as pool:
             all_records = list(pool.map(run_seed, [cfg] * len(cfg.seeds), cfg.seeds))
     else:
         all_records = [run_seed(cfg, seed) for seed in cfg.seeds]
@@ -605,12 +572,15 @@ def channel_for_seed(cfg: ExperimentConfig, seed: int) -> ChannelRealization:
     return draw_channels(cfg.geometry(), _seed_streams(seed)[0], cfg.fading)
 
 
-def _modal_joint_action(records: list[SlotRecord], window: int):
-    from collections import Counter
-
+def _modal_joint_action(records: np.recarray, window: int) -> tuple[float, ...]:
+    """The most common (p1, p2, p3, p4) of the last ``window`` rows; ties go to
+    the one seen first."""
     tail = records[-window:]
-    counter = Counter((r.p1, r.p2, r.p3, r.p4) for r in tail)
-    return counter.most_common(1)[0][0]
+    joint = np.column_stack((tail.p1, tail.p2, tail.p3, tail.p4))
+    _, inverse, counts = np.unique(
+        joint, axis=0, return_inverse=True, return_counts=True
+    )
+    return tuple(joint[np.argmax(counts[inverse])].tolist())
 
 
 def run_ne_analysis(cfg: ExperimentConfig) -> dict:

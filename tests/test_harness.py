@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import gzip
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from nomajam.cli import main as cli_main
 from nomajam.game import GridEvaluator
 from nomajam.harness import (
     CSV_HEADER,
+    RECORD_DTYPE,
     ExperimentConfig,
     TwoCellEnv,
     channel_for_seed,
@@ -66,6 +69,8 @@ OUT_OF_RANGE = [
     {"reward_scale": 0.0},
     {"reward_scale": -0.5},
     {"eps_ne": -1e-9},
+    {"grid_levels": 2},  # a single action: nothing for the learning schemes to pick
+    {"seeds": (2**63, 1)},  # above the int64 seed column
 ]
 
 
@@ -219,14 +224,11 @@ def test_frozen_agents_repeat_identical_slots():
     cfg = ExperimentConfig(jammer_mode="best-response", **FAST)
     env = TwoCellEnv(cfg, seed=3)
     agents = greedy_agents(env)
-    records = [run_slot(env, agents) for _ in range(10)]
+    rows = [run_slot(env, agents) for _ in range(10)]
     # greedy tie-break on an all-zero table repeats one action forever
-    first = dataclasses.asdict(records[0])
-    for rec in records[1:]:
-        d = dataclasses.asdict(rec)
-        assert {k: v for k, v in d.items() if k != "slot"} == {
-            k: v for k, v in first.items() if k != "slot"
-        }
+    slot = CSV_HEADER.index("slot")
+    for row in rows[1:]:
+        assert row[:slot] + row[slot + 1:] == rows[0][:slot] + rows[0][slot + 1:]
 
 
 def test_best_response_jammer_with_zero_cost_always_full_power():
@@ -321,7 +323,7 @@ def test_extending_seed_list_preserves_prefix():
     cfg_b = ExperimentConfig(**{**FAST, "seeds": (0, 1)})
     res_a = run_experiment(cfg_a)
     res_b = run_experiment(cfg_b)
-    assert res_a.per_seed[0] == res_b.per_seed[0]
+    assert np.array_equal(res_a.per_seed[0], res_b.per_seed[0])
 
 
 def test_summary_matches_recomputation_from_csv(tmp_path):
@@ -344,7 +346,9 @@ def test_csv_roundtrip_exact(tmp_path):
     path = tmp_path / "records.csv"
     export_csv(records, path)
     back = read_csv(path)
-    assert back == records
+    assert np.array_equal(back, records)
+    for rec in (records, back):
+        assert isinstance(rec, np.recarray) and rec.dtype == RECORD_DTYPE
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         assert sum(1 for _ in fh) == len(records)
@@ -358,6 +362,20 @@ def test_read_csv_rejects_truncated_row(tmp_path):
     lines[-1] = lines[-1][: lines[-1].index(",", 10)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"records\.csv: row 4 "):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("column, raw", [("p_j", "abc"), ("qos1", "0.5"),
+                                         ("seed", str(2**63))])
+def test_read_csv_rejects_value_that_does_not_fit_its_column(tmp_path, column, raw):
+    path = tmp_path / "records.csv"
+    export_csv(run_seed(ExperimentConfig(**FAST), 0)[:3], path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[2].split(",")
+    fields[CSV_HEADER.index(column)] = raw
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"records\.csv: row 3 "):
         read_csv(path)
 
 
@@ -439,10 +457,31 @@ def test_ne_analysis_cross_check_with_companion_run(tmp_path):
     run_experiment(cfg_run)
     cfg = cfg_run.replaced(scheme="NE-ANALYSIS")
     out = run_ne_analysis(cfg)
-    cross = out["per_seed"][0]["learning_cross_check"]
+    report = out["per_seed"][0]
+    cross = report["learning_cross_check"]
     assert cross["status"] == "ok"
     assert cross["scheme"] == "QLU"
-    assert isinstance(cross["near_certified_ne"], bool)
+    # the modal joint action, counted from the CSV text (ties go to the first seen)
+    with open(records_path(str(tmp_path), "QLU", 0), newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))[-cfg.summary_window:]
+    modal = Counter(
+        tuple(float(row[k]) for k in ("p1", "p2", "p3", "p4")) for row in rows
+    ).most_common(1)[0][0]
+    assert cross["modal_action"] == list(modal)
+    # within one grid level of a brute-force equilibrium in every power, and
+    # on the Pareto point exactly
+    step = cfg.grid().step
+    levels = [round(p / step) for p in modal]
+
+    def level_gap(profile):
+        return max(abs(round(profile[k] / step) - w)
+                   for k, w in zip(("p1", "p2", "p3", "p4"), levels))
+
+    assert cross["near_certified_ne"] == any(
+        level_gap(p) <= 1 for p in report["brute_force"]
+    )
+    pareto = report["pareto_l1"] or report["pne_l2"] or report["pne_l3"]
+    assert cross["on_pareto_ne"] == (pareto is not None and level_gap(pareto) == 0)
 
 
 def test_cli_smoke_run(tmp_path):
@@ -503,21 +542,75 @@ def test_negative_seeds_rejected():
     assert cli_main(["--seeds=-3,1", "--slots", "3"]) == 1
 
 
+def test_largest_seed_fits_the_seed_column():
+    top = 2**63 - 1
+    assert parse_seeds(f"{top},3") == (top, 3)
+    with pytest.raises(ValueError, match="seeds"):
+        parse_seeds(f"{top + 1},3")
+    cfg = ExperimentConfig(slots=2, seeds=(top,), jammer_mode="best-response")
+    cfg.validate()
+    assert run_seed(cfg, top).seed.tolist() == [top, top]
+
+
+def test_grid_of_two_levels_is_left_to_ne_analysis(capsys):
+    # one action: the learning schemes are rejected at the boundary, while
+    # NE-ANALYSIS still analyses its 1 x 1 game
+    for scheme in ("QLU", "QLS", "DQLU", "HBDQLU"):
+        argv = ["--scheme", scheme, "--grid-levels", "2", "--slots", "3", "--seeds", "1"]
+        assert cli_main(argv) == 1
+        assert "grid_levels" in capsys.readouterr().err
+    ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=2).validate()
+
+
 def test_shipped_default_config_matches_builtin_defaults():
     import pathlib
 
     path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     cfg = load_config(str(path))
     assert cfg == ExperimentConfig()
+    # and it spells out every default
+    keys = {
+        line.split("#", 1)[0].split("=", 1)[0].strip()
+        for line in path.read_text(encoding="utf-8").splitlines()
+    } - {""}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"out_dir"}
+    assert keys == fields
 
 
 def test_worker_pool_matches_sequential():
     cfg = ExperimentConfig(slots=40, seeds=(0, 1, 2), summary_window=10)
     seq = run_experiment(cfg)
     par = run_experiment(cfg.replaced(workers=3))
-    assert seq.per_seed == par.per_seed
+    assert seq.per_seed.keys() == par.per_seed.keys()
+    assert all(np.array_equal(seq.per_seed[s], par.per_seed[s]) for s in cfg.seeds)
     with pytest.raises(ValueError):
         cfg.replaced(workers=0).validate()
+
+
+def test_worker_pool_is_sized_to_the_seed_count(monkeypatch):
+    # a stub pool that maps in this process: no process is started
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = ExperimentConfig(slots=3, seeds=(0, 1), summary_window=2)
+    run_experiment(cfg.replaced(workers=64))
+    run_experiment(cfg.replaced(workers=2, seeds=(0, 1, 2)))
+    assert sizes == [2, 2]
 
 
 def test_summarize_window():

@@ -49,10 +49,18 @@ def test_no_unused_imports(path):
 
 
 def _definitions(tree):
-    """(name, first line, last line) of every function, class and method."""
+    """(name, first line, last line) of every function, class and method, and
+    of every name a module-level assignment binds."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno, node.end_lineno
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node.lineno, node.end_lineno
 
 
 def _references(tree):
@@ -70,9 +78,10 @@ def _references(tree):
 
 
 def test_every_definition_is_referenced():
-    # a function, class or method that nothing under src/ names outside its
-    # own body is dead code or test-only API; dunder methods are called by
-    # Python itself
+    # a function, class, method or module-level name that nothing under src/
+    # names outside its own definition is dead code or test-only API; dunder
+    # methods are called by Python itself, and dunder names such as
+    # __version__ are read by tools
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.rglob("*.py"))}
     refs: dict[str, list] = {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nomajam.channel import draw_channels
-from nomajam.harness import ExperimentConfig, TwoCellEnv
+from nomajam.harness import CSV_HEADER, ExperimentConfig, TwoCellEnv
 from nomajam.jammer import (
     JammerConfig,
     best_response,
@@ -246,8 +246,9 @@ def test_jql_greedy_when_no_exploration():
     env = TwoCellEnv(cfg, seed=0)
     a1, a2 = env.grid.index[2, 1], env.grid.index[3, 3]  # totals 20 and 40
     env.jammer.table.table[encode_observation((5, 10), 11), 4] = 10.0
-    assert env.step(a1, a2)[-1].p_j == 0.0  # greedy on the all-zero start (0, 0)
-    assert env.step(a1, a2)[-1].p_j == 4 * cfg.p_j_max / 10
+    p_j = CSV_HEADER.index("p_j")
+    assert env.step(a1, a2)[-1][p_j] == 0.0  # greedy on the all-zero start (0, 0)
+    assert env.step(a1, a2)[-1][p_j] == 4 * cfg.p_j_max / 10
 
 
 def test_jql_converges_to_best_response(geom, jcfg):
