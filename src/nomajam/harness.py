@@ -16,6 +16,7 @@ import math
 import operator
 import os
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,7 @@ JAMMER_MODES = ("learning", "best-response")
 # profiles is held to the same bound.
 MAX_Q_TABLE_BYTES = 256 * 2**20
 MAX_SEED = 2**63 - 1  # the records' int64 seed column
+MAX_SEEDS = 2**20  # seeds per run, checked before a count becomes a tuple
 
 
 @dataclass(frozen=True)
@@ -135,10 +137,18 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(self.seeds) > MAX_SEEDS:
+            raise ValueError(
+                f"seeds: at most {MAX_SEEDS} per run, got {len(self.seeds)}"
+            )
         if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be unique, got {self.seeds}")
-        if not 0 <= min(self.seeds) <= max(self.seeds) <= MAX_SEED:
-            raise ValueError(f"seeds must lie in [0, 2**63 - 1], got {self.seeds}")
+            repeated = next(s for s, n in Counter(self.seeds).items() if n > 1)
+            raise ValueError(f"seeds must be unique; {repeated} is listed twice")
+        low, high = min(self.seeds), max(self.seeds)
+        if not 0 <= low <= high <= MAX_SEED:
+            raise ValueError(
+                f"seeds must lie in [0, 2**63 - 1], got seeds from {low} to {high}"
+            )
         for name in ("grid_levels", "sinr_levels", "jammer_grid_levels"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
@@ -227,9 +237,11 @@ def parse_seeds(text: str) -> tuple[int, ...]:
         raise ValueError("empty seed specification")
     if len(parts) == 1 and "," not in text:
         n = int(parts[0])
-        if n <= 0:
-            raise ValueError(f"seeds: a count must be positive, got {n}")
+        if not 0 < n <= MAX_SEEDS:
+            raise ValueError(f"seeds: a count must lie in [1, {MAX_SEEDS}], got {n}")
         return tuple(range(n))
+    if len(parts) > MAX_SEEDS:
+        raise ValueError(f"seeds: at most {MAX_SEEDS} per run, got {len(parts)}")
     seeds = tuple(int(p) for p in parts)
     if not 0 <= min(seeds) <= max(seeds) <= MAX_SEED:
         raise ValueError(f"seeds must lie in [0, 2**63 - 1], got {text.strip()!r}")
@@ -364,18 +376,20 @@ class TwoCellEnv:
         if cfg.jammer_mode == "learning":
             bins = cfg.jammer_grid_levels + 1
             self.jammer = TabularAgent(
-                bins, bins, 2, cfg.alpha_ql, cfg.discount, cfg.eps_schedule(), jam_ss
+                bins, bins, 2, cfg.alpha_ql, cfg.discount, cfg.eps_schedule(),
+                (jam_ss,),
             )
         self.slot = 0
-        self._q_prev = (0, 0, 0, 0)
-        self._jam_obs = (0, 0)
+        self._obs = ((0, 0, 0, 0), (0, 0, 0, 0))
+        self._jam_obs = ((0, 0),)
 
     @property
     def n_actions(self) -> int:
         return len(self.grid.actions)
 
     def observations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return observation_for(1, self._q_prev), observation_for(2, self._q_prev)
+        """The two BSs' observations, one object per slot (see ``TabularAgent``)."""
+        return self._obs
 
     def step(self, a1_idx: int, a2_idx: int):
         cfg = self.cfg
@@ -384,7 +398,7 @@ class TwoCellEnv:
         if self.jammer is None:
             p_j = best_response(self.ch, alloc1, alloc2, self.jcfg).p_j_star
         else:
-            a_j = self.jammer.act(self._jam_obs)
+            (a_j,) = self.jammer.act(self._jam_obs)
             p_j = a_j * cfg.p_j_max / cfg.jammer_grid_levels
         prof = StrategyProfile(
             p1=alloc1[0], p2=alloc1[1], p3=alloc2[0], p4=alloc2[1], p_j=p_j
@@ -403,63 +417,58 @@ class TwoCellEnv:
         )
         if self.jammer is not None:
             levels = cfg.jammer_grid_levels
-            jam_obs = tuple(
+            jam_obs = (tuple(
                 min(max(int(round(p / cfg.p_bs_max * levels)), 0), levels)
                 for p in (prof.p_bs1, prof.p_bs2)
-            )
+            ),)
             self.jammer.learn(
-                self._jam_obs, a_j, jammer_utility(rates, p_j, cfg.gamma), jam_obs
+                (a_j,), (jammer_utility(rates, p_j, cfg.gamma),), jam_obs
             )
             self._jam_obs = jam_obs
         q = tuple(
             quantize_sinr(float(s), cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db)
             for s in sinr
         )
-        self._q_prev = q
+        self._obs = (observation_for(1, q), observation_for(2, q))
         self.slot += 1
         if cfg.redraw_period > 0 and self.slot % cfg.redraw_period == 0:
             new_seed = int(self._redraw_rng.integers(2**63))
             self.ch = draw_channels(self.geometry, new_seed, cfg.fading)
-        obs1, obs2 = self.observations()
-        return obs1, obs2, r1, r2, row
+        return self._obs, (r1, r2), row
 
 
 def run_slot(env: TwoCellEnv, agents) -> tuple:
-    """One leader-follower slot: act, jam, realize rates, learn; the slot's row."""
-    obs1, obs2 = env.observations()
-    a1 = agents[0].act(obs1)
-    a2 = agents[1].act(obs2)
-    nobs1, nobs2, r1, r2, row = env.step(a1, a2)
-    agents[0].learn(obs1, a1, r1, nobs1)
-    agents[1].learn(obs2, a2, r2, nobs2)
+    """One leader-follower slot: act, jam, realize rates, learn; the slot's row.
+
+    ``agents`` is the BS pair's one learner (``TabularAgent`` or ``DqnAgent``).
+    """
+    obs = env.observations()
+    actions = agents.act(obs)
+    next_obs, rewards, row = env.step(*actions)
+    agents.learn(actions, rewards, next_obs)
     return row
 
 
 def _build_agents(cfg: ExperimentConfig, n_actions: int, seed_seqs, boot_params=None):
+    """The BS pair's one learner, player i drawing from ``seed_seqs[i]``."""
     eps = cfg.eps_schedule()
     if cfg.scheme in ("QLU", "QLS"):
-        return tuple(
-            TabularAgent(
-                n_actions, cfg.sinr_levels, 4, cfg.alpha_ql, cfg.discount, eps, s
-            )
-            for s in seed_seqs
+        return TabularAgent(
+            n_actions, cfg.sinr_levels, 4, cfg.alpha_ql, cfg.discount, eps, seed_seqs
         )
     if cfg.scheme in ("DQLU", "HBDQLU"):
-        return tuple(
-            DqnAgent(
-                n_actions,
-                cfg.sinr_levels,
-                cfg.alpha_dqn,
-                cfg.discount,
-                eps,
-                s,
-                replay_capacity=cfg.replay_capacity,
-                batch_size=cfg.batch_size,
-                sync_period=cfg.target_sync_period,
-                reward_scale=cfg.reward_scale,
-                init_params=boot_params,
-            )
-            for s in seed_seqs
+        return DqnAgent(
+            n_actions,
+            cfg.sinr_levels,
+            cfg.alpha_dqn,
+            cfg.discount,
+            eps,
+            seed_seqs,
+            replay_capacity=cfg.replay_capacity,
+            batch_size=cfg.batch_size,
+            sync_period=cfg.target_sync_period,
+            reward_scale=cfg.reward_scale,
+            init_params=boot_params,
         )
     raise ValueError(f"scheme {cfg.scheme!r} has no agents")
 
@@ -468,7 +477,8 @@ def hot_boot(cfg: ExperimentConfig, boot_ss: np.random.SeedSequence):
     """Pre-train a DQN pair on perturbed channel draws; return the BS1 weights.
 
     Each scenario is a fresh environment seeded from ``boot_ss``, and one
-    pair of agents plays ``hot_boot_slots`` slots in each.  The per-scenario
+    stacked pair plays ``hot_boot_slots`` slots in each.  HBDQLU starts both
+    BSs of a run from the returned network.  The per-scenario
     mean training loss is logged so overfitting to the boot scenarios stays
     visible; more scenarios converge faster but risk exactly that.
     """
@@ -480,9 +490,9 @@ def hot_boot(cfg: ExperimentConfig, boot_ss: np.random.SeedSequence):
         losses = []
         for _ in range(cfg.hot_boot_slots):
             run_slot(env, agents)
-            losses.append(agents[0].last_loss)
+            losses.append(agents.last_loss[0])
         log.info("hot-boot scenario %d mean loss %.4g", i, float(np.mean(losses)))
-    return agents[0].params.copy()
+    return agents.params.player(0)
 
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> np.recarray:

@@ -1,8 +1,11 @@
 """Power-allocation agents: tabular Q-learning and DQN, plus their plumbing.
 
-Both base stations run independent learners.  The observation is the vector
-of four quantized SINR indices, ordered own-cell-first, fed back by the
-users on the previous slot.  The learning jammer is a ``TabularAgent`` too,
+Both base stations run independent learners, held as one stacked pair: one
+agent object carries both players' tables or networks along a leading axis
+and one ``Generator`` per player, and each slot makes one ``act`` and one
+``learn`` call for the pair.  The observation is the vector of four
+quantized SINR indices, ordered own-cell-first, fed back by the users on the
+previous slot.  The learning jammer is a ``TabularAgent`` of one player,
 over the binned BS total powers of the previous slot.
 """
 
@@ -59,7 +62,8 @@ def select_action(qvalues: np.ndarray, eps: float, rng: np.random.Generator) -> 
     """Epsilon-greedy: greedy with prob 1-eps, else uniform over the rest.
 
     Greedy ties break to the lowest index.  With eps = 1 the greedy action
-    is never taken.
+    is never taken.  Draws ``rng.random()``, then ``rng.integers(n - 1)``
+    only when exploring.
     """
     q = np.asarray(qvalues, dtype=float)
     n = q.shape[0]
@@ -67,11 +71,11 @@ def select_action(qvalues: np.ndarray, eps: float, rng: np.random.Generator) -> 
         raise ValueError("need at least two actions")
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    greedy = int(np.argmax(q))
+    greedy = int(q.argmax())
     if rng.random() >= eps:
         return greedy
-    others = [a for a in range(n) if a != greedy]
-    return int(others[rng.integers(len(others))])
+    k = int(rng.integers(n - 1))  # the k-th of the actions other than greedy
+    return k + (k >= greedy)
 
 
 class QTable:
@@ -97,9 +101,42 @@ class EpsSchedule:
     floor: float = 0.05
 
 
-class TabularAgent:
-    """Independent Q-learning agent over ``obs_len`` quantized values in
-    [0, levels): a BS's four SINR indices, or the jammer's two binned BS totals."""
+class _Players:
+    """What both learners share: one ``Generator`` per entry of ``seeds``
+    (one player each), the ε schedule, and the ``act``/``learn`` protocol.
+
+    ``act`` takes a tuple of one observation per player and returns one
+    action per player; ``learn(actions, rewards, next_obs)`` trains on the
+    transition from the observations of the last ``act``.  Each observation
+    is encoded once: ``act`` keeps its encoding for ``learn``, and the next
+    ``act`` reuses ``learn``'s encoding of ``next_obs`` when it is handed
+    that same (immutable) tuple.
+    """
+
+    def __init__(self, eps: EpsSchedule, seeds) -> None:
+        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self.eps_schedule = eps
+        self.eps = eps.start
+        self._obs = None
+        self._enc = None
+
+    def _current(self, obs):
+        if obs is not self._obs:
+            self._obs, self._enc = obs, self._encode(obs)
+        return self._enc
+
+    def _advance(self, next_obs, next_enc) -> None:
+        self._obs, self._enc = next_obs, next_enc
+        self.eps = max(self.eps_schedule.floor, self.eps * self.eps_schedule.decay)
+
+
+class TabularAgent(_Players):
+    """Independent Q-learning over ``obs_len`` quantized values in [0, levels):
+    the two BSs, each observing its four SINR indices, or the jammer alone,
+    observing its two binned BS totals.  The players' tables are stacked as
+    one ``QTable`` of players * n_states rows: player i's state s is row
+    i * n_states + s.
+    """
 
     def __init__(
         self,
@@ -109,38 +146,44 @@ class TabularAgent:
         alpha: float,
         discount: float,
         eps: EpsSchedule,
-        seed: int,
+        seeds,
     ) -> None:
+        super().__init__(eps, seeds)
         self.levels = levels
-        self.table = QTable(levels**obs_len, n_actions, alpha, discount)
-        self.rng = np.random.default_rng(seed)
-        self.eps_schedule = eps
-        self.eps = eps.start
-
-    def act(self, obs: tuple[int, ...]) -> int:
-        state = encode_observation(obs, self.levels)
-        return select_action(self.table.table[state], self.eps, self.rng)
-
-    def learn(
-        self,
-        obs: tuple[int, ...],
-        action: int,
-        reward: float,
-        next_obs: tuple[int, ...],
-    ) -> None:
-        self.table.update(
-            encode_observation(obs, self.levels), action, reward,
-            encode_observation(next_obs, self.levels),
+        self.n_states = levels**obs_len
+        self.table = QTable(
+            len(self.rngs) * self.n_states, n_actions, alpha, discount
         )
-        self.eps = max(self.eps_schedule.floor, self.eps * self.eps_schedule.decay)
+
+    def _encode(self, obs) -> tuple[int, ...]:
+        """Each player's row in ``table``."""
+        levels, n = self.levels, self.n_states
+        return tuple([i * n + encode_observation(o, levels) for i, o in enumerate(obs)])
+
+    def act(self, obs) -> tuple[int, ...]:
+        eps, rows = self.eps, self.table.table
+        return tuple([
+            select_action(rows[s], eps, rng)
+            for s, rng in zip(self._current(obs), self.rngs)
+        ])
+
+    def learn(self, actions, rewards, next_obs) -> None:
+        next_states = self._encode(next_obs)
+        update = self.table.update
+        for s, a, r, ns in zip(self._enc, actions, rewards, next_states):
+            update(s, a, r, ns)
+        self._advance(next_obs, next_states)
 
 
-class DqnAgent:
-    """DQN BS agent: main/target networks and uniform experience replay.
+class DqnAgent(_Players):
+    """DQN BS agents: main/target networks and uniform experience replay per
+    player, held as one stack.
 
-    The replay memory is a ring of four preallocated arrays holding the last
-    ``replay_capacity`` transitions, observations already normalized and
-    rewards already scaled.
+    Player i's networks are slice i of stacked ``MlpParams``, and its replay
+    memory is row i of four preallocated (players, replay_capacity, ...)
+    ring arrays holding its last ``replay_capacity`` transitions,
+    observations already normalized and rewards already scaled.  The forward
+    pass, the training step and the target sync run once for all players.
     """
 
     def __init__(
@@ -150,72 +193,72 @@ class DqnAgent:
         lr: float,
         discount: float,
         eps: EpsSchedule,
-        seed: int,
+        seeds,
         replay_capacity: int = 10_000,
         batch_size: int = 32,
         sync_period: int = 100,
         reward_scale: float = 0.025,
         init_params: MlpParams | None = None,
     ) -> None:
+        super().__init__(eps, seeds)
         self.sinr_levels = sinr_levels
         self.lr = lr
         self.discount = discount
-        self.rng = np.random.default_rng(seed)
+        m = len(self.rngs)
         if init_params is None:
-            self.params = init_mlp(4, n_actions, self.rng)
+            nets = [init_mlp(4, n_actions, rng) for rng in self.rngs]
         else:
             if init_params.n_outputs != n_actions:
                 raise ValueError("initial weights do not match the action space")
-            self.params = init_params.copy()
+            nets = [init_params] * m
+        self.params = MlpParams.stack(nets)
         self.target = self.params.copy()
-        self.eps_schedule = eps
-        self.eps = eps.start
         self.capacity = replay_capacity
-        self.obs_buf = np.empty((replay_capacity, 4))
-        self.next_obs_buf = np.empty((replay_capacity, 4))
-        self.action_buf = np.empty(replay_capacity, dtype=np.intp)
-        self.reward_buf = np.empty(replay_capacity)
+        self.obs_buf = np.empty((m, replay_capacity, 4))
+        self.next_obs_buf = np.empty((m, replay_capacity, 4))
+        self.action_buf = np.empty((m, replay_capacity), dtype=np.intp)
+        self.reward_buf = np.empty((m, replay_capacity))
         self.batch_size = batch_size
         self.sync_period = sync_period
         self.reward_scale = reward_scale
         self.slot = 0  # transitions stored so far, wrapped ones included
         self.sync_count = 0
-        self.last_loss = 0.0
+        self.last_loss = np.zeros(m)
+        self._players = np.arange(m)[:, None]
 
-    def _normalize(self, obs: tuple[int, ...]) -> np.ndarray:
+    def _encode(self, obs) -> np.ndarray:
         return np.asarray(obs, dtype=float) / (self.sinr_levels - 1)
 
-    def act(self, obs: tuple[int, ...]) -> int:
-        q = mlp_forward(self.params, self._normalize(obs))
-        return select_action(q, self.eps, self.rng)
+    def act(self, obs) -> tuple[int, ...]:
+        q = mlp_forward(self.params, self._current(obs))
+        eps = self.eps
+        return tuple([select_action(qi, eps, rng) for qi, rng in zip(q, self.rngs)])
 
-    def learn(
-        self,
-        obs: tuple[int, ...],
-        action: int,
-        reward: float,
-        next_obs: tuple[int, ...],
-    ) -> None:
-        """Store the transition, then train on a uniform draw from the ring.
+    def learn(self, actions, rewards, next_obs) -> None:
+        """Store each player's transition, then train each on a uniform draw
+        from its own ring.
 
         Drawn positions count from the oldest stored transition, so once the
         ring has wrapped they pick what a deque of the same capacity would.
         """
+        nx = self._encode(next_obs)
         k = self.slot % self.capacity
-        self.obs_buf[k] = self._normalize(obs)
-        self.next_obs_buf[k] = self._normalize(next_obs)
-        self.action_buf[k] = action
-        self.reward_buf[k] = reward * self.reward_scale
+        self.obs_buf[:, k] = self._enc
+        self.next_obs_buf[:, k] = nx
+        self.action_buf[:, k] = actions
+        self.reward_buf[:, k] = np.multiply(rewards, self.reward_scale)
         self.slot += 1
         size = min(self.slot, self.capacity)
-        idx = self.rng.integers(size, size=min(self.batch_size, size))
+        n = min(self.batch_size, size)
+        idx = np.array([rng.integers(size, size=n) for rng in self.rngs])
         if self.slot > self.capacity:
             idx = (idx + self.slot) % self.capacity
+        batch = (self._players, idx)
         self.last_loss = dqn_train_step(
-            self.params, self.target, self.obs_buf[idx], self.action_buf[idx],
-            self.reward_buf[idx], self.next_obs_buf[idx], self.lr, self.discount,
+            self.params, self.target, self.obs_buf[batch], self.action_buf[batch],
+            self.reward_buf[batch], self.next_obs_buf[batch], self.lr, self.discount,
         )
         if self.slot % self.sync_period == 0:
             target_sync(self.params, self.target)
             self.sync_count += 1
-        self.eps = max(self.eps_schedule.floor, self.eps * self.eps_schedule.decay)
+        self._advance(next_obs, nx)

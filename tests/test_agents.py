@@ -11,7 +11,7 @@ from nomajam.learn.agents import (
     quantize_sinr,
     select_action,
 )
-from nomajam.learn.nn import dqn_train_step, init_mlp
+from nomajam.learn.nn import dqn_train_step, init_mlp, mlp_forward
 from nomajam.rates import selfish_reward
 
 
@@ -149,48 +149,54 @@ def test_selfish_reward_ignores_other_cell():
         assert c == a
 
 
-def make_tab(seed=0, **kw):
+def make_tab(seeds=(0,), **kw):
     return TabularAgent(6, 8, 4, alpha=0.2, discount=0.7,
-                        eps=EpsSchedule(0.9, 0.998, 0.05), seed=seed, **kw)
+                        eps=EpsSchedule(0.9, 0.998, 0.05), seeds=seeds, **kw)
 
 
-def make_dqn(seed=0, **kw):
+def make_dqn(seeds=(0, 1), **kw):
     return DqnAgent(6, 8, lr=0.1, discount=0.7,
-                    eps=EpsSchedule(0.9, 0.998, 0.05), seed=seed, **kw)
+                    eps=EpsSchedule(0.9, 0.998, 0.05), seeds=seeds, **kw)
 
 
 def test_identical_rewards_give_identical_trajectories():
     # the selfish and unselfish schemes share all machinery; with equal
-    # rewards two same-seeded agents follow the same trajectory
-    a = make_tab(seed=42)
-    b = make_tab(seed=42)
+    # rewards two same-seeded players follow the same trajectory, in one
+    # stack or in two
+    a = make_tab(seeds=(42, 42))
+    b = make_tab(seeds=(42,))
     rng = np.random.default_rng(6)
     obs = (0, 0, 0, 0)
     for _ in range(500):
-        act_a = a.act(obs)
-        act_b = b.act(obs)
-        assert act_a == act_b
+        act_a = a.act((obs, obs))
+        act_b = b.act((obs,))
+        assert act_a == act_b * 2
         nxt = tuple(rng.integers(0, 8, size=4))
         r = float(rng.normal())
-        a.learn(obs, act_a, r, nxt)
-        b.learn(obs, act_b, r, nxt)
+        a.learn(act_a, (r, r), (nxt, nxt))
+        b.learn(act_b, (r,), (nxt,))
         obs = nxt
-    assert np.array_equal(a.table.table, b.table.table)
+    # player i's state s is row i * n_states + s of the one table
+    pair = a.table.table.reshape(2, a.n_states, -1)
+    assert np.array_equal(pair[0], b.table.table)
+    assert np.array_equal(pair[1], b.table.table)
     assert a.eps == b.eps
 
 
 def test_eps_decays_to_floor():
     a = make_tab()
+    obs = ((0, 0, 0, 0),)
     for _ in range(3000):
-        a.learn((0, 0, 0, 0), 0, 0.0, (0, 0, 0, 0))
+        a.learn(a.act(obs), (0.0,), obs)
     assert a.eps == pytest.approx(0.05)
 
 
 def test_dqn_sync_count():
     a = make_dqn(sync_period=100)
-    obs = (1, 1, 1, 1)
+    obs = ((1, 1, 1, 1), (1, 1, 1, 1))
     for _ in range(550):
-        a.learn(obs, 0, 0.1, obs)
+        a.act(obs)
+        a.learn((0, 0), (0.1, 0.1), obs)
     assert a.sync_count == 5
 
 
@@ -200,43 +206,84 @@ def test_dqn_rejects_mismatched_boot_weights():
         make_dqn(init_params=wrong)
 
 
+def test_dqn_boot_weights_start_every_player():
+    boot = init_mlp(4, 6, np.random.default_rng(7))
+    agent = make_dqn(init_params=boot)
+    for i in range(2):
+        for got, want in zip(agent.params.player(i).weights, boot.weights):
+            assert np.array_equal(got, want)
+    # copies, not views of the boot network
+    agent.params.weights[0][0, 0, 0] += 1.0
+    assert boot.weights[0][0, 0] != agent.params.weights[0][0, 0, 0]
+
+
 def test_tabular_learn_updates_encoded_states():
-    a = make_tab()
-    a.learn((1, 2, 3, 4), 2, 1.0, (4, 3, 2, 1))
+    a = make_tab(seeds=(0, 1))
+    a.act(((1, 2, 3, 4), (0, 0, 0, 1)))
+    a.learn((2, 5), (1.0, -1.0), ((4, 3, 2, 1), (1, 0, 0, 0)))
     s = encode_observation((1, 2, 3, 4), 8)
     assert a.table.table[s, 2] == 0.2 * (1.0 + 0.0)
-    assert np.count_nonzero(a.table.table) == 1
+    assert a.table.table[a.n_states + 1, 5] == 0.2 * (-1.0 + 0.0)
+    assert np.count_nonzero(a.table.table) == 2
+
+
+def test_tabular_act_reuses_learned_next_state(monkeypatch):
+    # each observation is encoded once: act keeps the states for learn, and
+    # the next act is handed learn's next observation object
+    import nomajam.learn.agents as agents
+
+    calls = []
+    encode = agents.encode_observation
+    monkeypatch.setattr(agents, "encode_observation",
+                        lambda obs, levels: calls.append(obs) or encode(obs, levels))
+    a = make_tab(seeds=(0, 1))
+    obs = ((0, 0, 0, 0), (0, 0, 0, 0))
+    for t in range(5):
+        nxt = ((t, 1, 2, 3), (3, 2, 1, t))
+        a.learn(a.act(obs), (1.0, 2.0), nxt)
+        obs = nxt
+    assert len(calls) == 2 * 6
 
 
 def test_dqn_replay_ring_matches_deque_reference():
-    # 12 transitions through a ring of 5 wrap it twice; the reference keeps
-    # a bounded deque and draws the same positions from the same stream
+    # 12 slots through a ring of 5 wrap it twice; the reference runs each
+    # player alone: its network, a bounded deque and its own stream, drawn
+    # in the same order (act's exploration, then the replay positions)
     from collections import deque
 
-    agent = make_dqn(seed=3, replay_capacity=5, batch_size=4, sync_period=3)
-    rng = np.random.default_rng(3)  # the agent's stream: weights, then draws
-    params = init_mlp(4, 6, rng)
-    target = params.copy()
-    memory = deque(maxlen=5)
+    seeds = (3, 4)
+    agent = make_dqn(seeds=seeds, replay_capacity=5, batch_size=4, sync_period=3)
+    rngs = [np.random.default_rng(s) for s in seeds]  # weights, then draws
+    params = [init_mlp(4, 6, rng) for rng in rngs]
+    targets = [p.copy() for p in params]
+    memories = [deque(maxlen=5) for _ in seeds]
+    eps = 0.9
     data = np.random.default_rng(10)
+    obs = tuple(tuple(int(v) for v in data.integers(0, 8, size=4)) for _ in seeds)
     for step in range(1, 13):
-        obs = tuple(int(v) for v in data.integers(0, 8, size=4))
-        nxt = tuple(int(v) for v in data.integers(0, 8, size=4))
-        action, reward = int(data.integers(6)), float(data.normal())
-        agent.learn(obs, action, reward, nxt)
+        nxt = tuple(tuple(int(v) for v in data.integers(0, 8, size=4)) for _ in seeds)
+        rewards = tuple(float(r) for r in data.normal(size=2))
+        actions = agent.act(obs)
+        agent.learn(actions, rewards, nxt)
 
-        memory.append((np.array(obs) / 7, action, reward * 0.025, np.array(nxt) / 7))
-        idx = rng.integers(len(memory), size=min(4, len(memory)))
-        batch = [memory[int(i)] for i in idx]
-        dqn_train_step(
-            params, target,
-            np.stack([t[0] for t in batch]), np.array([t[1] for t in batch]),
-            np.array([t[2] for t in batch]), np.stack([t[3] for t in batch]),
-            lr=0.1, discount=0.7,
-        )
-        if step % 3 == 0:
-            target = params.copy()
+        for i, (rng, memory) in enumerate(zip(rngs, memories)):
+            x = np.array(obs[i]) / 7
+            assert actions[i] == select_action(mlp_forward(params[i], x), eps, rng)
+            memory.append((x, actions[i], rewards[i] * 0.025, np.array(nxt[i]) / 7))
+            idx = rng.integers(len(memory), size=min(4, len(memory)))
+            batch = [memory[int(k)] for k in idx]
+            dqn_train_step(
+                params[i], targets[i],
+                np.stack([t[0] for t in batch]), np.array([t[1] for t in batch]),
+                np.array([t[2] for t in batch]), np.stack([t[3] for t in batch]),
+                lr=0.1, discount=0.7,
+            )
+            if step % 3 == 0:
+                targets[i] = params[i].copy()
+        eps = max(0.05, eps * 0.998)
+        obs = nxt
     assert agent.slot == 12
-    for got, want in zip(agent.params.weights + agent.params.biases,
-                         params.weights + params.biases):
-        assert np.array_equal(got, want)
+    for i in range(2):
+        got, want = agent.params.player(i), params[i]
+        for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(g, w)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gzip
+import hashlib
 import json
 import os
 from collections import Counter
@@ -36,9 +37,8 @@ FAST = dict(slots=50, seeds=(0,), summary_window=20)
 
 def greedy_agents(env):
     eps = EpsSchedule(start=0.0, decay=1.0, floor=0.0)
-    return (
-        TabularAgent(env.n_actions, 8, 4, alpha=0.2, discount=0.7, eps=eps, seed=1),
-        TabularAgent(env.n_actions, 8, 4, alpha=0.2, discount=0.7, eps=eps, seed=2),
+    return TabularAgent(
+        env.n_actions, 8, 4, alpha=0.2, discount=0.7, eps=eps, seeds=(1, 2)
     )
 
 
@@ -264,6 +264,25 @@ def test_run_matches_committed_reference_csv(tmp_path, unit):
         produced = fh.read()
     with gzip.open(os.path.join(REFERENCE_DIR, f"{unit}.csv.gz"), "rb") as fh:
         assert produced == fh.read()
+
+
+# sha256 of run_seed(cfg, 0).tobytes() for runs whose replay rings wrap
+# (300 transitions) and whose target networks sync, in hot boot too; no
+# committed reference wraps a ring.  The digests were taken with one agent
+# object per BS, so they pin that the stacked pair changes no output.
+WRAPPING_RING_DIGESTS = {
+    "DQLU": "0aea8a2f215e90f194c3e6b8dc86d542caad470c2fc36ee711e9f0a4cee62b52",
+    "HBDQLU": "01b0710ca2468f3801be14458b15d7866c4a7d9322126c518b7159bdc9c0b093",
+}
+
+
+@pytest.mark.parametrize("scheme", list(WRAPPING_RING_DIGESTS))
+def test_wrapping_replay_ring_run_matches_pinned_digest(scheme):
+    cfg = ExperimentConfig(scheme=scheme, replay_capacity=300, slots=900,
+                           hot_boot_slots=200, seeds=(0,))
+    records = run_seed(cfg, 0)
+    digest = hashlib.sha256(records.tobytes()).hexdigest()
+    assert digest == WRAPPING_RING_DIGESTS[scheme]
 
 
 @pytest.mark.parametrize("levels,seed", [(4, 0), (4, 11), (6, 1), (6, 12)])
@@ -550,6 +569,30 @@ def test_largest_seed_fits_the_seed_column():
     cfg = ExperimentConfig(slots=2, seeds=(top,), jammer_mode="best-response")
     cfg.validate()
     assert run_seed(cfg, top).seed.tolist() == [top, top]
+
+
+def test_seed_count_is_bounded_before_the_tuple_is_built(capsys):
+    import tracemalloc
+
+    from nomajam.harness import MAX_SEEDS
+
+    assert len(parse_seeds(str(MAX_SEEDS))) == MAX_SEEDS
+    tracemalloc.start()
+    try:
+        for text in (str(MAX_SEEDS + 1), "10000000000"):
+            with pytest.raises(ValueError, match="seeds"):
+                parse_seeds(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert cli_main(["--seeds", "10000000000", "--slots", "3"]) == 1
+    assert "seeds" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="seeds"):
+        ExperimentConfig(seeds=tuple(range(MAX_SEEDS + 1))).validate()
+    # a long seed list is named by the offending seed, not printed whole
+    with pytest.raises(ValueError, match=r"unique; 7 is listed twice$"):
+        ExperimentConfig(seeds=(*range(MAX_SEEDS - 1), 7)).validate()
 
 
 def test_grid_of_two_levels_is_left_to_ne_analysis(capsys):

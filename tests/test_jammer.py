@@ -260,14 +260,14 @@ def test_jql_converges_to_best_response(geom, jcfg):
     levels = 10
     agent = TabularAgent(
         levels + 1, levels + 1, 2, alpha=0.2, discount=0.7,
-        eps=EpsSchedule(0.9, 0.9995, 0.05), seed=2,
+        eps=EpsSchedule(0.9, 0.9995, 0.05), seeds=(2,),
     )
-    obs = (9, 8)  # totals 35 and 33 of 40, binned to 10 levels
+    obs = ((9, 8),)  # totals 35 and 33 of 40, binned to 10 levels
     chosen = []
     for _ in range(10_000):
-        k = agent.act(obs)
+        (k,) = agent.act(obs)
         pj = k * jcfg.p_j_max / levels
         rates = rates_from_sinr(sinr_vector(ch, StrategyProfile(*a1, *a2, p_j=pj)))
-        agent.learn(obs, k, jammer_utility(rates, pj, jcfg.gamma), obs)
+        agent.learn((k,), (jammer_utility(rates, pj, jcfg.gamma),), obs)
         chosen.append(pj)
     assert abs(np.mean(chosen[-1000:]) - br.p_j_star) <= jcfg.p_j_max / levels

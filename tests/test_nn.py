@@ -218,3 +218,102 @@ def test_target_sync_copies_and_is_idempotent():
     # copies, not views
     main.weights[0][0, 0] += 1.0
     assert target_net.weights[0][0, 0] != main.weights[0][0, 0]
+
+
+def reference_pass(params, x, actions=None, targets=None):
+    """One network's forward pass and TD gradients as plain 2-D numpy: the
+    per-network formulas the stacked pass must reproduce bit for bit."""
+    w1, w2, w3 = params.weights
+    b1, b2, b3 = params.biases
+    z1 = x @ w1.T + b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ w2.T + b2
+    h2 = np.maximum(z2, 0.0)
+    q = h2 @ w3.T + b3
+    if actions is None:
+        return q
+    n = x.shape[0]
+    rows = np.arange(n)
+    residual = q[rows, actions] - targets
+    dq = np.zeros_like(q)
+    dq[rows, actions] = residual / n
+    dz2 = (dq @ w3) * (z2 > 0)
+    dz1 = (dz2 @ w2) * (z1 > 0)
+    grads = [dz1.T @ x, dz2.T @ h1, dq.T @ h2,
+             dz1.sum(axis=0), dz2.sum(axis=0), dq.sum(axis=0)]
+    return q, residual, grads
+
+
+def stacked_pair(rng, n_out=15):
+    nets = [init_mlp(4, n_out, rng) for _ in range(2)]
+    # nonzero biases, so the bias broadcast is exercised too
+    for net in nets:
+        for b in net.biases:
+            b[...] = rng.normal(scale=0.1, size=b.shape)
+    return nets, MlpParams.stack(nets)
+
+
+def test_stack_and_player_round_trip():
+    nets, stack = stacked_pair(np.random.default_rng(15))
+    assert stack.stacked and not nets[0].stacked
+    assert stack.layer_sizes == (4, 24, 24, 15) and stack.n_outputs == 15
+    for i, net in enumerate(nets):
+        got = stack.player(i)
+        for g, w in zip(got.weights + got.biases, net.weights + net.biases):
+            assert np.array_equal(g, w)
+    stack.weights[0][1, 0, 0] += 1.0  # stacking copies
+    assert nets[1].weights[0][0, 0] != stack.weights[0][1, 0, 0]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 17, 32])
+def test_stacked_pass_is_bit_equal_per_network(batch):
+    # stacked matmul must give each slice the bits of its own 2-D pass; the
+    # stacked BS pair's outputs equal two separate networks' only because of
+    # this, so a numpy or BLAS change that breaks it fails here first
+    from nomajam.learn.nn import _td_gradients
+
+    rng = np.random.default_rng(16 + batch)
+    nets, stack = stacked_pair(rng)
+    x = rng.uniform(0.0, 1.0, (2, batch, 4))
+    actions = rng.integers(15, size=(2, batch))
+    targets = rng.normal(size=(2, batch))
+    q = mlp_forward_batch(stack, x)
+    residual, gw, gb = _td_gradients(stack, x, actions, targets)
+    for i, net in enumerate(nets):
+        want_q, want_res, want_grads = reference_pass(net, x[i], actions[i], targets[i])
+        assert np.array_equal(q[i], want_q)
+        assert np.array_equal(residual[i], want_res)
+        for got, want in zip(gw + gb, want_grads):
+            assert np.array_equal(got[i], want)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 17, 32])
+def test_stacked_train_step_is_bit_equal_per_network(batch):
+    rng = np.random.default_rng(36 + batch)
+    nets, stack = stacked_pair(rng)
+    targets_nets, target_stack = stacked_pair(rng)
+    x, nx = rng.uniform(0.0, 1.0, (2, 2, batch, 4))
+    actions = rng.integers(15, size=(2, batch))
+    rewards = rng.normal(size=(2, batch))
+    losses = dqn_train_step(stack, target_stack, x, actions, rewards, nx, 0.1, 0.7)
+    for i, (net, tnet) in enumerate(zip(nets, targets_nets)):
+        y = rewards[i] + 0.7 * reference_pass(tnet, nx[i]).max(axis=1)
+        _, res, (dw1, dw2, dw3, db1, db2, db3) = reference_pass(net, x[i], actions[i], y)
+        assert losses[i] == 0.5 * float(np.mean(res**2))
+        got = stack.player(i)
+        for g, w, d in zip(got.weights + got.biases, net.weights + net.biases,
+                           (dw1, dw2, dw3, db1, db2, db3)):
+            assert np.array_equal(g, w - 0.1 * d)
+
+
+def test_stacked_act_equals_single_observation_pass():
+    # act runs the pair as a stacked batch of one; the 1-D product of one
+    # observation through one network must come out bit for bit the same
+    rng = np.random.default_rng(50)
+    for _ in range(50):
+        nets, stack = stacked_pair(rng)
+        obs = rng.integers(0, 8, size=(2, 4)) / 7
+        q = mlp_forward(stack, obs)
+        for i, net in enumerate(nets):
+            assert np.array_equal(q[i], reference_pass(net, obs[i]))
+            assert np.array_equal(q[i], mlp_forward(net, obs[i]))
