@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,14 +100,10 @@ class ChannelRealization:
         g.setflags(write=False)
         object.__setattr__(self, "gains", g)
 
-    @property
+    @cached_property
     def gain_rows(self) -> tuple[tuple[float, float, float], ...]:
         """Gains as nested tuples of plain floats (fast path for hot loops)."""
-        rows = getattr(self, "_rows", None)
-        if rows is None:
-            rows = tuple(tuple(float(x) for x in row) for row in self.gains)
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        return tuple(tuple(float(x) for x in row) for row in self.gains)
 
 
 def draw_channels(geom: Geometry, seed: int, fading: bool = True) -> ChannelRealization:

@@ -51,18 +51,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         overrides = {}
-        if args.scheme is not None:
-            overrides["scheme"] = args.scheme
-        if args.slots is not None:
-            overrides["slots"] = args.slots
-        if args.seeds is not None:
-            overrides["seeds"] = parse_seeds(args.seeds)
-        if args.out_dir is not None:
-            overrides["out_dir"] = args.out_dir
-        if args.grid_levels is not None:
-            overrides["grid_levels"] = args.grid_levels
-        if args.jammer_mode is not None:
-            overrides["jammer_mode"] = args.jammer_mode
+        for name in ("scheme", "slots", "seeds", "out_dir", "grid_levels", "jammer_mode"):
+            value = getattr(args, name)
+            if value is not None:
+                overrides[name] = parse_seeds(value) if name == "seeds" else value
         if overrides:
             cfg = cfg.replaced(**overrides)
         cfg.validate()

@@ -11,14 +11,14 @@ points, every certificate is explicitly grid-relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .channel import SRC_BS1, SRC_BS2, SRC_JAM, ChannelRealization
-from .jammer import BestResponse, JammerConfig, best_response, concavity_probe
+from .jammer import JammerConfig, best_response, concavity_probe
 from .rates import StrategyProfile, _rates4, bs_utility, qos_binding_split
 
 EPS_NE = 1e-9
@@ -104,11 +104,20 @@ class MoodReport:
 
 
 def _binding_profile(
-    ch: ChannelRealization, p_bs1: float, p_bs2: float, p_j: float, r0: float
+    ch: ChannelRealization,
+    p_bs1: float,
+    p_bs2: float,
+    p_j: float,
+    r0: float,
+    cells: tuple[int, ...] = (1, 2),
 ) -> StrategyProfile | None:
-    """Profile with both weak users at their QoS-binding power, or None."""
-    p1 = qos_binding_split(ch, p_bs1, p_bs2, p_j, r0, cell=1)
-    p3 = qos_binding_split(ch, p_bs1, p_bs2, p_j, r0, cell=2)
+    """Profile with the weak user of each listed cell at its QoS-binding power.
+
+    Each cell not listed puts its whole total on its strong user.  None when
+    a listed cell's binding power exceeds its total.
+    """
+    p1 = qos_binding_split(ch, p_bs1, p_bs2, p_j, r0, cell=1) if 1 in cells else 0.0
+    p3 = qos_binding_split(ch, p_bs1, p_bs2, p_j, r0, cell=2) if 2 in cells else 0.0
     if not (math.isfinite(p1) and math.isfinite(p3)):
         return None
     p2, p4 = p_bs1 - p1, p_bs2 - p3
@@ -133,8 +142,8 @@ def _stackelberg_fixed_point(
     ch: ChannelRealization,
     jcfg: JammerConfig,
     profile_of_pj,
-) -> tuple[StrategyProfile, BestResponse] | FixedPointFailure:
-    """Self-consistent (profile, jammer response) for a pj-dependent profile.
+) -> StrategyProfile | FixedPointFailure:
+    """Self-consistent profile and jamming power for a pj-dependent profile.
 
     ``profile_of_pj(pj)`` builds the BS profile given the jamming power, and
     the jammer then best-responds to that profile.  The root of
@@ -144,10 +153,10 @@ def _stackelberg_fixed_point(
     two evaluations.  When the secant step leaves [0, p_j_max], or the two
     values of h are equal, the damped step pj + h(pj) / 2 is taken instead.
     The iteration stops when |h(pj)| <= 2e-6 * p_j_max and returns
-    ``profile_of_pj(br.p_j_star)`` with ``p_j = br.p_j_star``, together with
-    ``br``.  It gives up with a ``FixedPointFailure``: ``undefined_profile``
-    when ``profile_of_pj`` returns None, ``no_convergence`` after 100
-    evaluations of h.
+    ``profile_of_pj(p)`` with ``p_j = p``, where p = BR(profile_of_pj(pj)).
+    It gives up with a ``FixedPointFailure``: ``undefined_profile`` when
+    ``profile_of_pj`` returns None, ``no_convergence`` after 100 evaluations
+    of h.
     """
     tol = 2e-6 * jcfg.p_j_max
     x_prev = h_prev = None
@@ -156,17 +165,15 @@ def _stackelberg_fixed_point(
         prof = profile_of_pj(x)
         if prof is None:
             return FixedPointFailure("undefined_profile", x)
-        br = best_response(ch, (prof.p1, prof.p2), (prof.p3, prof.p4), jcfg)
-        h = br.p_j_star - x
+        p_j = best_response(ch, (prof.p1, prof.p2), (prof.p3, prof.p4), jcfg).p_j_star
+        h = p_j - x
         if abs(h) <= tol:
-            prof = profile_of_pj(br.p_j_star)
+            prof = profile_of_pj(p_j)
             if prof is None:
-                return FixedPointFailure("undefined_profile", br.p_j_star)
-            return StrategyProfile(
-                p1=prof.p1, p2=prof.p2, p3=prof.p3, p4=prof.p4, p_j=br.p_j_star
-            ), br
+                return FixedPointFailure("undefined_profile", p_j)
+            return replace(prof, p_j=p_j)
         if h_prev is None:
-            nxt = br.p_j_star
+            nxt = p_j
         elif h == h_prev:
             nxt = x + 0.5 * h
         else:
@@ -199,10 +206,9 @@ def mood_classify(
         )
         if isinstance(sol, FixedPointFailure):
             continue
-        prof, _ = sol
-        if prof.p2 <= 0 or prof.p4 <= 0:
+        if sol.p2 <= 0 or sol.p4 <= 0:
             continue
-        r = _rates4(ch, *prof.as_tuple())
+        r = _rates4(ch, *sol.as_tuple())
         qtol = 1e-9 * max(1.0, r0)
         if r[1] >= r0 - qtol and r[3] >= r0 - qtol:
             ps.append((k1, k2))
@@ -320,6 +326,25 @@ def brute_force_ne(
     return [ev.profile(i, j) for i, j in np.argwhere(margins >= -eps_ne).tolist()]
 
 
+def _certificate(
+    ev: GridEvaluator, i: int, j: int, ne_class: str, mood: int, eps_ne: float
+) -> NeCertificate | None:
+    """Certificate of grid profile (i, j), or None when a unilateral grid
+    deviation gains more than eps_ne."""
+    margin = ev.deviation_margin(i, j)
+    if margin < -eps_ne:
+        return None
+    return NeCertificate(
+        profile=ev.profile(i, j),
+        ne_class=ne_class,
+        mood=mood,
+        utility=ev.entry(i, j)[2],
+        deviation_margin=margin,
+        a1_index=i,
+        a2_index=j,
+    )
+
+
 def _slope_u_binding(
     ch: ChannelRealization,
     p_bs1: float,
@@ -351,13 +376,13 @@ def leader_slopes_numeric(
     transform), so the plain utility is differenced for better conditioning.
     """
     h = 1e-5 * max(p_bs1, p_bs2, 1.0)
+    center = _slope_u_binding(ch, p_bs1, p_bs2, p_j, r0, gamma)
+    if center is None:
+        return None
 
     def diff(dx1: float, dx2: float) -> float | None:
         up = _slope_u_binding(ch, p_bs1 + dx1, p_bs2 + dx2, p_j, r0, gamma)
         dn = _slope_u_binding(ch, p_bs1 - dx1, p_bs2 - dx2, p_j, r0, gamma)
-        center = _slope_u_binding(ch, p_bs1, p_bs2, p_j, r0, gamma)
-        if center is None:
-            return None
         if up is None and dn is None:
             return None
         if up is None:
@@ -415,7 +440,7 @@ def find_ne_l1(
             k1, k2 = w1 + s1, w2 + s2
             if (k1, k2) not in ps_levels:
                 continue
-            pj, r, u = ev.entry(i, j)
+            pj, r, _ = ev.entry(i, j)
             if min(r) < r0 - qtol:
                 continue
             # Weak users at the lowest grid split that still meets QoS.
@@ -439,20 +464,9 @@ def find_ne_l1(
             ok2 = d2 >= -stol or _grid_binding_strong(ev, pj, 2, s2)
             if not (ok1 and ok2):
                 continue
-            margin = ev.deviation_margin(i, j)
-            if margin < -eps_ne:
-                continue
-            certs.append(
-                NeCertificate(
-                    profile=ev.profile(i, j),
-                    ne_class=NE_L1,
-                    mood=1,
-                    utility=u,
-                    deviation_margin=margin,
-                    a1_index=i,
-                    a2_index=j,
-                )
-            )
+            cert = _certificate(ev, i, j, NE_L1, 1, eps_ne)
+            if cert is not None:
+                certs.append(cert)
     return certs
 
 
@@ -519,27 +533,20 @@ def _full_power_root(
 
     The profile behind each evaluation puts the failing cell's whole total
     on its strong user and the full-power cell at its QoS-binding split;
-    the jammer is at the self-consistent best response.  Without a sign
-    change the better endpoint is returned.
+    the jammer is at the self-consistent best response.  Totals where that
+    profile is undefined are skipped.  Without a sign change the better
+    endpoint is returned.
     """
     pmax = grid.p_bs_max
 
     def factor(x: float) -> float | None:
-        def prof_of(pj: float) -> StrategyProfile | None:
-            if full_cell == 2:
-                p3 = qos_binding_split(ch, x, pmax, pj, r0, cell=2)
-                if not math.isfinite(p3):
-                    return None
-                return StrategyProfile(p1=0.0, p2=x, p3=p3, p4=pmax - p3, p_j=pj)
-            p1 = qos_binding_split(ch, pmax, x, pj, r0, cell=1)
-            if not math.isfinite(p1):
-                return None
-            return StrategyProfile(p1=p1, p2=pmax - p1, p3=0.0, p4=x, p_j=pj)
-
-        sol = _stackelberg_fixed_point(ch, jcfg, prof_of)
+        totals = (x, pmax) if full_cell == 2 else (pmax, x)
+        sol = _stackelberg_fixed_point(
+            ch, jcfg, lambda pj: _binding_profile(ch, *totals, pj, r0, (full_cell,))
+        )
         if isinstance(sol, FixedPointFailure):
             return None
-        return _full_power_slope_factor(ch, full_cell, x, pmax, sol[0].p_j, r0)
+        return _full_power_slope_factor(ch, full_cell, x, pmax, sol.p_j, r0)
 
     xs = np.linspace(0.0, pmax, 33)
     vals = [factor(x) for x in xs]
@@ -602,7 +609,7 @@ def _find_ne_full_power(
     for i in rows:
         for j in cols:
             k_full, k_fail = (j, i) if full_cell == 2 else (i, j)
-            pj, r, u = ev.entry(i, j)
+            pj, r, _ = ev.entry(i, j)
             if not (r[weak_full] >= r0 - qtol and r[strong_full] >= r0 - qtol):
                 continue
             if r[weak_fail] >= r0 - qtol:
@@ -630,20 +637,9 @@ def _find_ne_full_power(
             )
             if slope < -1e-9 * max(1.0, abs(slope)):
                 continue
-            margin = ev.deviation_margin(i, j)
-            if margin < -eps_ne:
-                continue
-            certs.append(
-                NeCertificate(
-                    profile=ev.profile(i, j),
-                    ne_class=ne_class,
-                    mood=2,
-                    utility=u,
-                    deviation_margin=margin,
-                    a1_index=i,
-                    a2_index=j,
-                )
-            )
+            cert = _certificate(ev, i, j, ne_class, 2, eps_ne)
+            if cert is not None:
+                certs.append(cert)
     if not certs:
         return [], None
     x_bar = _full_power_root(ch, grid, jcfg, r0, full_cell)
@@ -760,7 +756,7 @@ def monotonicity_check(
         if isinstance(sol, FixedPointFailure):
             rep.skipped += 1
             continue
-        pj = sol[0].p_j
+        pj = sol.p_j
         for axis in (0, 1):
             pts = []
             for dx in (-hh, 0.0, hh):

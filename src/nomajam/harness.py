@@ -31,7 +31,7 @@ from .channel import (
     draw_channels,
 )
 from .game import TABLE_BYTES_PER_PROFILE, StrategyGrid, analysis_report
-from .jammer import MIN_SEARCH_TOLERANCE, JammerConfig, best_response
+from .jammer import JammerConfig, best_response
 from .learn.agents import (
     DqnAgent,
     EpsSchedule,
@@ -115,7 +115,6 @@ class ExperimentConfig:
     # jammer
     jammer_mode: str = "learning"
     jammer_grid_levels: int = 10
-    jammer_search_tolerance: float = 1e-5
 
     # equilibrium analysis
     eps_ne: float = 1e-9
@@ -166,9 +165,6 @@ class ExperimentConfig:
              "lie in [0, eps_start]"),
             ("eps_start", self.eps_start <= 1, "be at most 1"),
             ("sinr_lo_db", self.sinr_lo_db < self.sinr_hi_db, "be below sinr_hi_db"),
-            ("jammer_search_tolerance",
-             self.jammer_search_tolerance >= MIN_SEARCH_TOLERANCE * self.p_j_max,
-             f"be at least {MIN_SEARCH_TOLERANCE} * p_j_max"),
         ):
             if not holds:
                 raise ValueError(f"{name} must {need}, got {getattr(self, name)}")
@@ -214,11 +210,7 @@ class ExperimentConfig:
         )
 
     def jammer_config(self) -> JammerConfig:
-        return JammerConfig(
-            p_j_max=self.p_j_max,
-            gamma=self.gamma,
-            search_tolerance=self.jammer_search_tolerance,
-        )
+        return JammerConfig(p_j_max=self.p_j_max, gamma=self.gamma)
 
     def grid(self) -> StrategyGrid:
         return StrategyGrid.build(self.grid_levels, self.p_bs_max)

@@ -21,9 +21,6 @@ from .channel import ChannelRealization
 from .rates import link_terms, sum_rate, sum_rate_curve
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Smallest search tolerance, relative to p_j_max: golden-section search
-# cannot shrink its bracket below a few ulps, so a finer one never ends.
-MIN_SEARCH_TOLERANCE = 1e-12
 # Points of the sweep that brackets the best response on [0, p_j_max].
 PROBE_POINTS = 65
 
@@ -32,17 +29,12 @@ PROBE_POINTS = 65
 class JammerConfig:
     p_j_max: float = 20.0
     gamma: float = 0.5
-    search_tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.p_j_max <= 0:
             raise ValueError("p_j_max must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if not self.search_tolerance >= MIN_SEARCH_TOLERANCE * self.p_j_max:
-            raise ValueError(
-                f"search_tolerance must be at least {MIN_SEARCH_TOLERANCE} * p_j_max"
-            )
         # best_response's sweep, built once per config: the read-only grid, its
         # points as plain floats for the bracket ends, and the cost on it.
         grid = np.linspace(0.0, self.p_j_max, PROBE_POINTS)
@@ -55,8 +47,6 @@ class JammerConfig:
 @dataclass(frozen=True)
 class BestResponse:
     p_j_star: float
-    interior: bool
-    u_at_star: float
 
 
 def jammer_utility_curve(
@@ -98,15 +88,16 @@ def best_response(
 
     The utility is concave in the jamming power (see the module docstring),
     so the best of the config's 65-point sweep lies within one step of the
-    maximizer; golden-section search refines it on that bracket.
-    Deterministic in its inputs.
+    maximizer; golden-section search refines it on that bracket until the
+    bracket is 1e-5 wide, or 1e-12 * p_j_max where that is wider (a bracket
+    cannot shrink below a few ulps of p_j_max).  Deterministic in its inputs.
     """
     # Plain floats: numpy scalars would slow every step of the scalar search.
     powers = tuple(map(float, alloc1 + alloc2))
     if min(powers) < 0:
         raise ValueError("allocations must be non-negative")
     terms = link_terms(ch, *powers)
-    gamma, pmax, tol = cfg.gamma, cfg.p_j_max, cfg.search_tolerance
+    gamma, pmax = cfg.gamma, cfg.p_j_max
 
     def u(p_j: float) -> float:
         return -(sum_rate(terms, p_j) + gamma * p_j)
@@ -114,16 +105,13 @@ def best_response(
     # The sweep's largest utility is its smallest sum rate plus cost.
     k = int(np.argmin(sum_rate_curve(terms, cfg.probe_grid) + cfg._probe_cost))
     ends = cfg._probe_floats
-    star = _golden_max(u, ends[max(0, k - 1)], ends[min(len(ends) - 1, k + 1)], tol)
+    lo, hi = ends[max(0, k - 1)], ends[min(len(ends) - 1, k + 1)]
+    star = _golden_max(u, lo, hi, max(1e-5, 1e-12 * pmax))
 
     # The ends are the clamp points; the best utility wins outright, and a tie
     # goes to the larger power.
-    u_star, p_star = max((u(0.0), 0.0), (u(star), star), (u(pmax), pmax))
-    return BestResponse(
-        p_j_star=p_star,
-        interior=bool(tol < p_star < pmax - tol),
-        u_at_star=float(u_star),
-    )
+    _, p_star = max((u(0.0), 0.0), (u(star), star), (u(pmax), pmax))
+    return BestResponse(p_j_star=p_star)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .nn import (
     init_mlp,
     mlp_backward,
     mlp_forward,
-    mlp_forward_batch,
     target_sync,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "init_mlp",
     "mlp_backward",
     "mlp_forward",
-    "mlp_forward_batch",
     "observation_for",
     "quantize_sinr",
     "select_action",

@@ -8,7 +8,8 @@ A network may also be a stack of m independent networks of one shape: each
 weight then has shape (m, out, in) and each bias (m, out), and every pass
 runs all m at once with stacked ``matmul``.  Slice i of a stacked pass gives
 the same bits as the pass of network i alone (``tests/test_nn.py`` pins
-this), so stacking the two base stations' networks changes no output.
+this), so stacking the two base stations' networks changes no output.  The
+training step takes stacks only; one network trains as a stack of one.
 """
 
 from __future__ import annotations
@@ -124,15 +125,6 @@ def mlp_forward(params: MlpParams, obs) -> np.ndarray:
     return q.reshape(shape[:-1] + q.shape[-1:])
 
 
-def mlp_forward_batch(params: MlpParams, batch_obs: np.ndarray) -> np.ndarray:
-    """Q-values for a (B, n_inputs) batch of observations, or an
-    (m, B, n_inputs) batch per network of a stack of m."""
-    x = np.asarray(batch_obs, dtype=float)
-    if params.stacked:
-        return _forward_cached(params, x)[-1]
-    return _forward_cached(params._as_stack(), x[None])[-1][0]
-
-
 def _td_gradients(params: MlpParams, x: np.ndarray, actions, targets):
     """Residuals Q(x, a) - target and their gradients, per network of a stack.
 
@@ -189,23 +181,18 @@ def dqn_train_step(
     lr: float,
     discount: float,
 ):
-    """One SGD step on the mean squared temporal-difference loss.
+    """One SGD step on the mean squared temporal-difference loss, for each
+    network of a stack of m.
 
-    Row k of the batch is the transition (x[k], actions[k], rewards[k],
-    nx[k]).  Targets are reward + discount * max_a' T(nx, a') computed
-    through the frozen target network.  Returns the pre-step loss.
-
-    For stacked networks every argument gains a leading network axis, each
-    network trains on its own batch and the losses come back as an (m,)
-    array.
+    Network i trains on its own batch: row k is the transition (x[i, k],
+    actions[i, k], rewards[i, k], nx[i, k]), with x and nx of shape
+    (m, B, n_inputs) and actions and rewards of shape (m, B).  Targets are
+    reward + discount * max_a' T(nx, a') computed through the frozen target
+    network.  Returns the (m,) pre-step losses.
     """
     if actions.shape[-1] == 0:
         raise ValueError("batch must be non-empty")
-    stacked = main.stacked
-    if not stacked:
-        main, target_net = main._as_stack(), target_net._as_stack()
-        x, actions, rewards, nx = x[None], actions[None], rewards[None], nx[None]
-    next_q = mlp_forward_batch(target_net, nx)
+    next_q = _forward_cached(target_net, nx)[-1]
     targets = rewards + discount * next_q.max(axis=2)
     residual, gw, gb = _td_gradients(main, x, actions, targets)
     loss = (residual**2).sum(axis=1) / (2 * actions.shape[1])
@@ -214,7 +201,7 @@ def dqn_train_step(
         w -= lr * dw
     for b, db in zip(main.biases, gb):
         b -= lr * db
-    return loss if stacked else float(loss[0])
+    return loss
 
 
 def target_sync(main: MlpParams, target_net: MlpParams) -> MlpParams:

@@ -11,7 +11,7 @@ from nomajam.learn.agents import (
     quantize_sinr,
     select_action,
 )
-from nomajam.learn.nn import dqn_train_step, init_mlp, mlp_forward
+from nomajam.learn.nn import MlpParams, dqn_train_step, init_mlp, mlp_forward
 from nomajam.rates import selfish_reward
 
 
@@ -254,7 +254,8 @@ def test_dqn_replay_ring_matches_deque_reference():
     seeds = (3, 4)
     agent = make_dqn(seeds=seeds, replay_capacity=5, batch_size=4, sync_period=3)
     rngs = [np.random.default_rng(s) for s in seeds]  # weights, then draws
-    params = [init_mlp(4, 6, rng) for rng in rngs]
+    # each player's networks as a stack of one, the form the training step takes
+    params = [MlpParams.stack([init_mlp(4, 6, rng)]) for rng in rngs]
     targets = [p.copy() for p in params]
     memories = [deque(maxlen=5) for _ in seeds]
     eps = 0.9
@@ -268,14 +269,15 @@ def test_dqn_replay_ring_matches_deque_reference():
 
         for i, (rng, memory) in enumerate(zip(rngs, memories)):
             x = np.array(obs[i]) / 7
-            assert actions[i] == select_action(mlp_forward(params[i], x), eps, rng)
+            q = mlp_forward(params[i], x[None])[0]
+            assert actions[i] == select_action(q, eps, rng)
             memory.append((x, actions[i], rewards[i] * 0.025, np.array(nxt[i]) / 7))
             idx = rng.integers(len(memory), size=min(4, len(memory)))
             batch = [memory[int(k)] for k in idx]
             dqn_train_step(
                 params[i], targets[i],
-                np.stack([t[0] for t in batch]), np.array([t[1] for t in batch]),
-                np.array([t[2] for t in batch]), np.stack([t[3] for t in batch]),
+                np.stack([t[0] for t in batch])[None], np.array([[t[1] for t in batch]]),
+                np.array([[t[2] for t in batch]]), np.stack([t[3] for t in batch])[None],
                 lr=0.1, discount=0.7,
             )
             if step % 3 == 0:
@@ -284,6 +286,6 @@ def test_dqn_replay_ring_matches_deque_reference():
         obs = nxt
     assert agent.slot == 12
     for i in range(2):
-        got, want = agent.params.player(i), params[i]
+        got, want = agent.params.player(i), params[i].player(0)
         for g, w in zip(got.weights + got.biases, want.weights + want.biases):
             assert np.array_equal(g, w)

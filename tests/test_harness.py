@@ -61,9 +61,9 @@ OUT_OF_RANGE = [
     {"z": -1.0},
     {"z": 1.5},
     {"sinr_lo_db": 30.0},  # equal to sinr_hi_db
-    {"jammer_search_tolerance": 0.0},
-    {"jammer_search_tolerance": -1.0},
-    {"jammer_search_tolerance": 1e-20},
+    {"p_j_max": 0.0},
+    {"sinr_levels": 1},
+    {"workers": 0},
     {"seeds": (-3, 1)},
     {"r0": -1.0},
     {"reward_scale": 0.0},
@@ -552,6 +552,15 @@ def test_cli_rejects_out_of_range(tmp_path, changes, capsys):
     cfgfile.write_text(f"{key} = {raw}\n", encoding="utf-8")
     assert cli_main(["--config", str(cfgfile), "--slots", "3"]) == 1
     assert key in capsys.readouterr().err
+
+
+def test_cli_rejects_removed_search_tolerance_key(tmp_path, capsys):
+    # the follower's search tolerance is fixed; a file still setting it is
+    # refused at the boundary like any other unknown key
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("jammer_search_tolerance = 1e-5\n", encoding="utf-8")
+    assert cli_main(["--config", str(cfgfile), "--slots", "3"]) == 1
+    assert "jammer_search_tolerance" in capsys.readouterr().err
 
 
 def test_negative_seeds_rejected():

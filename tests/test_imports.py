@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "nomajam"
+ACCEPTANCE = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def _imported(tree):
@@ -64,26 +65,34 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(name, line) of every name, attribute and ``__all__`` entry."""
+    """(name, line) of every name and attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            for elt in node.value.elts:
-                yield elt.value, elt.lineno
+
+
+def _acceptance_imports():
+    """Names tests/test_acceptance.py imports from the package."""
+    tree = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nomajam")
+        for alias in node.names
+    }
 
 
 def test_every_definition_is_referenced():
     # a function, class, method or module-level name that nothing under src/
-    # names outside its own definition is dead code or test-only API; dunder
-    # methods are called by Python itself, and dunder names such as
-    # __version__ are read by tools
+    # names outside its own definition is dead code or test-only API; an
+    # ``__all__`` entry alone does not count, except for the names the
+    # acceptance criteria import; dunder methods are called by Python itself,
+    # and dunder names such as __version__ are read by tools
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.rglob("*.py"))}
+    public = _acceptance_imports()
     refs: dict[str, list] = {}
     for path, tree in trees.items():
         for name, line in _references(tree):
@@ -93,6 +102,7 @@ def test_every_definition_is_referenced():
         for path, tree in trees.items()
         for name, first, last in _definitions(tree)
         if not (name.startswith("__") and name.endswith("__"))
+        and name not in public
         and not any(p != path or not first <= line <= last
                     for p, line in refs.get(name, ()))
     ]

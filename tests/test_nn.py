@@ -3,13 +3,18 @@ import pytest
 
 from nomajam.learn.nn import (
     MlpParams,
+    _forward_cached,
     dqn_train_step,
     init_mlp,
     mlp_backward,
     mlp_forward,
-    mlp_forward_batch,
     target_sync,
 )
+
+
+def stack_of_one(rng, n_in=4, n_out=6):
+    """A single network as the stack of one that the training step takes."""
+    return MlpParams.stack([init_mlp(n_in, n_out, rng)])
 
 
 def zero_params(n_in=4, n_out=6):
@@ -81,7 +86,7 @@ def test_forward_batch_matches_single():
     rng = np.random.default_rng(5)
     p = init_mlp(4, 6, rng)
     xs = rng.normal(size=(8, 4))
-    batch = mlp_forward_batch(p, xs)
+    batch = _forward_cached(MlpParams.stack([p]), xs[None])[-1][0]
     for k in range(8):
         assert np.allclose(batch[k], mlp_forward(p, xs[k]), rtol=1e-14)
 
@@ -149,57 +154,60 @@ def test_backward_matches_finite_differences_sample():
 
 def test_train_step_zero_discount_uses_raw_rewards():
     rng = np.random.default_rng(10)
-    main = init_mlp(4, 6, rng)
-    ref = main.copy()
+    main = stack_of_one(rng)
+    ref = main.player(0)
     target_net = main.copy()
     obs = rng.uniform(0, 1, 4)
     nxt = rng.uniform(0, 1, 4)
-    dqn_train_step(main, target_net, obs[None, :], np.array([1]), np.array([0.7]),
-                   nxt[None, :], lr=0.01, discount=0.0)
+    dqn_train_step(main, target_net, obs[None, None, :], np.array([[1]]),
+                   np.array([[0.7]]), nxt[None, None, :], lr=0.01, discount=0.0)
     # manual single-sample step with the target equal to the raw reward
     gw, gb = mlp_backward(ref, obs, 1, 0.7)
-    for w, rw, g in zip(main.weights, ref.weights, gw):
+    got = main.player(0)
+    for w, rw, g in zip(got.weights, ref.weights, gw):
         assert np.allclose(w, rw - 0.01 * g, rtol=1e-12)
-    for b, rb, g in zip(main.biases, ref.biases, gb):
+    for b, rb, g in zip(got.biases, ref.biases, gb):
         assert np.allclose(b, rb - 0.01 * g, rtol=1e-12)
 
 
 def test_train_step_no_change_at_fixed_point():
     rng = np.random.default_rng(11)
-    main = init_mlp(4, 6, rng)
+    main = stack_of_one(rng)
     target_net = main.copy()
     obs = rng.uniform(0, 1, 4)
     nxt = rng.uniform(0, 1, 4)
-    q = mlp_forward(main, obs)
-    nq = mlp_forward(target_net, nxt)
+    q = mlp_forward(main.player(0), obs)
+    nq = mlp_forward(target_net.player(0), nxt)
     discount = 0.7
     reward = float(q[2] - discount * nq.max())  # makes target equal current Q
     before = main.copy()
-    loss = dqn_train_step(main, target_net, obs[None, :], np.array([2]),
-                          np.array([reward]), nxt[None, :], lr=0.05, discount=discount)
-    assert loss == pytest.approx(0.0, abs=1e-20)
+    loss = dqn_train_step(main, target_net, obs[None, None, :], np.array([[2]]),
+                          np.array([[reward]]), nxt[None, None, :], lr=0.05,
+                          discount=discount)
+    assert loss.shape == (1,)
+    assert loss[0] == pytest.approx(0.0, abs=1e-20)
     for w, rw in zip(main.weights, before.weights):
         assert np.array_equal(w, rw)
 
 
 def test_train_step_loss_decreases_on_fixed_batch():
     rng = np.random.default_rng(12)
-    main = init_mlp(4, 6, rng)
+    main = stack_of_one(rng)
     target_net = main.copy()
-    x, nx = rng.uniform(0, 1, (16, 4)), rng.uniform(0, 1, (16, 4))
-    actions, rewards = rng.integers(6, size=16), rng.normal(size=16)
+    x, nx = rng.uniform(0, 1, (1, 16, 4)), rng.uniform(0, 1, (1, 16, 4))
+    actions, rewards = rng.integers(6, size=(1, 16)), rng.normal(size=(1, 16))
     # keep the target net frozen so the targets are fixed
     losses = [dqn_train_step(main, target_net, x, actions, rewards, nx,
-                             lr=1e-3, discount=0.7)
+                             lr=1e-3, discount=0.7)[0]
               for _ in range(30)]
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
 def test_train_step_rejects_empty_batch():
-    p = init_mlp(4, 6, np.random.default_rng(13))
+    p = stack_of_one(np.random.default_rng(13))
     with pytest.raises(ValueError):
-        dqn_train_step(p, p.copy(), np.empty((0, 4)), np.empty(0, dtype=int),
-                       np.empty(0), np.empty((0, 4)), lr=0.1, discount=0.7)
+        dqn_train_step(p, p.copy(), np.empty((1, 0, 4)), np.empty((1, 0), dtype=int),
+                       np.empty((1, 0)), np.empty((1, 0, 4)), lr=0.1, discount=0.7)
 
 
 def test_target_sync_copies_and_is_idempotent():
@@ -277,7 +285,7 @@ def test_stacked_pass_is_bit_equal_per_network(batch):
     x = rng.uniform(0.0, 1.0, (2, batch, 4))
     actions = rng.integers(15, size=(2, batch))
     targets = rng.normal(size=(2, batch))
-    q = mlp_forward_batch(stack, x)
+    q = _forward_cached(stack, x)[-1]
     residual, gw, gb = _td_gradients(stack, x, actions, targets)
     for i, net in enumerate(nets):
         want_q, want_res, want_grads = reference_pass(net, x[i], actions[i], targets[i])
