@@ -74,6 +74,13 @@ class Geometry:
     def noise_power(self) -> float:
         return 10.0 ** (self.noise_power_db / 10.0)
 
+    @cached_property
+    def large_scale(self) -> np.ndarray:
+        """Read-only 4x3 matrix of ``path_loss`` over ``distances()``."""
+        loss = np.vectorize(path_loss)(self.distances())
+        loss.setflags(write=False)
+        return loss
+
 
 def default_geometry(jammer_position: float = DEFAULT_JAMMER_POSITION) -> Geometry:
     """The scenario used throughout the experiments, with a movable jammer."""
@@ -112,13 +119,11 @@ def draw_channels(geom: Geometry, seed: int, fading: bool = True) -> ChannelReal
     Each gain is path_loss(d) * f / sigma^2 with f a unit-mean exponential
     fading draw (Rayleigh amplitude), or f = 1 when fading is disabled.
     """
-    dists = geom.distances()
-    large_scale = np.vectorize(path_loss)(dists)
     if fading:
         rng = np.random.default_rng(seed)
         f = rng.exponential(scale=1.0, size=(4, 3))
     else:
         f = np.ones((4, 3))
-    gains = large_scale * f / geom.noise_power
+    gains = geom.large_scale * f / geom.noise_power
     return ChannelRealization(gains=gains, seed=seed)
 

@@ -61,6 +61,9 @@ JAMMER_MODES = ("learning", "best-response")
 MAX_Q_TABLE_BYTES = 256 * 2**20
 MAX_SEED = 2**63 - 1  # the records' int64 seed column
 MAX_SEEDS = 2**20  # seeds per run, checked before a count becomes a tuple
+# Outcomes a TwoCellEnv memoizes per channel realization before it starts
+# over; at the defaults a realization has at most 15**2 * 11 = 2,475 keys.
+OUTCOME_MEMO_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -352,6 +355,10 @@ class TwoCellEnv:
     on [0, p_bs_max]; its action k jams at k * p_j_max / jammer_grid_levels.
     ``seed`` is a run's seed, or a hot-boot scenario's SeedSequence (whose
     rows log seed -1).
+
+    On a fixed realization a slot's outcome is a pure function of the BS
+    actions, and of the learning jammer's action when there is one, so
+    ``step`` memoizes ``_outcome`` by that key until the next redraw.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed) -> None:
@@ -374,6 +381,7 @@ class TwoCellEnv:
         self.slot = 0
         self._obs = ((0, 0, 0, 0), (0, 0, 0, 0))
         self._jam_obs = ((0, 0),)
+        self._outcomes: dict[tuple[int, ...], tuple] = {}
 
     @property
     def n_actions(self) -> int:
@@ -385,12 +393,37 @@ class TwoCellEnv:
 
     def step(self, a1_idx: int, a2_idx: int):
         cfg = self.cfg
+        if self.jammer is None:
+            key = (a1_idx, a2_idx)
+        else:
+            key = (a1_idx, a2_idx, *self.jammer.act(self._jam_obs))
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            if len(self._outcomes) >= OUTCOME_MEMO_ENTRIES:
+                self._outcomes.clear()
+            outcome = self._outcomes[key] = self._outcome(*key)
+        self._obs, rewards, tail, jam_reward, jam_obs = outcome
+        if self.jammer is not None:
+            self.jammer.learn(key[2:], (jam_reward,), jam_obs)
+            self._jam_obs = jam_obs
+        row = (self.seed, self.slot, *tail)
+        self.slot += 1
+        if cfg.redraw_period > 0 and self.slot % cfg.redraw_period == 0:
+            new_seed = int(self._redraw_rng.integers(2**63))
+            self.ch = draw_channels(self.geometry, new_seed, cfg.fading)
+            self._outcomes.clear()
+        return self._obs, rewards, row
+
+    def _outcome(self, a1_idx: int, a2_idx: int, a_j: int | None = None) -> tuple:
+        """(BS observations, BS rewards, row after seed and slot, jammer reward,
+        jammer observation) of a slot on the current realization; the jammer's
+        two are None without a learning jammer."""
+        cfg = self.cfg
         alloc1 = self.grid.actions[a1_idx]
         alloc2 = self.grid.actions[a2_idx]
-        if self.jammer is None:
+        if a_j is None:
             p_j = best_response(self.ch, alloc1, alloc2, self.jcfg).p_j_star
         else:
-            (a_j,) = self.jammer.act(self._jam_obs)
             p_j = a_j * cfg.p_j_max / cfg.jammer_grid_levels
         prof = StrategyProfile(
             p1=alloc1[0], p2=alloc1[1], p3=alloc2[0], p4=alloc2[1], p_j=p_j
@@ -402,31 +435,25 @@ class TwoCellEnv:
         s2 = selfish_reward(rates, 2, p_j, cfg.r0, cfg.gamma, cfg.z)
         r1, r2 = (s1, s2) if self.selfish else (u, u)
         user_rates = rates.tolist()
-        row = (
-            self.seed, self.slot, *prof.as_tuple(), *user_rates, float(rates.sum()),
+        tail = (
+            *prof.as_tuple(), *user_rates, float(rates.sum()),
             objective_p2(rates, cfg.r0), u, s1, s2,
             *(int(r >= cfg.r0) for r in user_rates),
         )
-        if self.jammer is not None:
+        jam_reward = jam_obs = None
+        if a_j is not None:
             levels = cfg.jammer_grid_levels
             jam_obs = (tuple(
                 min(max(int(round(p / cfg.p_bs_max * levels)), 0), levels)
                 for p in (prof.p_bs1, prof.p_bs2)
             ),)
-            self.jammer.learn(
-                (a_j,), (jammer_utility(rates, p_j, cfg.gamma),), jam_obs
-            )
-            self._jam_obs = jam_obs
+            jam_reward = jammer_utility(rates, p_j, cfg.gamma)
         q = tuple(
             quantize_sinr(float(s), cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db)
             for s in sinr
         )
-        self._obs = (observation_for(1, q), observation_for(2, q))
-        self.slot += 1
-        if cfg.redraw_period > 0 and self.slot % cfg.redraw_period == 0:
-            new_seed = int(self._redraw_rng.integers(2**63))
-            self.ch = draw_channels(self.geometry, new_seed, cfg.fading)
-        return self._obs, (r1, r2), row
+        obs = (observation_for(1, q), observation_for(2, q))
+        return obs, (r1, r2), tail, jam_reward, jam_obs
 
 
 def run_slot(env: TwoCellEnv, agents) -> tuple:

@@ -31,10 +31,11 @@ class JammerConfig:
     gamma: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.p_j_max <= 0:
-            raise ValueError("p_j_max must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        # written so that NaN fails each check
+        if not (self.p_j_max > 0 and math.isfinite(self.p_j_max)):
+            raise ValueError(f"p_j_max must be positive and finite, got {self.p_j_max}")
+        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
         # best_response's sweep, built once per config: the read-only grid, its
         # points as plain floats for the bracket ends, and the cost on it.
         grid = np.linspace(0.0, self.p_j_max, PROBE_POINTS)

@@ -82,6 +82,24 @@ def test_fading_disabled_reduces_to_path_loss():
     assert np.allclose(ch.gains, 10.0 ** -3.53, rtol=1e-14)
 
 
+@pytest.mark.parametrize("geom", [
+    default_geometry(),
+    Geometry(user_positions=(13.7, 333.3, 612.9, 977.1), bs_positions=(-41.5, 700.25),
+             jammer_position=1234.5, noise_power_db=-117.3),
+])
+def test_cached_large_scale_gives_the_per_element_gains(geom):
+    # the per-draw expression the cache replaced: path_loss on each distance
+    # as a Python float, times the fading draw, over the noise power
+    loss = np.array([[path_loss(float(d)) for d in row] for row in geom.distances()])
+    assert not geom.large_scale.flags.writeable
+    for seed in (0, 1, 7, 2**40 + 3):
+        f = np.random.default_rng(seed).exponential(scale=1.0, size=(4, 3))
+        gains = draw_channels(geom, seed).gains
+        assert gains.tobytes() == (loss * f / geom.noise_power).tobytes()
+    unfaded = draw_channels(geom, 0, fading=False).gains
+    assert unfaded.tobytes() == (loss * np.ones((4, 3)) / geom.noise_power).tobytes()
+
+
 def test_unit_mean_fading_monte_carlo(geom):
     # mean over many seeds recovers L(d)/sigma^2 within 2% relative
     n = 100_000

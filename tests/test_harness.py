@@ -9,10 +9,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nomajam import harness
 from nomajam.cli import main as cli_main
 from nomajam.game import GridEvaluator
 from nomajam.harness import (
     CSV_HEADER,
+    JAMMER_MODES,
     RECORD_DTYPE,
     ExperimentConfig,
     TwoCellEnv,
@@ -29,6 +31,7 @@ from nomajam.harness import (
     run_slot,
     summarize,
 )
+from nomajam.jammer import best_response
 from nomajam.learn.agents import EpsSchedule, QTable, TabularAgent
 from nomajam.rates import StrategyProfile, bs_utility, rates_from_sinr, sinr_vector
 
@@ -416,6 +419,51 @@ def test_redraw_period_changes_channel():
     for _ in range(10):
         run_slot(env, agents)
     assert not np.array_equal(env.ch.gains, g0)
+
+
+# sha256 of run_seed(cfg, 0).tobytes() for runs that redraw the channel
+# every 25 slots, taken before TwoCellEnv memoized slot outcomes: an outcome
+# kept across a redraw would change them.
+REDRAW_DIGESTS = {
+    ("QLU", "learning"):
+        "e366b53ca45c9dab47b3d77626c07641101d84d318c0c02b0009552197d65e11",
+    ("QLS", "learning"):
+        "60b79953086824b10c5bb753035032d5afed7fccaf9093b0b2da1db407bd18ed",
+    ("QLU", "best-response"):
+        "8c8def828654576e1a363d76fc67ffb7aea14588da859b9bda40316b84faa249",
+    ("QLS", "best-response"):
+        "0f21506ca20d9de529354171e6a3538fa62fdaa3a0914e098dddb0f209d032c7",
+}
+
+
+@pytest.mark.parametrize("scheme,mode", list(REDRAW_DIGESTS))
+def test_redraw_run_matches_pinned_digest(scheme, mode):
+    cfg = ExperimentConfig(scheme=scheme, jammer_mode=mode, slots=1000,
+                           redraw_period=25, seeds=(0,))
+    digest = hashlib.sha256(run_seed(cfg, 0).tobytes()).hexdigest()
+    assert digest == REDRAW_DIGESTS[(scheme, mode)]
+
+
+@pytest.mark.parametrize("mode", JAMMER_MODES)
+def test_records_do_not_depend_on_the_outcome_memo_bound(mode, monkeypatch):
+    cfg = ExperimentConfig(jammer_mode=mode, slots=600, seeds=(0,))
+    expected = run_seed(cfg, 0)
+    monkeypatch.setattr(harness, "OUTCOME_MEMO_ENTRIES", 1)
+    assert run_seed(cfg, 0).tobytes() == expected.tobytes()
+
+
+def test_best_response_runs_once_per_distinct_joint_action(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return best_response(*args)
+
+    monkeypatch.setattr(harness, "best_response", counted)
+    cfg = ExperimentConfig(jammer_mode="best-response", slots=2000, seeds=(0,))
+    records = run_seed(cfg, 0)
+    joint = {(r.p1, r.p2, r.p3, r.p4) for r in records}
+    assert len(calls) == len(joint) < cfg.slots
 
 
 def test_hbdqlu_runs_end_to_end():

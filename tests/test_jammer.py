@@ -37,6 +37,15 @@ def test_config_validation():
         JammerConfig(gamma=-0.1)
 
 
+@pytest.mark.parametrize("field", ["p_j_max", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_nonfinite(field, value):
+    # NaN passes a bare `<= 0` or `< 0` check, and best_response then
+    # answered p_j_star = 0.0 without complaint
+    with pytest.raises(ValueError, match=f"^{field} must .* finite"):
+        JammerConfig(**{field: value})
+
+
 def test_zero_cost_jams_at_full_power(geom):
     cfg = JammerConfig(gamma=0.0)
     for seed in range(5):
