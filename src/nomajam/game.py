@@ -11,8 +11,8 @@ points, every certificate is explicitly grid-relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property, partial
 from itertools import product
 
 import numpy as np
@@ -582,13 +582,15 @@ def _find_ne_full_power(
     jcfg: JammerConfig,
     r0: float,
     gamma: float,
-    z: float,
-    eps_ne: float,
+    z: float = 0.01,
+    eps_ne: float = EPS_NE,
+    mood_report: MoodReport | None = None,
+    evaluator: GridEvaluator | None = None,
+    *,
     full_cell: int,
-    mood_report: MoodReport | None,
-    evaluator: GridEvaluator | None,
 ) -> tuple[list[NeCertificate], NeCertificate | None]:
-    """Shared core of the two one-cell-infeasible equilibrium finders."""
+    """Equilibria where the other cell cannot meet QoS and BS ``full_cell``
+    runs at full power; the Pareto pick is the second item."""
     mood = mood_report or mood_classify(ch, grid, jcfg, r0)
     if mood.mood != 2:
         return [], None
@@ -652,38 +654,10 @@ def _find_ne_full_power(
     return certs, pne
 
 
-def find_ne_l2(
-    ch: ChannelRealization,
-    grid: StrategyGrid,
-    jcfg: JammerConfig,
-    r0: float,
-    gamma: float,
-    z: float = 0.01,
-    eps_ne: float = EPS_NE,
-    mood_report: MoodReport | None = None,
-    evaluator: GridEvaluator | None = None,
-) -> tuple[list[NeCertificate], NeCertificate | None]:
-    """Equilibria where cell 1 cannot meet QoS and BS2 runs at full power."""
-    return _find_ne_full_power(
-        ch, grid, jcfg, r0, gamma, z, eps_ne, 2, mood_report, evaluator
-    )
-
-
-def find_ne_l3(
-    ch: ChannelRealization,
-    grid: StrategyGrid,
-    jcfg: JammerConfig,
-    r0: float,
-    gamma: float,
-    z: float = 0.01,
-    eps_ne: float = EPS_NE,
-    mood_report: MoodReport | None = None,
-    evaluator: GridEvaluator | None = None,
-) -> tuple[list[NeCertificate], NeCertificate | None]:
-    """Mirror image of find_ne_l2 with the cells swapped."""
-    return _find_ne_full_power(
-        ch, grid, jcfg, r0, gamma, z, eps_ne, 1, mood_report, evaluator
-    )
+# Equilibria where cell 1 cannot meet QoS and BS2 runs at full power, and
+# the mirror image with the cells swapped.
+find_ne_l2 = partial(_find_ne_full_power, full_cell=2)
+find_ne_l3 = partial(_find_ne_full_power, full_cell=1)
 
 
 @dataclass
@@ -809,10 +783,7 @@ def analysis_report(
         "z": z,
         "mood": mood.mood,
         "ps_pairs": [list(p) for p in mood.ps_set],
-        "brute_force": [
-            {"p1": p.p1, "p2": p.p2, "p3": p.p3, "p4": p.p4, "p_j": p.p_j}
-            for p in bf
-        ],
+        "brute_force": [asdict(p) for p in bf],
         "ne_l1": [c.to_dict() for c in l1],
         "pareto_l1": {**sel.certificate.to_dict(), "tie": sel.tie} if sel else None,
         "ne_l2": [c.to_dict() for c in l2],
@@ -827,12 +798,6 @@ def analysis_report(
             "n_brute_force": len(bf),
             "jammer_unimodal_at_ne": sum(unimodal),
             "jammer_probed_at_ne": len(unimodal),
-            "monotonicity": {
-                "slope_checked": mono.slope_checked,
-                "slope_violations": mono.slope_violations,
-                "curvature_checked": mono.curvature_checked,
-                "curvature_violations": mono.curvature_violations,
-                "skipped": mono.skipped,
-            },
+            "monotonicity": asdict(mono),
         },
     }

@@ -53,12 +53,23 @@ log = logging.getLogger(__name__)
 
 SCHEMES = ("QLU", "DQLU", "HBDQLU", "QLS", "NE-ANALYSIS")
 JAMMER_MODES = ("learning", "best-response")
-# Largest Q-table a tabular agent may allocate, in float64: a BS agent's
-# (sinr_levels**4 states by one column per grid action; QLU and QLS run two)
-# or the learning jammer's ((jammer_grid_levels + 1)**2 states by
-# jammer_grid_levels + 1 actions).  NE-ANALYSIS's table of joint grid
-# profiles is held to the same bound.
-MAX_Q_TABLE_BYTES = 256 * 2**20
+# Largest array a run may size from its config, checked in
+# ``ExperimentConfig.validate`` per array and per run (not summed over seeds).
+MAX_ARRAY_BYTES = 256 * 2**20
+# The DQN pair's memory, from tracemalloc peaks of 40-slot runs (780 and
+# 4,950 actions, batch 1..256) and of training steps (3 to 780 actions, batch
+# 1,024 and 4,096): per action, the output layers, their gradients and the
+# update's temporaries; per batch sample, the hidden activations and their
+# gradients; per action and sample, the Q-values, target Q-values and output
+# gradients (2 players x 3 x 8 bytes).
+DQN_BYTES_PER_ACTION = 1600
+DQN_BYTES_PER_SAMPLE = 3336
+DQN_BYTES_PER_ACTION_SAMPLE = 48
+# One transition of the pair's replay rings: two players' observation and
+# next observation (4 float64 each), action (intp) and reward (float64).
+REPLAY_BYTES_PER_TRANSITION = 2 * (4 + 4 + 1 + 1) * 8
+# A hot-boot scenario's SeedSequence, spawned up front (tracemalloc, 10**5).
+SEED_SEQUENCE_BYTES = 368
 MAX_SEED = 2**63 - 1  # the records' int64 seed column
 MAX_SEEDS = 2**20  # seeds per run, checked before a count becomes a tuple
 # Outcomes a TwoCellEnv memoizes per channel realization before it starts
@@ -175,34 +186,45 @@ class ExperimentConfig:
             raise ValueError("redraw_period must be non-negative")
         self.geometry()  # validates positions/distances
         self.jammer_config()
-        n_actions = len(self.grid().actions)
-        if self.scheme != "NE-ANALYSIS" and n_actions < 2:
+        learning = self.scheme != "NE-ANALYSIS"
+        if learning and self.n_actions < 2:
             raise ValueError(
                 f"grid_levels must be at least 3 for {self.scheme}: "
                 f"{self.grid_levels} levels give a single action"
             )
-        table_bytes = self.sinr_levels**4 * n_actions * 8
-        if self.scheme in ("QLU", "QLS") and table_bytes > MAX_Q_TABLE_BYTES:
-            raise ValueError(
-                f"grid_levels = {self.grid_levels} and sinr_levels = "
-                f"{self.sinr_levels} need a {table_bytes / 2**20:.0f} MiB Q-table "
-                f"per BS, above the {MAX_Q_TABLE_BYTES // 2**20} MiB bound"
-            )
-        ne_bytes = n_actions**2 * TABLE_BYTES_PER_PROFILE
-        if self.scheme == "NE-ANALYSIS" and ne_bytes > MAX_Q_TABLE_BYTES:
-            raise ValueError(
-                f"grid_levels = {self.grid_levels} needs a {ne_bytes / 2**20:.0f} "
-                f"MiB table of joint grid profiles, above the "
-                f"{MAX_Q_TABLE_BYTES // 2**20} MiB bound"
-            )
-        jammer_bytes = (self.jammer_grid_levels + 1) ** 3 * 8
-        if (self.scheme != "NE-ANALYSIS" and self.jammer_mode == "learning"
-                and jammer_bytes > MAX_Q_TABLE_BYTES):
-            raise ValueError(
-                f"jammer_grid_levels = {self.jammer_grid_levels} needs a "
-                f"{jammer_bytes / 2**20:.0f} MiB jammer Q-table, above the "
-                f"{MAX_Q_TABLE_BYTES // 2**20} MiB bound"
-            )
+        dqn = self.scheme in ("DQLU", "HBDQLU")
+        batch = min(self.batch_size, self.replay_capacity)
+        dqn_bytes = self.n_actions * DQN_BYTES_PER_ACTION + batch * (
+            DQN_BYTES_PER_SAMPLE + self.n_actions * DQN_BYTES_PER_ACTION_SAMPLE
+        )
+        # (keys, applies, bytes, what) of every array whose size the config sets
+        for keys, applies, nbytes, what in (
+            (("grid_levels", "sinr_levels"), self.scheme in ("QLU", "QLS"),
+             self.sinr_levels**4 * self.n_actions * 8, "Q-table per BS"),
+            (("grid_levels",), not learning,
+             self.n_actions**2 * TABLE_BYTES_PER_PROFILE,
+             "table of joint grid profiles"),
+            (("jammer_grid_levels",), learning and self.jammer_mode == "learning",
+             (self.jammer_grid_levels + 1) ** 3 * 8, "jammer Q-table"),
+            (("grid_levels", "batch_size"), dqn, dqn_bytes, "DQN pair"),
+            (("replay_capacity",), dqn,
+             self.replay_capacity * REPLAY_BYTES_PER_TRANSITION, "pair of replay rings"),
+            (("slots",), learning, self.slots * RECORD_DTYPE.itemsize, "record array"),
+            (("hot_boot_scenarios",), self.scheme == "HBDQLU",
+             (self.hot_boot_scenarios + 2) * SEED_SEQUENCE_BYTES,
+             "list of hot-boot seed sequences"),
+        ):
+            if applies and nbytes > MAX_ARRAY_BYTES:
+                named = " and ".join(f"{k} = {getattr(self, k)}" for k in keys)
+                raise ValueError(
+                    f"{named}: the {what} would take {-(-nbytes // 2**20)} MiB, "
+                    f"above the {MAX_ARRAY_BYTES // 2**20} MiB bound"
+                )
+
+    @property
+    def n_actions(self) -> int:
+        """Actions per BS: the L(L - 1)/2 level pairs of ``StrategyGrid``."""
+        return self.grid_levels * (self.grid_levels - 1) // 2
 
     def geometry(self) -> Geometry:
         return Geometry(
@@ -383,10 +405,6 @@ class TwoCellEnv:
         self._jam_obs = ((0, 0),)
         self._outcomes: dict[tuple[int, ...], tuple] = {}
 
-    @property
-    def n_actions(self) -> int:
-        return len(self.grid.actions)
-
     def observations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The two BSs' observations, one object per slot (see ``TabularAgent``)."""
         return self._obs
@@ -468,16 +486,16 @@ def run_slot(env: TwoCellEnv, agents) -> tuple:
     return row
 
 
-def _build_agents(cfg: ExperimentConfig, n_actions: int, seed_seqs, boot_params=None):
+def _build_agents(cfg: ExperimentConfig, seed_seqs, boot_params=None):
     """The BS pair's one learner, player i drawing from ``seed_seqs[i]``."""
     eps = cfg.eps_schedule()
     if cfg.scheme in ("QLU", "QLS"):
         return TabularAgent(
-            n_actions, cfg.sinr_levels, 4, cfg.alpha_ql, cfg.discount, eps, seed_seqs
+            cfg.n_actions, cfg.sinr_levels, 4, cfg.alpha_ql, cfg.discount, eps, seed_seqs
         )
     if cfg.scheme in ("DQLU", "HBDQLU"):
         return DqnAgent(
-            n_actions,
+            cfg.n_actions,
             cfg.sinr_levels,
             cfg.alpha_dqn,
             cfg.discount,
@@ -503,14 +521,14 @@ def hot_boot(cfg: ExperimentConfig, boot_ss: np.random.SeedSequence):
     """
     children = boot_ss.spawn(cfg.hot_boot_scenarios + 2)
     scenario_seeds, agent_seeds = children[:-2], children[-2:]
-    agents = _build_agents(cfg, len(cfg.grid().actions), agent_seeds)
+    agents = _build_agents(cfg, agent_seeds)
     for i, scenario_ss in enumerate(scenario_seeds):
         env = TwoCellEnv(cfg, scenario_ss)
-        losses = []
+        loss = 0.0
         for _ in range(cfg.hot_boot_slots):
             run_slot(env, agents)
-            losses.append(agents.last_loss[0])
-        log.info("hot-boot scenario %d mean loss %.4g", i, float(np.mean(losses)))
+            loss += agents.last_loss[0]
+        log.info("hot-boot scenario %d mean loss %.4g", i, loss / cfg.hot_boot_slots)
     return agents.params.player(0)
 
 
@@ -521,7 +539,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> np.recarray:
     boot_params = None
     if cfg.scheme == "HBDQLU":
         boot_params = hot_boot(cfg, boot_ss)
-    agents = _build_agents(cfg, env.n_actions, (a1_ss, a2_ss), boot_params)
+    agents = _build_agents(cfg, (a1_ss, a2_ss), boot_params)
     rows = (run_slot(env, agents) for _ in range(cfg.slots))
     return np.fromiter(rows, RECORD_DTYPE, cfg.slots).view(np.recarray)
 

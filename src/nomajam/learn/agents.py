@@ -107,10 +107,9 @@ class _Players:
 
     ``act`` takes a tuple of one observation per player and returns one
     action per player; ``learn(actions, rewards, next_obs)`` trains on the
-    transition from the observations of the last ``act``.  Each observation
-    is encoded once: ``act`` keeps its encoding for ``learn``, and the next
-    ``act`` reuses ``learn``'s encoding of ``next_obs`` when it is handed
-    that same (immutable) tuple.
+    transition from the observations of the last ``act``.  ``act`` keeps its
+    encoding for ``learn``, and the next ``act`` reuses ``learn``'s encoding
+    of ``next_obs`` when it is handed that same (immutable) tuple.
     """
 
     def __init__(self, eps: EpsSchedule, seeds) -> None:
@@ -130,12 +129,26 @@ class _Players:
         self.eps = max(self.eps_schedule.floor, self.eps * self.eps_schedule.decay)
 
 
+class _Rows(dict):
+    """One player's observation -> Q-table row, encoded on first sight."""
+
+    def __init__(self, offset: int, levels: int) -> None:
+        super().__init__()
+        self.offset = offset
+        self.levels = levels
+
+    def __missing__(self, obs) -> int:
+        row = self[obs] = self.offset + encode_observation(obs, self.levels)
+        return row
+
+
 class TabularAgent(_Players):
     """Independent Q-learning over ``obs_len`` quantized values in [0, levels):
     the two BSs, each observing its four SINR indices, or the jammer alone,
     observing its two binned BS totals.  The players' tables are stacked as
     one ``QTable`` of players * n_states rows: player i's state s is row
-    i * n_states + s.
+    i * n_states + s.  Each player encodes an observation once and then looks
+    its row up in a dict, which holds at most n_states entries.
     """
 
     def __init__(
@@ -149,16 +162,17 @@ class TabularAgent(_Players):
         seeds,
     ) -> None:
         super().__init__(eps, seeds)
-        self.levels = levels
         self.n_states = levels**obs_len
         self.table = QTable(
             len(self.rngs) * self.n_states, n_actions, alpha, discount
         )
+        self._rows = [
+            _Rows(i * self.n_states, levels) for i in range(len(self.rngs))
+        ]
 
     def _encode(self, obs) -> tuple[int, ...]:
         """Each player's row in ``table``."""
-        levels, n = self.levels, self.n_states
-        return tuple([i * n + encode_observation(o, levels) for i, o in enumerate(obs)])
+        return tuple([rows[o] for rows, o in zip(self._rows, obs)])
 
     def act(self, obs) -> tuple[int, ...]:
         eps, rows = self.eps, self.table.table

@@ -243,6 +243,13 @@ def test_tabular_act_reuses_learned_next_state(monkeypatch):
         a.learn(a.act(obs), (1.0, 2.0), nxt)
         obs = nxt
     assert len(calls) == 2 * 6
+    # a player's row is looked up, not encoded again, when an observation
+    # repeats, even as a new tuple of equal values
+    for t in range(10):
+        nxt = ((t % 5, 1, 2, 3), (3, 2, 1, t % 5))
+        a.learn(a.act(tuple(map(tuple, obs))), (1.0, 2.0), nxt)
+        obs = nxt
+    assert len(calls) == 2 * 6
 
 
 def test_dqn_replay_ring_matches_deque_reference():

@@ -11,7 +11,7 @@ import pytest
 
 from nomajam import harness
 from nomajam.cli import main as cli_main
-from nomajam.game import GridEvaluator
+from nomajam.game import GridEvaluator, StrategyGrid
 from nomajam.harness import (
     CSV_HEADER,
     JAMMER_MODES,
@@ -32,7 +32,7 @@ from nomajam.harness import (
     summarize,
 )
 from nomajam.jammer import best_response
-from nomajam.learn.agents import EpsSchedule, QTable, TabularAgent
+from nomajam.learn.agents import DqnAgent, EpsSchedule, QTable, TabularAgent
 from nomajam.rates import StrategyProfile, bs_utility, rates_from_sinr, sinr_vector
 
 FAST = dict(slots=50, seeds=(0,), summary_window=20)
@@ -41,7 +41,7 @@ FAST = dict(slots=50, seeds=(0,), summary_window=20)
 def greedy_agents(env):
     eps = EpsSchedule(start=0.0, decay=1.0, floor=0.0)
     return TabularAgent(
-        env.n_actions, 8, 4, alpha=0.2, discount=0.7, eps=eps, seeds=(1, 2)
+        env.cfg.n_actions, 8, 4, alpha=0.2, discount=0.7, eps=eps, seeds=(1, 2)
     )
 
 
@@ -189,16 +189,26 @@ def test_cli_rejects_oversized_q_table_before_allocating(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(QTable, "__init__", refuse)
     monkeypatch.setattr(GridEvaluator, "u_matrix", refuse)
+    monkeypatch.setattr(StrategyGrid, "build", refuse)
+    monkeypatch.setattr(DqnAgent, "__init__", refuse)
+    monkeypatch.setattr(harness, "run_seed", refuse)
+    monkeypatch.setattr(harness, "hot_boot", refuse)
     cfgfile = tmp_path / "run.cfg"
     for line, keys in (
         ("grid_levels = 200", ("grid_levels", "sinr_levels")),
         ("jammer_grid_levels = 400", ("jammer_grid_levels",)),
         ("scheme = NE-ANALYSIS\ngrid_levels = 56", ("grid_levels",)),
+        ("scheme = DQLU\ngrid_levels = 1000000", ("grid_levels", "batch_size")),
+        ("scheme = HBDQLU\nbatch_size = 1000000\nreplay_capacity = 1000000",
+         ("grid_levels", "batch_size")),
+        ("scheme = DQLU\nreplay_capacity = 1000000000000", ("replay_capacity",)),
+        ("slots = 1000000000000", ("slots",)),
+        ("scheme = HBDQLU\nhot_boot_scenarios = 1000000000000", ("hot_boot_scenarios",)),
     ):
         cfgfile.write_text(line + "\n", encoding="utf-8")
-        assert cli_main(["--config", str(cfgfile), "--slots", "3", "--seeds", "1"]) == 1
+        assert cli_main(["--config", str(cfgfile), "--seeds", "1"]) == 1
         err = capsys.readouterr().err
-        assert all(key in err for key in keys), (line, err)
+        assert all(f"{key} = " in err for key in keys), (line, err)
 
 
 def test_ne_table_bound_at_the_config_boundary():
@@ -210,6 +220,95 @@ def test_ne_table_bound_at_the_config_boundary():
         cfg.replaced(grid_levels=56).validate()
     # only NE-ANALYSIS builds the table
     cfg.replaced(scheme="QLU", grid_levels=56).validate()
+
+
+def test_validate_builds_no_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate() built a strategy grid")
+
+    monkeypatch.setattr(StrategyGrid, "build", refuse)
+    for scheme in harness.SCHEMES:
+        ExperimentConfig(scheme=scheme).validate()
+    for scheme in ("QLU", "DQLU", "NE-ANALYSIS"):
+        with pytest.raises(ValueError, match="grid_levels = 1000000"):
+            ExperimentConfig(scheme=scheme, grid_levels=10**6).validate()
+
+
+def test_n_actions_counts_the_grid():
+    for levels in range(2, 61):
+        cfg = ExperimentConfig(grid_levels=levels)
+        assert cfg.n_actions == len(StrategyGrid.build(levels, cfg.p_bs_max).actions)
+
+
+# (scheme, key, largest accepted value, other keys) of the rows bounding the
+# DQN pair, its replay rings, the record array and the hot-boot seed list
+RUN_ARRAY_LIMITS = [
+    # 414 levels hold 85,491 actions: 85,491 x (1600 + 32 x 48) + 32 x 3336
+    # bytes is 255.8 MiB; 415 levels (85,905 actions) take 257.0 MiB
+    ("DQLU", "grid_levels", 414, {}),
+    ("HBDQLU", "grid_levels", 414, {}),
+    # 15 actions: 15 x 1600 + 66,176 x (3336 + 15 x 48) bytes is 256.0 MiB
+    ("DQLU", "batch_size", 66_176, {"replay_capacity": 10**6}),
+    # 160 bytes per transition of the pair's rings and per record row: 2**28 // 160
+    ("DQLU", "replay_capacity", 1_677_721, {}),
+    ("HBDQLU", "replay_capacity", 1_677_721, {}),
+    ("QLU", "slots", 1_677_721, {}),
+    ("DQLU", "slots", 1_677_721, {}),
+    # (n + 2) x 368 bytes of SeedSequence
+    ("HBDQLU", "hot_boot_scenarios", 729_442, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "scheme, key, limit, others", RUN_ARRAY_LIMITS,
+    ids=[f"{scheme}-{key}" for scheme, key, *_ in RUN_ARRAY_LIMITS],
+)
+def test_run_array_bound_at_the_config_boundary(scheme, key, limit, others):
+    cfg = ExperimentConfig(scheme=scheme, **others)
+    cfg.replaced(**{key: limit}).validate()
+    with pytest.raises(ValueError, match=f"{key} = {limit + 1}"):
+        cfg.replaced(**{key: limit + 1}).validate()
+
+
+def test_run_array_bounds_apply_only_where_the_array_is_built():
+    huge = 10**12
+    ExperimentConfig(scheme="NE-ANALYSIS", slots=huge).validate()
+    ExperimentConfig(scheme="QLU", replay_capacity=huge, batch_size=huge,
+                     hot_boot_scenarios=huge).validate()
+    ExperimentConfig(scheme="DQLU", hot_boot_scenarios=huge).validate()
+    # the batch a step draws is at most the ring
+    ExperimentConfig(scheme="DQLU", batch_size=huge).validate()
+
+
+def test_dqn_pair_stays_within_its_byte_bound():
+    # the figures behind the DQN rows of config validation; 256 KiB covers
+    # the environment's outcome memo and the training step's fixed arrays
+    import tracemalloc
+
+    cfg = ExperimentConfig(
+        scheme="DQLU", grid_levels=30, batch_size=64, replay_capacity=128,
+        jammer_mode="best-response",
+    )
+    cfg.validate()
+    env = TwoCellEnv(cfg, 0)
+    tracemalloc.start()
+    try:
+        agents = harness._build_agents(
+            cfg, (np.random.SeedSequence(1), np.random.SeedSequence(2))
+        )
+        for _ in range(cfg.batch_size + 8):
+            run_slot(env, agents)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rings = (agents.obs_buf, agents.next_obs_buf, agents.action_buf, agents.reward_buf)
+    ring_bytes = cfg.replay_capacity * harness.REPLAY_BYTES_PER_TRANSITION
+    assert sum(a.nbytes for a in rings) == ring_bytes
+    n = cfg.n_actions
+    pair_bytes = n * harness.DQN_BYTES_PER_ACTION + cfg.batch_size * (
+        harness.DQN_BYTES_PER_SAMPLE + n * harness.DQN_BYTES_PER_ACTION_SAMPLE
+    )
+    assert peak <= pair_bytes + ring_bytes + 256 * 1024
 
 
 def test_hot_boot_shape_and_determinism():
