@@ -314,19 +314,47 @@ RECORD_DTYPE = np.dtype(
     + [(f"qos{i}", np.int64) for i in range(1, 5)]
 )
 CSV_HEADER = list(RECORD_DTYPE.names)
-# 17 significant digits round-trip every float exactly
-_ROW_FORMAT = ",".join(
-    "%d" if RECORD_DTYPE[name].kind == "i" else "%.17g" for name in CSV_HEADER
+# A row is "seed,slot," then its tail: the 18 fields after ``slot``, which
+# only the slot's outcome sets.  17 significant digits round-trip every float
+# exactly.  ``_TAIL_BYTES`` views a record's tail as one raw-bytes field, so
+# equal keys mean equal bits.
+_TAIL_FORMAT = ",".join(
+    "%d" if RECORD_DTYPE[name].kind == "i" else "%.17g" for name in CSV_HEADER[2:]
 ) + "\r\n"
+_TAIL_OFFSET = RECORD_DTYPE.fields[CSV_HEADER[2]][1]
+_TAIL_BYTES = np.dtype({
+    "names": ["tail"],
+    "formats": [f"V{RECORD_DTYPE.itemsize - _TAIL_OFFSET}"],
+    "offsets": [_TAIL_OFFSET],
+    "itemsize": RECORD_DTYPE.itemsize,
+})
+EXPORT_CHUNK_ROWS = 64  # records converted to Python tuples at a time
 
 
 def export_csv(records: np.recarray, path) -> None:
-    """Write the header, then one line per record (see ``RECORD_DTYPE``)."""
+    """Write the header, then one line per record (see ``RECORD_DTYPE``).
+
+    Each distinct tail is formatted once, keyed by its raw bytes (so -0.0
+    and 0.0 never share text), and records are read in chunks of
+    ``EXPORT_CHUNK_ROWS``.  Every line reads as if each record were
+    formatted on its own.
+    """
+    keys = records.view(_TAIL_BYTES)["tail"]
+    texts: dict[bytes, str] = {}
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(CSV_HEADER) + "\r\n")
-            for row in records:
-                fh.write(_ROW_FORMAT % row.item())
+            for lo in range(0, len(records), EXPORT_CHUNK_ROWS):
+                if len(texts) > OUTCOME_MEMO_ENTRIES:  # bounded as the env's memo
+                    texts.clear()
+                hi = lo + EXPORT_CHUNK_ROWS
+                lines = []
+                for row, key in zip(records[lo:hi].tolist(), keys[lo:hi].tolist()):
+                    text = texts.get(key)
+                    if text is None:
+                        text = texts[key] = _TAIL_FORMAT % row[2:]
+                    lines.append("%d,%d," % row[:2] + text)
+                fh.write("".join(lines))
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
 
@@ -447,16 +475,15 @@ class TwoCellEnv:
             p1=alloc1[0], p2=alloc1[1], p3=alloc2[0], p4=alloc2[1], p_j=p_j
         )
         sinr = sinr_vector(self.ch, prof)
-        rates = rates_from_sinr(sinr)
+        rates = rates_from_sinr(sinr).tolist()
         u = bs_utility(rates, p_j, cfg.r0, cfg.gamma, cfg.z)
         s1 = selfish_reward(rates, 1, p_j, cfg.r0, cfg.gamma, cfg.z)
         s2 = selfish_reward(rates, 2, p_j, cfg.r0, cfg.gamma, cfg.z)
-        r1, r2 = (s1, s2) if self.selfish else (u, u)
-        user_rates = rates.tolist()
+        r1, r2, r3, r4 = rates
         tail = (
-            *prof.as_tuple(), *user_rates, float(rates.sum()),
+            *prof.as_tuple(), *rates, ((r1 + r2) + r3) + r4,  # as objective_p2 adds
             objective_p2(rates, cfg.r0), u, s1, s2,
-            *(int(r >= cfg.r0) for r in user_rates),
+            *(int(r >= cfg.r0) for r in rates),
         )
         jam_reward = jam_obs = None
         if a_j is not None:
@@ -467,11 +494,12 @@ class TwoCellEnv:
             ),)
             jam_reward = jammer_utility(rates, p_j, cfg.gamma)
         q = tuple(
-            quantize_sinr(float(s), cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db)
-            for s in sinr
+            quantize_sinr(s, cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db)
+            for s in sinr.tolist()
         )
         obs = (observation_for(1, q), observation_for(2, q))
-        return obs, (r1, r2), tail, jam_reward, jam_obs
+        rewards = (s1, s2) if self.selfish else (u, u)
+        return obs, rewards, tail, jam_reward, jam_obs
 
 
 def run_slot(env: TwoCellEnv, agents) -> tuple:
@@ -609,7 +637,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 {"per_seed": result.summaries, "overall": result.summary},
                 fh,
                 indent=2,
-                default=str,
             )
     return result
 

@@ -65,13 +65,12 @@ def select_action(qvalues: np.ndarray, eps: float, rng: np.random.Generator) -> 
     is never taken.  Draws ``rng.random()``, then ``rng.integers(n - 1)``
     only when exploring.
     """
-    q = np.asarray(qvalues, dtype=float)
-    n = q.shape[0]
+    n = len(qvalues)
     if n < 2:
         raise ValueError("need at least two actions")
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    greedy = int(q.argmax())
+    greedy = int(qvalues.argmax())
     if rng.random() >= eps:
         return greedy
     k = int(rng.integers(n - 1))  # the k-th of the actions other than greedy
@@ -88,7 +87,8 @@ class QTable:
         self.table = np.zeros((n_states, n_actions))
 
     def update(self, state: int, action: int, reward: float, next_state: int) -> None:
-        best_next = float(self.table[next_state].max())
+        row = self.table[next_state]
+        best_next = row[row.argmax()]  # .max() without its reduction's overhead
         self.table[state, action] = (1.0 - self.alpha) * self.table[
             state, action
         ] + self.alpha * (reward + self.discount * best_next)

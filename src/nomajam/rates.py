@@ -146,9 +146,15 @@ def qos_binding_split(
 
 
 def objective_p2(rates, r0: float) -> float:
-    """Network objective: the sum rate if every user meets QoS, else 0."""
-    r = np.asarray(rates, dtype=float)
-    return float(r.sum()) if float(r.min()) >= r0 else 0.0
+    """Network objective: the sum rate if every user meets QoS, else 0.
+
+    ``rates`` holds the four users' rates; the sum adds them in user order,
+    as numpy's sum of four does.
+    """
+    r1, r2, r3, r4 = rates
+    if r1 >= r0 and r2 >= r0 and r3 >= r0 and r4 >= r0:
+        return float(((r1 + r2) + r3) + r4)
+    return 0.0
 
 
 def bs_utility(rates, p_j: float, r0: float, gamma: float, z: float) -> float:
@@ -159,9 +165,10 @@ def bs_utility(rates, p_j: float, r0: float, gamma: float, z: float) -> float:
     rate plus the jamming cost gamma * p_j the jammer was forced to spend.
     Both indicators failing multiplies the base by z^2.
     """
-    i1 = 1.0 if min(rates[0], rates[1]) >= r0 else z
-    i2 = 1.0 if min(rates[2], rates[3]) >= r0 else z
-    return float(i1 * i2 * (rates[0] + rates[1] + rates[2] + rates[3] + gamma * p_j))
+    r1, r2, r3, r4 = rates
+    i1 = 1.0 if min(r1, r2) >= r0 else z
+    i2 = 1.0 if min(r3, r4) >= r0 else z
+    return float(i1 * i2 * (r1 + r2 + r3 + r4 + gamma * p_j))
 
 
 def selfish_reward(
@@ -171,13 +178,17 @@ def selfish_reward(
 
     Ignores the other cell's rates entirely; used by the selfish baseline.
     """
-    r = np.asarray(rates, dtype=float)
-    own = r[0:2] if own_cell == 1 else r[2:4]
-    indicator = 1.0 if float(own.min()) >= r0 else z
-    return indicator * (float(own.sum()) + gamma * p_j)
+    if own_cell == 1:
+        weak, strong = rates[0], rates[1]
+    elif own_cell == 2:
+        weak, strong = rates[2], rates[3]
+    else:
+        raise ValueError(f"own_cell must be 1 or 2, got {own_cell}")
+    indicator = 1.0 if weak >= r0 and strong >= r0 else z
+    return float(indicator * ((weak + strong) + gamma * p_j))
 
 
 def jammer_utility(rates, p_j: float, gamma: float) -> float:
     """Jammer utility: negated sum rate minus the cost of the spent power."""
-    r = np.asarray(rates, dtype=float)
-    return -(float(r.sum()) + gamma * p_j)
+    r1, r2, r3, r4 = rates
+    return float(-((((r1 + r2) + r3) + r4) + gamma * p_j))

@@ -500,6 +500,61 @@ def test_read_csv_rejects_value_that_does_not_fit_its_column(tmp_path, column, r
         read_csv(path)
 
 
+def export_cases():
+    """130 records (two full chunks and two rows) whose tails repeat under
+    other seeds and slots, with tails that differ only in the sign of a
+    zero, a subnormal and the largest finite magnitudes."""
+    changes = ((None, None), ("p_j", 0.0), ("p_j", -0.0), ("r1", 5e-324),
+               ("u_bs", 1.7e308), ("u_bs", -1.7e308), ("selfish_2", -0.0))
+    variants = np.repeat(run_seed(ExperimentConfig(**FAST), 0)[:3], len(changes))
+    for k, (name, value) in enumerate(changes):
+        if name is not None:
+            variants[name][k::len(changes)] = value
+    records = variants[(5 * np.arange(130)) % len(variants)].view(np.recarray)
+    records.seed = np.arange(130) % 3
+    records.slot = 1000 - np.arange(130)
+    return records
+
+
+# One record's line: 17 significant digits round-trip every float exactly.
+ROW_FORMAT = ",".join(
+    "%d" if RECORD_DTYPE[name].kind == "i" else "%.17g" for name in CSV_HEADER
+) + "\r\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 130])
+def test_export_writes_the_row_format_of_every_record(tmp_path, n):
+    records = export_cases()[:n]
+    path = tmp_path / "records.csv"
+    export_csv(records, path)
+    expected = ",".join(CSV_HEADER) + "\r\n" + "".join(
+        ROW_FORMAT % row.item() for row in records
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("mode", JAMMER_MODES)
+def test_slot_outcomes_call_the_traced_rates_helpers(mode, monkeypatch):
+    # perfbench times these names on the harness module; a slot loop that
+    # stopped calling one would leave its per-layer metrics at 0
+    names = ["sinr_vector", "rates_from_sinr", "bs_utility", "objective_p2"]
+    if mode == "learning":
+        names.append("jammer_utility")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    run_seed(ExperimentConfig(jammer_mode=mode, slots=200, seeds=(0,)), 0)
+    assert set(calls) == set(names)
+    assert len(set(calls.values())) == 1 and calls["sinr_vector"] > 0
+
+
 def test_replay_determinism_bytes(tmp_path):
     cfg = ExperimentConfig(out_dir=str(tmp_path / "a"), **FAST)
     run_experiment(cfg)

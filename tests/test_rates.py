@@ -7,6 +7,7 @@ from nomajam.rates import (
     jammer_utility,
     objective_p2,
     rates_from_sinr,
+    selfish_reward,
     sinr_vector,
 )
 
@@ -139,3 +140,49 @@ def test_rates_match_high_precision_reference():
         for a, b in zip(fast, ref):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
+
+
+@pytest.mark.parametrize("cell", [0, 3, -1])
+def test_selfish_reward_rejects_unknown_cell(cell):
+    with pytest.raises(ValueError, match=f"own_cell must be 1 or 2, got {cell}"):
+        selfish_reward([1.0, 1.0, 1.0, 1.0], cell, 0.0, 0.5, 0.5, 0.01)
+
+
+def test_plain_float_scores_equal_the_array_formulas():
+    # The scores add four Python floats in numpy's order; these are the
+    # numpy-array formulas they replace, compared bit for bit.
+    def objective(r, r0):
+        return float(r.sum()) if float(r.min()) >= r0 else 0.0
+
+    def utility(r, p_j, r0, gamma, z):
+        i1 = 1.0 if float(r[:2].min()) >= r0 else z
+        i2 = 1.0 if float(r[2:].min()) >= r0 else z
+        return float(i1 * i2 * (float(r.sum()) + gamma * p_j))
+
+    def selfish(r, cell, p_j, r0, gamma, z):
+        own = r[0:2] if cell == 1 else r[2:4]
+        return (1.0 if float(own.min()) >= r0 else z) * (float(own.sum()) + gamma * p_j)
+
+    def jammer(r, p_j, gamma):
+        return -(float(r.sum()) + gamma * p_j)
+
+    rng = np.random.default_rng(11)
+    r0 = 0.9
+    for k in range(10_000):
+        r = rng.exponential(2.0, 4) * rng.choice([1e-6, 1.0, 30.0])
+        r[rng.random(4) < 0.2] = r0  # rates exactly at the threshold
+        p_j = 0.0 if k % 5 == 0 else rng.uniform(0, 20)
+        z = 0.0 if k % 7 == 0 else rng.uniform(0, 1)
+        gamma = rng.uniform(0, 2)
+        rates = r.tolist()
+        for got, want in (
+            (objective_p2(rates, r0), objective(r, r0)),
+            (bs_utility(rates, p_j, r0, gamma, z), utility(r, p_j, r0, gamma, z)),
+            (selfish_reward(rates, 1, p_j, r0, gamma, z),
+             selfish(r, 1, p_j, r0, gamma, z)),
+            (selfish_reward(rates, 2, p_j, r0, gamma, z),
+             selfish(r, 2, p_j, r0, gamma, z)),
+            (jammer_utility(rates, p_j, gamma), jammer(r, p_j, gamma)),
+        ):
+            assert type(got) is float
+            assert got == want and got.hex() == want.hex(), (k, rates, got, want)
