@@ -17,6 +17,10 @@ import numpy as np
 # Column order of the gain matrix: sources seen by each user.
 SRC_BS1, SRC_BS2, SRC_JAM = 0, 1, 2
 
+# The two-cell layout: cell -> (weak user, strong user, own BS, other BS),
+# users as gain-matrix rows and BSs as its columns.
+CELLS = {1: (0, 1, SRC_BS1, SRC_BS2), 2: (2, 3, SRC_BS2, SRC_BS1)}
+
 # Default scenario: user/BS positions in meters on a line, total noise power
 # in dB.  The jammer sits outside the two-cell segment; any position exactly
 # on top of a user would make the path-loss model singular, and positions

@@ -43,7 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage and the flag at fault (code 2), or
+        # the help (code 0); a malformed flag is a configuration error.
+        return 0 if exc.code == 0 else 1
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

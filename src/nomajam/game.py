@@ -17,9 +17,9 @@ from itertools import product
 
 import numpy as np
 
-from .channel import SRC_BS1, SRC_BS2, SRC_JAM, ChannelRealization
+from .channel import CELLS, SRC_JAM, ChannelRealization
 from .jammer import JammerConfig, best_response, concavity_probe
-from .rates import StrategyProfile, _rates4, bs_utility, qos_binding_split
+from .rates import StrategyProfile, _rates4, bs_utility, link_terms, qos_binding_split
 
 EPS_NE = 1e-9
 
@@ -46,8 +46,8 @@ class StrategyGrid:
     def build(cls, levels: int, p_bs_max: float) -> "StrategyGrid":
         if levels < 1:
             raise ValueError("levels must be at least 1")
-        if p_bs_max <= 0:
-            raise ValueError("p_bs_max must be positive")
+        if not (p_bs_max > 0 and math.isfinite(p_bs_max)):
+            raise ValueError(f"p_bs_max must be positive and finite, got {p_bs_max}")
         step = p_bs_max / levels
         pairs = tuple(
             (w, s) for w in range(1, levels) for s in range(1, levels + 1 - w)
@@ -361,45 +361,44 @@ def _slope_u_binding(
     return r[0] + r[1] + r[2] + r[3] + gamma * p_j
 
 
-def leader_slopes_numeric(
+def leader_slopes(
     ch: ChannelRealization,
     p_bs1: float,
     p_bs2: float,
     p_j: float,
     r0: float,
-    gamma: float,
 ) -> tuple[float, float] | None:
-    """Central-difference slopes of the leader utility in each total power.
+    """Slopes of the leader utility in each total power, in closed form.
 
-    The utility is evaluated at QoS-binding splits with the jammer power
-    held fixed.  slope of 2^U and of U share their sign (monotone
-    transform), so the plain utility is differenced for better conditioning.
+    Along QoS-binding splits with the jammer power held fixed, both weak
+    users stay at r0, so only the strong users' rates move.  With t = 2^r0,
+    BS c's slope is (m_c - m_o * (t - 1) * g[w_o][c] / g[w_o][o]) / t: m_k
+    is strong user k's marginal rate in its own power, o the other cell and
+    w_o its weak user, whose binding power rises with P_c by
+    (t - 1) * g[w_o][c] / (g[w_o][o] * t) (``qos_binding_split``'s
+    derivative).  None when the binding profile is undefined.
     """
-    h = 1e-5 * max(p_bs1, p_bs2, 1.0)
-    center = _slope_u_binding(ch, p_bs1, p_bs2, p_j, r0, gamma)
-    if center is None:
+    prof = _binding_profile(ch, p_bs1, p_bs2, p_j, r0)
+    if prof is None:
         return None
+    g = ch.gain_rows
+    terms = link_terms(ch, prof.p1, prof.p2, prof.p3, prof.p4)
+    t = 2.0 ** r0
+    m = {}
+    for cell, (_, strong, own, _) in CELLS.items():
+        s, d, g_jam = terms[strong]
+        m[cell] = g[strong][own] / ((d + p_j * g_jam + s) * math.log(2.0))
 
-    def diff(dx1: float, dx2: float) -> float | None:
-        up = _slope_u_binding(ch, p_bs1 + dx1, p_bs2 + dx2, p_j, r0, gamma)
-        dn = _slope_u_binding(ch, p_bs1 - dx1, p_bs2 - dx2, p_j, r0, gamma)
-        if up is None and dn is None:
-            return None
-        if up is None:
-            return (center - dn) / h
-        if dn is None:
-            return (up - center) / h
-        return (up - dn) / (2.0 * h)
+    def slope(cell: int) -> float:
+        _, _, own, other = CELLS[cell]
+        w_o = CELLS[3 - cell][0]
+        return (m[cell] - m[3 - cell] * (t - 1.0) * g[w_o][own] / g[w_o][other]) / t
 
-    s1 = diff(h, 0.0)
-    s2 = diff(0.0, h)
-    if s1 is None or s2 is None:
-        return None
-    return s1, s2
+    return slope(1), slope(2)
 
 
-def _grid_binding_strong(ev: GridEvaluator, p_j: float, strong_user: int, level: int) -> bool:
-    """Whether the strong user's QoS is binding at grid resolution.
+def _grid_binding_strong(ev: GridEvaluator, p_j: float, cell: int, level: int) -> bool:
+    """Whether the cell's strong user's QoS is binding at grid resolution.
 
     True when one grid level less strong-user power (same jamming) would
     break its QoS, or when the strong user is at the lowest level.
@@ -407,7 +406,7 @@ def _grid_binding_strong(ev: GridEvaluator, p_j: float, strong_user: int, level:
     if level == 1:
         return True
     p = (level - 1) * ev.grid.step
-    return _rates4(ev.ch, 0.0, p, 0.0, p, p_j)[2 * strong_user - 1] < ev.r0
+    return _rates4(ev.ch, 0.0, p, 0.0, p, p_j)[CELLS[cell][1]] < ev.r0
 
 
 def find_ne_l1(
@@ -453,9 +452,7 @@ def find_ne_l1(
             ):
                 continue
             a1, a2 = grid.actions[i], grid.actions[j]
-            slopes = leader_slopes_numeric(
-                ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0, gamma
-            )
+            slopes = leader_slopes(ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0)
             if slopes is None:
                 continue
             d1, d2 = slopes
@@ -509,12 +506,10 @@ def _full_power_slope_factor(
     full power, the failing cell's scaled utility is concave in its total
     power and this linear factor carries the slope's sign.
     """
-    g = ch.gains
+    weak, _, own, other = CELLS[full_cell]
+    g = ch.gain_rows[weak]
+    g_own, g_cross, g_jam = g[own], g[other], g[SRC_JAM]
     t = 2.0 ** r0
-    if full_cell == 2:
-        g_own, g_cross, g_jam = g[2, SRC_BS2], g[2, SRC_BS1], g[2, SRC_JAM]
-    else:
-        g_own, g_cross, g_jam = g[0, SRC_BS1], g[0, SRC_BS2], g[0, SRC_JAM]
     return (
         p_bs_max / t
         - 2.0 * (g_cross / g_own) * p_bs_fail
@@ -596,9 +591,8 @@ def _find_ne_full_power(
         return [], None
     ev = evaluator or GridEvaluator(ch, grid, jcfg, r0, gamma, z)
     ne_class = NE_L2 if full_cell == 2 else NE_L3
-    fail_cell = 1 if full_cell == 2 else 2
-    weak_fail, weak_full = (0, 2) if full_cell == 2 else (2, 0)
-    strong_full = weak_full + 1
+    weak_full, strong_full, _, _ = CELLS[full_cell]
+    weak_fail = CELLS[3 - full_cell][0]
     qtol = 1e-9 * max(1.0, r0)
     L = grid.levels
     # The full cell spends its whole budget; the failing cell's weak user is
@@ -620,10 +614,8 @@ def _find_ne_full_power(
             # on the weak user.
             a_fail = grid.actions[k_fail]
             t_fail = a_fail[0] + a_fail[1]
-            if fail_cell == 1:
-                best_case = (t_fail, 0.0, 0.0, grid.p_bs_max)
-            else:
-                best_case = (0.0, grid.p_bs_max, t_fail, 0.0)
+            best_case = [0.0] * 4
+            best_case[weak_fail], best_case[strong_full] = t_fail, grid.p_bs_max
             if _rates4(ch, *best_case, pj)[weak_fail] >= r0:
                 continue
             # Full cell's weak user at the lowest admissible split: one level
@@ -699,17 +691,15 @@ def monotonicity_check(
         t1, t2 = rng.uniform(0.2, 1.0, size=2) * p_bs_max
         f1, f3 = rng.uniform(0.1, 0.9, size=2)
         p1, p3 = f1 * t1, f3 * t2
-        base = StrategyProfile(p1=p1, p2=t1 - p1, p3=p3, p4=t2 - p3)
-        pj = best_response(ch, (base.p1, base.p2), (base.p3, base.p4), jcfg).p_j_star
-        for which in ("p1", "p3"):
-            if which == "p1":
-                up = StrategyProfile(p1=p1 + h, p2=t1 - p1 - h, p3=p3, p4=t2 - p3, p_j=pj)
-                dn = StrategyProfile(p1=p1 - h, p2=t1 - p1 + h, p3=p3, p4=t2 - p3, p_j=pj)
-            else:
-                up = StrategyProfile(p1=p1, p2=t1 - p1, p3=p3 + h, p4=t2 - p3 - h, p_j=pj)
-                dn = StrategyProfile(p1=p1, p2=t1 - p1, p3=p3 - h, p4=t2 - p3 + h, p_j=pj)
-            u_up, fl_up = utility(up)
-            u_dn, fl_dn = utility(dn)
+        base = [p1, t1 - p1, p3, t2 - p3]
+        pj = best_response(ch, base[:2], base[2:], jcfg).p_j_star
+        # Each weak user takes h from (and gives h to) its cell's strong user.
+        for weak, strong, _, _ in CELLS.values():
+            up, dn = base + [pj], base + [pj]
+            up[weak], up[strong] = up[weak] + h, up[strong] - h
+            dn[weak], dn[strong] = dn[weak] - h, dn[strong] + h
+            u_up, fl_up = utility(StrategyProfile(*up))
+            u_dn, fl_dn = utility(StrategyProfile(*dn))
             if fl_up != fl_dn:
                 rep.skipped += 1
                 continue
@@ -717,7 +707,7 @@ def monotonicity_check(
             if u_up - u_dn > 1e-9 * max(1.0, abs(u_up)):
                 rep.slope_violations += 1
 
-    if ch.gains[0, SRC_BS1] <= 0 or ch.gains[2, SRC_BS2] <= 0:
+    if any(ch.gain_rows[weak][own] <= 0 for weak, _, own, _ in CELLS.values()):
         # binding splits are undefined without the weak users' own gains
         rep.skipped += 2 * n_samples
         return rep

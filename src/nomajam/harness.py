@@ -252,14 +252,17 @@ def parse_seeds(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty seed specification")
+    if len(parts) > MAX_SEEDS:
+        raise ValueError(f"seeds: at most {MAX_SEEDS} per run, got {len(parts)}")
+    try:
+        seeds = tuple(int(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"seeds: expected integers, got {text.strip()!r}") from None
     if len(parts) == 1 and "," not in text:
-        n = int(parts[0])
+        n = seeds[0]
         if not 0 < n <= MAX_SEEDS:
             raise ValueError(f"seeds: a count must lie in [1, {MAX_SEEDS}], got {n}")
         return tuple(range(n))
-    if len(parts) > MAX_SEEDS:
-        raise ValueError(f"seeds: at most {MAX_SEEDS} per run, got {len(parts)}")
-    seeds = tuple(int(p) for p in parts)
     if not 0 <= min(seeds) <= max(seeds) <= MAX_SEED:
         raise ValueError(f"seeds must lie in [0, 2**63 - 1], got {text.strip()!r}")
     return seeds
@@ -284,6 +287,7 @@ def load_config(path: str) -> ExperimentConfig:
     """Read a flat key=value file; '#' starts a comment, blank lines ignored."""
     kinds = typing.get_type_hints(ExperimentConfig)
     values: dict = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -294,6 +298,12 @@ def load_config(path: str) -> ExperimentConfig:
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} is set twice, "
+                    f"on lines {first_line[key]} and {lineno}"
+                )
+            first_line[key] = lineno
             try:
                 values[key] = (
                     parse_seeds(raw) if key == "seeds" else _coerce(kinds[key], raw)
@@ -605,9 +615,9 @@ def records_path(out_dir: str, scheme: str, seed: int) -> str:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every seed, optionally exporting one CSV per seed plus a summary.
 
-    Seeds are independent, so with workers > 1 they run in a process pool;
-    results are merged in seed order either way, keeping output
-    deterministic.
+    Seeds are independent, so with workers > 1 they run in a process pool
+    of at most one process per seed and per CPU; results are merged in seed
+    order either way, keeping output deterministic.
     """
     cfg.validate()
     if cfg.scheme == "NE-ANALYSIS":
@@ -616,7 +626,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.workers > 1 and len(cfg.seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(cfg.seeds))) as pool:
+        size = min(cfg.workers, len(cfg.seeds), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             all_records = list(pool.map(run_seed, [cfg] * len(cfg.seeds), cfg.seeds))
     else:
         all_records = [run_seed(cfg, seed) for seed in cfg.seeds]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..channel import CELLS
 from .nn import MlpParams, dqn_train_step, init_mlp, mlp_forward, target_sync
 
 SINR_LEVELS = 8
@@ -41,11 +42,10 @@ def quantize_sinr(
 
 def observation_for(cell: int, q_sinr: tuple[int, int, int, int]) -> tuple[int, ...]:
     """Own-cell-first observation ordering for the given BS (1 or 2)."""
-    if cell == 1:
-        return tuple(q_sinr)
-    if cell == 2:
-        return (q_sinr[2], q_sinr[3], q_sinr[0], q_sinr[1])
-    raise ValueError(f"cell must be 1 or 2, got {cell}")
+    if cell not in CELLS:
+        raise ValueError(f"cell must be 1 or 2, got {cell}")
+    (w, s, _, _), (w_o, s_o, _, _) = CELLS[cell], CELLS[3 - cell]
+    return (q_sinr[w], q_sinr[s], q_sinr[w_o], q_sinr[s_o])
 
 
 def encode_observation(obs: tuple[int, ...], levels: int) -> int:

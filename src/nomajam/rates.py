@@ -14,7 +14,7 @@ from math import log2
 
 import numpy as np
 
-from .channel import SRC_BS1, SRC_BS2, SRC_JAM, ChannelRealization
+from .channel import CELLS, SRC_BS1, SRC_BS2, SRC_JAM, ChannelRealization
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,10 @@ def qos_binding_split(
     Returns inf when the binding power exceeds the cell's total (infeasible
     marker).
     """
-    if cell == 1:
-        weak, own, total = 0, SRC_BS1, p_bs1
-    elif cell == 2:
-        weak, own, total = 2, SRC_BS2, p_bs2
-    else:
+    if cell not in CELLS:
         raise ValueError(f"cell must be 1 or 2, got {cell}")
+    weak, _, own, _ = CELLS[cell]
+    total = (p_bs1, p_bs2)[own]
     g_own = ch.gain_rows[weak][own]
     if g_own <= 0:
         raise ValueError("weak user's own-cell gain must be positive")
@@ -178,12 +176,10 @@ def selfish_reward(
 
     Ignores the other cell's rates entirely; used by the selfish baseline.
     """
-    if own_cell == 1:
-        weak, strong = rates[0], rates[1]
-    elif own_cell == 2:
-        weak, strong = rates[2], rates[3]
-    else:
+    if own_cell not in CELLS:
         raise ValueError(f"own_cell must be 1 or 2, got {own_cell}")
+    w, s, _, _ = CELLS[own_cell]
+    weak, strong = rates[w], rates[s]
     indicator = 1.0 if weak >= r0 and strong >= r0 else z
     return float(indicator * ((weak + strong) + gamma * p_j))
 

@@ -18,7 +18,7 @@ from nomajam.game import (
     find_ne_l1,
     find_ne_l2,
     find_ne_l3,
-    leader_slopes_numeric,
+    leader_slopes,
     monotonicity_check,
     mood_classify,
     pareto_ne_l1,
@@ -27,6 +27,7 @@ from nomajam.game import (
     _full_power_slope_factor,
     _stackelberg_fixed_point,
     _binding_profile,
+    _slope_u_binding,
 )
 from nomajam.harness import ExperimentConfig, channel_for_seed
 from nomajam.jammer import JammerConfig, best_response
@@ -124,6 +125,9 @@ def test_grid_rejects_degenerate():
         StrategyGrid.build(1, 40.0)  # no room for two positive powers
     with pytest.raises(ValueError):
         StrategyGrid.build(4, -1.0)
+    for p_bs_max in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="p_bs_max must be positive and finite"):
+            StrategyGrid.build(4, p_bs_max)
 
 
 def test_binding_split_zero_threshold(channel):
@@ -646,9 +650,9 @@ def test_finders_respect_mood_gate(geom, jcfg):
     assert find_ne_l1(ch2, grid, jcfg, R0, GAMMA, Z) == []
 
 
-def test_leader_slopes_numeric_on_feasible_set(geom, jcfg):
-    # the finite-difference slopes find_ne_l1 relies on exist and are finite
-    # at every feasible total-power pair
+def test_leader_slopes_on_feasible_set(geom, jcfg):
+    # the closed-form slopes find_ne_l1 relies on exist and are finite at
+    # every feasible total-power pair
     grid = StrategyGrid.build(4, 40.0)
     seed, ch = first_seed_with_mood(geom, grid, jcfg, want=1)
     mood = mood_classify(ch, grid, jcfg, R0)
@@ -657,9 +661,63 @@ def test_leader_slopes_numeric_on_feasible_set(geom, jcfg):
             ch, jcfg, lambda pj: _binding_profile(ch, t1, t2, pj, R0)
         )
         assert not isinstance(sol, FixedPointFailure)
-        numeric = leader_slopes_numeric(ch, t1, t2, sol.p_j, R0, GAMMA)
-        assert numeric is not None
-        assert all(np.isfinite(v) for v in numeric)
+        slopes = leader_slopes(ch, t1, t2, sol.p_j, R0)
+        assert slopes is not None
+        assert all(np.isfinite(v) for v in slopes)
+
+
+def central_difference_slopes(ch, p_bs1, p_bs2, p_j, r0):
+    """Oracle for leader_slopes: central differences of the binding-split
+    utility with step 1e-5 * max(P), one-sided where a neighbour is undefined."""
+    h = 1e-5 * max(p_bs1, p_bs2, 1.0)
+    center = _slope_u_binding(ch, p_bs1, p_bs2, p_j, r0, GAMMA)
+    if center is None:
+        return None
+
+    def diff(dx1, dx2):
+        up = _slope_u_binding(ch, p_bs1 + dx1, p_bs2 + dx2, p_j, r0, GAMMA)
+        dn = _slope_u_binding(ch, p_bs1 - dx1, p_bs2 - dx2, p_j, r0, GAMMA)
+        if up is None and dn is None:
+            return None
+        if up is None:
+            return (center - dn) / h
+        if dn is None:
+            return (up - center) / h
+        return (up - dn) / (2.0 * h)
+
+    s1, s2 = diff(h, 0.0), diff(0.0, h)
+    return None if s1 is None or s2 is None else (s1, s2)
+
+
+def test_leader_slopes_match_central_differences(monkeypatch):
+    # every slope find_ne_l1 takes, for seeds 0..39 at grid levels 4, 6 and 8
+    calls = []
+
+    def recorded(*args):
+        slopes = leader_slopes(*args)
+        calls.append((args, slopes))
+        return slopes
+
+    monkeypatch.setattr(game, "leader_slopes", recorded)
+    for levels in (4, 6, 8):
+        cfg = ExperimentConfig(grid_levels=levels)
+        grid, jcfg = cfg.grid(), cfg.jammer_config()
+        for seed in range(40):
+            ch = channel_for_seed(cfg, seed)
+            find_ne_l1(ch, grid, jcfg, cfg.r0, cfg.gamma, cfg.z, cfg.eps_ne)
+
+    def signs(slopes):
+        # find_ne_l1's sign test; equal signs give equal ok1/ok2 decisions
+        stol = 1e-9 * max(1.0, *map(abs, slopes))
+        return [d >= -stol for d in slopes]
+
+    assert len(calls) > 1000
+    for args, closed in calls:
+        oracle = central_difference_slopes(*args)
+        assert (closed is None) == (oracle is None)
+        if closed is not None:
+            assert closed == pytest.approx(oracle, rel=1e-6, abs=0.0)
+            assert signs(closed) == signs(oracle)
 
 
 def test_monotonicity_zero_interference():

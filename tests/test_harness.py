@@ -152,6 +152,14 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(str(path))
 
 
+def test_load_config_rejects_repeated_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("slots = 3\nscheme = QLU\nslots = 5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="slots is set twice, on lines 1 and 3"):
+        load_config(str(path))
+    assert cli_main(["--config", str(path)]) == 1
+
+
 @pytest.mark.parametrize(
     "key, raw", [("slots", "abc"), ("r0", "0.9.1"), ("fading", "maybe"),
                  ("seeds", "1,x")],
@@ -728,6 +736,22 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["--config", str(missing)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["--slots", "abc"], "--slots"), (["--grid-levels", "2.5"], "--grid-levels"),
+     (["--scheme", "FOO"], "--scheme"), (["--bogus", "1"], "--bogus"),
+     (["--seeds", "1.5"], "seeds"), (["--seeds", "a,b"], "seeds")],
+)
+def test_cli_malformed_flag_is_a_configuration_error(argv, flag, capsys):
+    assert cli_main(argv) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    assert cli_main(["--help"]) == 0
+    assert "--seeds" in capsys.readouterr().out
+
+
 def test_cli_rejects_zero_grid_levels(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("grid_levels = 0\n", encoding="utf-8")
@@ -841,8 +865,10 @@ def test_worker_pool_matches_sequential():
         cfg.replaced(workers=0).validate()
 
 
-def test_worker_pool_is_sized_to_the_seed_count(monkeypatch):
-    # a stub pool that maps in this process: no process is started
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The size of every process pool run_experiment opens, from a stub pool
+    that maps in this process: no process is started."""
     import concurrent.futures
 
     sizes = []
@@ -861,10 +887,23 @@ def test_worker_pool_is_sized_to_the_seed_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_worker_pool_is_sized_to_the_seed_count(pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     cfg = ExperimentConfig(slots=3, seeds=(0, 1), summary_window=2)
     run_experiment(cfg.replaced(workers=64))
     run_experiment(cfg.replaced(workers=2, seeds=(0, 1, 2)))
-    assert sizes == [2, 2]
+    assert pool_sizes == [2, 2]
+
+
+@pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1)])
+def test_worker_pool_is_capped_at_the_cpu_count(pool_sizes, monkeypatch, cpus, size):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = ExperimentConfig(slots=3, seeds=(0, 1, 2, 3), summary_window=2)
+    run_experiment(cfg.replaced(workers=100000))
+    assert pool_sizes == [size]
 
 
 def test_summarize_window():
