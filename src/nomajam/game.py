@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .channel import CELLS, SRC_JAM, ChannelRealization
-from .jammer import JammerConfig, best_response, concavity_probe
+from .jammer import BLOCK, JammerConfig, best_responses, concavity_probe
 from .rates import StrategyProfile, _rates4, bs_utility, link_terms, qos_binding_split
 
 EPS_NE = 1e-9
@@ -128,7 +128,7 @@ def _binding_profile(
 
 @dataclass(frozen=True)
 class FixedPointFailure:
-    """Why ``_stackelberg_fixed_point`` gave up, and the jamming power it stopped at.
+    """Why a Stackelberg fixed point gave up, and the jamming power it stopped at.
 
     ``reason`` is ``"undefined_profile"`` when ``profile_of_pj(p_j)`` returned
     None, or ``"no_convergence"`` when the evaluation budget ran out.
@@ -138,50 +138,79 @@ class FixedPointFailure:
     p_j: float
 
 
-def _stackelberg_fixed_point(
+def _stackelberg_fixed_points(
     ch: ChannelRealization,
     jcfg: JammerConfig,
-    profile_of_pj,
-) -> StrategyProfile | FixedPointFailure:
-    """Self-consistent profile and jamming power for a pj-dependent profile.
+    profile_fns,
+) -> list[StrategyProfile | FixedPointFailure]:
+    """Self-consistent profile and jamming power for each pj-dependent profile.
 
-    ``profile_of_pj(pj)`` builds the BS profile given the jamming power, and
-    the jammer then best-responds to that profile.  The root of
+    Each lane's ``profile_of_pj(pj)`` builds the BS profile given the jamming
+    power, and the jammer then best-responds to that profile.  The root of
     h(pj) = BR(profile_of_pj(pj)).p_j_star - pj is found by a secant
     iteration: h is evaluated at pj = 0, the first step goes to
     BR(profile_of_pj(0)), and every later step is the secant through the last
     two evaluations.  When the secant step leaves [0, p_j_max], or the two
     values of h are equal, the damped step pj + h(pj) / 2 is taken instead.
-    The iteration stops when |h(pj)| <= 2e-6 * p_j_max and returns
+    A lane stops when |h(pj)| <= 2e-6 * p_j_max and returns
     ``profile_of_pj(p)`` with ``p_j = p``, where p = BR(profile_of_pj(pj)).
     It gives up with a ``FixedPointFailure``: ``undefined_profile`` when
     ``profile_of_pj`` returns None, ``no_convergence`` after 100 evaluations
     of h.
+
+    The lanes run in lockstep, one ``best_responses`` call per round for
+    every lane still iterating; each lane takes exactly the steps it would
+    take alone.
     """
-    tol = 2e-6 * jcfg.p_j_max
-    x_prev = h_prev = None
-    x = 0.0
+    tol, pmax = 2e-6 * jcfg.p_j_max, jcfg.p_j_max
+    fns = list(profile_fns)
+    out: list[StrategyProfile | FixedPointFailure | None] = [None] * len(fns)
+    # lane -> (previous pj, previous h, pj to evaluate next)
+    live = {k: (None, None, 0.0) for k in range(len(fns))}
     for _ in range(100):
-        prof = profile_of_pj(x)
-        if prof is None:
-            return FixedPointFailure("undefined_profile", x)
-        p_j = best_response(ch, (prof.p1, prof.p2), (prof.p3, prof.p4), jcfg).p_j_star
-        h = p_j - x
-        if abs(h) <= tol:
-            prof = profile_of_pj(p_j)
+        if not live:
+            break
+        asked = []
+        for k, (_, _, x) in live.items():
+            prof = fns[k](x)
             if prof is None:
-                return FixedPointFailure("undefined_profile", p_j)
-            return replace(prof, p_j=p_j)
-        if h_prev is None:
-            nxt = p_j
-        elif h == h_prev:
-            nxt = x + 0.5 * h
-        else:
-            nxt = x - h * (x - x_prev) / (h - h_prev)
-            if not 0.0 <= nxt <= jcfg.p_j_max:
+                out[k] = FixedPointFailure("undefined_profile", x)
+            else:
+                asked.append((k, prof))
+        answers = best_responses(
+            ch, ((p.p1, p.p2, p.p3, p.p4) for _, p in asked), jcfg
+        )
+        nxt_live = {}
+        for (k, _), p_j in zip(asked, answers):
+            x_prev, h_prev, x = live[k]
+            h = p_j - x
+            if abs(h) <= tol:
+                prof = fns[k](p_j)
+                out[k] = (FixedPointFailure("undefined_profile", p_j) if prof is None
+                          else replace(prof, p_j=p_j))
+                continue
+            if h_prev is None:
+                nxt = p_j
+            elif h == h_prev:
                 nxt = x + 0.5 * h
-        x_prev, h_prev, x = x, h, nxt
-    return FixedPointFailure("no_convergence", x_prev)
+            else:
+                nxt = x - h * (x - x_prev) / (h - h_prev)
+                if not 0.0 <= nxt <= pmax:
+                    nxt = x + 0.5 * h
+            nxt_live[k] = (x, h, nxt)
+        live = nxt_live
+    for k, (x_prev, _, _) in live.items():
+        out[k] = FixedPointFailure("no_convergence", x_prev)
+    return out
+
+
+def _stackelberg_fixed_point(
+    ch: ChannelRealization,
+    jcfg: JammerConfig,
+    profile_of_pj,
+) -> StrategyProfile | FixedPointFailure:
+    """``_stackelberg_fixed_points`` of one lane."""
+    return _stackelberg_fixed_points(ch, jcfg, (profile_of_pj,))[0]
 
 
 def mood_classify(
@@ -199,11 +228,12 @@ def mood_classify(
     """
     ps: list[tuple[int, int]] = []
     total_levels = range(2, grid.levels + 1)
-    for k1, k2 in product(total_levels, total_levels):
-        p_bs1, p_bs2 = k1 * grid.step, k2 * grid.step
-        sol = _stackelberg_fixed_point(
-            ch, jcfg, lambda pj: _binding_profile(ch, p_bs1, p_bs2, pj, r0)
-        )
+    pairs = list(product(total_levels, total_levels))
+    sols = _stackelberg_fixed_points(ch, jcfg, [
+        partial(_binding_profile, ch, k1 * grid.step, k2 * grid.step, r0=r0)
+        for k1, k2 in pairs
+    ])
+    for (k1, k2), sol in zip(pairs, sols):
         if isinstance(sol, FixedPointFailure):
             continue
         if sol.p2 <= 0 or sol.p4 <= 0:
@@ -249,7 +279,8 @@ class GridEvaluator:
     """One table of every joint grid profile's jammer response, rates, utility and margin.
 
     The first call to ``u_matrix`` (every other method makes it) solves the
-    follower at all n^2 profiles and fills the table; nothing is solved later.
+    follower at all n^2 profiles, ``BLOCK`` profiles per ``best_responses``
+    call, and fills the table; nothing is solved later.
     """
 
     def __init__(
@@ -273,13 +304,18 @@ class GridEvaluator:
     def u_matrix(self) -> np.ndarray:
         if self._table is None:
             actions = self.grid.actions
-            table = np.empty((len(actions), len(actions), 7))
-            for i, a1 in enumerate(actions):
-                for j, a2 in enumerate(actions):
-                    pj = best_response(self.ch, a1, a2, self.jcfg).p_j_star
-                    r = _rates4(self.ch, a1[0], a1[1], a2[0], a2[1], pj)
-                    u = bs_utility(r, pj, self.r0, self.gamma, self.z)
-                    table[i, j, :6] = (pj, *r, u)
+            n = len(actions)
+            table = np.empty((n, n, 7))
+            rows = table.reshape(n * n, 7)
+            # Row-major profiles, one follower block at a time.
+            for start in range(0, n * n, BLOCK):
+                block = [actions[k // n] + actions[k % n]
+                         for k in range(start, min(start + BLOCK, n * n))]
+                filled = []
+                for alloc, pj in zip(block, best_responses(self.ch, block, self.jcfg)):
+                    r = _rates4(self.ch, *alloc, pj)
+                    filled.append((pj, *r, bs_utility(r, pj, self.r0, self.gamma, self.z)))
+                rows[start:start + len(block), :6] = filled
             table[:, :, 6] = deviation_margins(table[:, :, 5])
             self._table = table
         return self._table[:, :, 5]
@@ -452,10 +488,7 @@ def find_ne_l1(
             ):
                 continue
             a1, a2 = grid.actions[i], grid.actions[j]
-            slopes = leader_slopes(ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0)
-            if slopes is None:
-                continue
-            d1, d2 = slopes
+            d1, d2 = leader_slopes(ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0)
             stol = 1e-9 * max(1.0, abs(d1), abs(d2))
             ok1 = d1 >= -stol or _grid_binding_strong(ev, pj, 1, s1)
             ok2 = d2 >= -stol or _grid_binding_strong(ev, pj, 2, s2)
@@ -534,17 +567,18 @@ def _full_power_root(
     """
     pmax = grid.p_bs_max
 
-    def factor(x: float) -> float | None:
+    def profile_of(x: float):
         totals = (x, pmax) if full_cell == 2 else (pmax, x)
-        sol = _stackelberg_fixed_point(
-            ch, jcfg, lambda pj: _binding_profile(ch, *totals, pj, r0, (full_cell,))
-        )
+        return partial(_binding_profile, ch, *totals, r0=r0, cells=(full_cell,))
+
+    def factor(x: float, sol) -> float | None:
         if isinstance(sol, FixedPointFailure):
             return None
         return _full_power_slope_factor(ch, full_cell, x, pmax, sol.p_j, r0)
 
     xs = np.linspace(0.0, pmax, 33)
-    vals = [factor(x) for x in xs]
+    sols = _stackelberg_fixed_points(ch, jcfg, [profile_of(x) for x in xs])
+    vals = [factor(x, sol) for x, sol in zip(xs, sols)]
     bracket = None
     for (xa, va), (xb, vb) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
         if va is None or vb is None:
@@ -561,7 +595,7 @@ def _full_power_root(
     tol = 1e-6 * pmax
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        v_mid = factor(mid)
+        v_mid = factor(mid, _stackelberg_fixed_point(ch, jcfg, profile_of(mid)))
         if v_mid is None:
             break
         if (v_mid > 0) == (v_lo > 0):
@@ -687,12 +721,13 @@ def monotonicity_check(
         u = bs_utility(r, prof.p_j, r0, gamma, z)
         return u, flags
 
+    bases = []
     for _ in range(n_samples):
         t1, t2 = rng.uniform(0.2, 1.0, size=2) * p_bs_max
         f1, f3 = rng.uniform(0.1, 0.9, size=2)
         p1, p3 = f1 * t1, f3 * t2
-        base = [p1, t1 - p1, p3, t2 - p3]
-        pj = best_response(ch, base[:2], base[2:], jcfg).p_j_star
+        bases.append([p1, t1 - p1, p3, t2 - p3])
+    for base, pj in zip(bases, best_responses(ch, bases, jcfg)):
         # Each weak user takes h from (and gives h to) its cell's strong user.
         for weak, strong, _, _ in CELLS.values():
             up, dn = base + [pj], base + [pj]
@@ -712,11 +747,11 @@ def monotonicity_check(
         rep.skipped += 2 * n_samples
         return rep
     hh = 1e-3 * p_bs_max
-    for _ in range(n_samples):
-        t1, t2 = rng.uniform(0.3, 0.95, size=2) * p_bs_max
-        sol = _stackelberg_fixed_point(
-            ch, jcfg, lambda pj: _binding_profile(ch, t1, t2, pj, r0)
-        )
+    totals = [rng.uniform(0.3, 0.95, size=2) * p_bs_max for _ in range(n_samples)]
+    sols = _stackelberg_fixed_points(
+        ch, jcfg, [partial(_binding_profile, ch, t1, t2, r0=r0) for t1, t2 in totals]
+    )
+    for (t1, t2), sol in zip(totals, sols):
         if isinstance(sol, FixedPointFailure):
             rep.skipped += 1
             continue

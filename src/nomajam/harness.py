@@ -615,18 +615,19 @@ def records_path(out_dir: str, scheme: str, seed: int) -> str:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every seed, optionally exporting one CSV per seed plus a summary.
 
-    Seeds are independent, so with workers > 1 they run in a process pool
-    of at most one process per seed and per CPU; results are merged in seed
-    order either way, keeping output deterministic.
+    Seeds are independent, so they run in a process pool of min(workers,
+    seeds, CPUs) processes when that is more than one, and in this process
+    otherwise; results are merged in seed order either way, keeping output
+    deterministic.
     """
     cfg.validate()
     if cfg.scheme == "NE-ANALYSIS":
         raise ValueError("use run_ne_analysis for the NE-ANALYSIS scheme")
     result = ExperimentResult(config=cfg)
-    if cfg.workers > 1 and len(cfg.seeds) > 1:
+    size = min(cfg.workers, len(cfg.seeds), os.cpu_count() or 1)
+    if size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        size = min(cfg.workers, len(cfg.seeds), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
             all_records = list(pool.map(run_seed, [cfg] * len(cfg.seeds), cfg.seeds))
     else:

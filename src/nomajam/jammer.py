@@ -8,21 +8,30 @@ s_i, g_i >= 0, is concave in p: each term's marginal rate loss
 s_i g_i / ((d_i + p g_i)(d_i + s_i + p g_i)) falls as p grows.  So a coarse
 sweep brackets the maximizer and golden-section search refines it inside
 the bracket; printed closed-form optimality conditions are not trusted.
+``best_responses`` runs the sweep for a block of allocations in one numpy
+pass and the search on each of them on plain floats, so a block's rows are
+bit-identical to batches of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from math import log2
 
 import numpy as np
 
 from .channel import ChannelRealization
-from .rates import link_terms, sum_rate, sum_rate_curve
+from .rates import link_terms, sum_rate_curve
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Points of the sweep that brackets the best response on [0, p_j_max].
 PROBE_POINTS = 65
+# Allocations per sweep block.  The block's one buffer holds 9 * BLOCK * 65
+# floats (150 kB), whatever the number of allocations solved: two slabs of
+# four users' sweeps and one row of sums per allocation.
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -79,40 +88,85 @@ def _golden_max(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[float]:
+    """Utility-maximizing jamming power on [0, p_j_max] for each (p1, p2, p3, p4).
+
+    The utility is concave in the jamming power (see the module docstring),
+    so the best of the config's 65-point sweep lies within one step of the
+    maximizer; golden-section search refines it on that bracket until the
+    bracket is 1e-5 wide, or 1e-12 * p_j_max where that is wider (a bracket
+    cannot shrink below a few ulps of p_j_max).  The ends are the clamp
+    points: the best utility wins outright, and a tie goes to the larger
+    power.
+
+    The sweep runs for up to ``BLOCK`` allocations at a time in one reused
+    buffer, each element by the same float operations as a block of one, so
+    no answer depends on the block it was solved in.  Deterministic in its
+    inputs; allocations are read lazily, one block at a time.
+    """
+    grid, cost, ends = cfg.probe_grid, cfg._probe_cost, cfg._probe_floats
+    gamma, pmax = cfg.gamma, cfg.p_j_max
+    tol = max(1e-5, 1e-12 * pmax)
+    top = len(ends) - 1
+    lanes = iter(allocs)
+    out: list[float] = []
+    work = None
+    while block := list(islice(lanes, BLOCK)):
+        terms = []
+        for alloc in block:
+            # Plain floats: numpy scalars would slow every step of the search.
+            p1, p2, p3, p4 = map(float, alloc)
+            if min(p1, p2, p3, p4) < 0:
+                raise ValueError("allocations must be non-negative")
+            terms.append(link_terms(ch, p1, p2, p3, p4))
+        n = len(terms)
+        if work is None:
+            work = np.empty(9 * n * PROBE_POINTS)
+        # Contiguous user-major views of the one buffer: every ufunc below
+        # pairs same-shape contiguous operands (or a scalar), which numpy runs
+        # without buffers of its own; broadcasts are copies into ``w``.
+        x, w = work[:8 * n * PROBE_POINTS].reshape(2, 4, n, PROBE_POINTS)
+        a = work[8 * n * PROBE_POINTS:9 * n * PROBE_POINTS].reshape(n, PROBE_POINTS)
+        s, d, g = np.array(terms).transpose(2, 1, 0)[:, :, :, None]
+        # Each user's rate log2(1 + s / (d + p g)) on the sweep, then the sum
+        # over users in user order plus the cost; its minimum is the best
+        # utility.
+        np.copyto(x, g)
+        np.copyto(w, grid)
+        np.multiply(x, w, out=x)
+        np.copyto(w, d)
+        np.add(w, x, out=x)
+        np.copyto(w, s)
+        np.divide(w, x, out=x)
+        np.add(1.0, x, out=x)
+        np.log2(x, out=x)
+        np.add(x[0], x[1], out=a)
+        np.add(a, x[2], out=a)
+        np.add(a, x[3], out=a)
+        np.copyto(w[0], cost)
+        np.add(a, w[0], out=a)
+        for k, ((s1, d1, g1), (s2, d2, g2), (s3, d3, g3), (s4, d4, g4)) in zip(
+            a.argmin(axis=1).tolist(), terms
+        ):
+            def u(p: float) -> float:
+                # rates.sum_rate unrolled: four rates added in user order
+                return -(log2(1.0 + s1 / (d1 + p * g1)) + log2(1.0 + s2 / (d2 + p * g2))
+                         + log2(1.0 + s3 / (d3 + p * g3)) + log2(1.0 + s4 / (d4 + p * g4))
+                         + gamma * p)
+
+            star = _golden_max(u, ends[max(0, k - 1)], ends[min(top, k + 1)], tol)
+            out.append(max((u(0.0), 0.0), (u(star), star), (u(pmax), pmax))[1])
+    return out
+
+
 def best_response(
     ch: ChannelRealization,
     alloc1: tuple[float, float],
     alloc2: tuple[float, float],
     cfg: JammerConfig,
 ) -> BestResponse:
-    """Utility-maximizing jamming power on [0, p_j_max], clamped at the ends.
-
-    The utility is concave in the jamming power (see the module docstring),
-    so the best of the config's 65-point sweep lies within one step of the
-    maximizer; golden-section search refines it on that bracket until the
-    bracket is 1e-5 wide, or 1e-12 * p_j_max where that is wider (a bracket
-    cannot shrink below a few ulps of p_j_max).  Deterministic in its inputs.
-    """
-    # Plain floats: numpy scalars would slow every step of the scalar search.
-    powers = tuple(map(float, alloc1 + alloc2))
-    if min(powers) < 0:
-        raise ValueError("allocations must be non-negative")
-    terms = link_terms(ch, *powers)
-    gamma, pmax = cfg.gamma, cfg.p_j_max
-
-    def u(p_j: float) -> float:
-        return -(sum_rate(terms, p_j) + gamma * p_j)
-
-    # The sweep's largest utility is its smallest sum rate plus cost.
-    k = int(np.argmin(sum_rate_curve(terms, cfg.probe_grid) + cfg._probe_cost))
-    ends = cfg._probe_floats
-    lo, hi = ends[max(0, k - 1)], ends[min(len(ends) - 1, k + 1)]
-    star = _golden_max(u, lo, hi, max(1e-5, 1e-12 * pmax))
-
-    # The ends are the clamp points; the best utility wins outright, and a tie
-    # goes to the larger power.
-    _, p_star = max((u(0.0), 0.0), (u(star), star), (u(pmax), pmax))
-    return BestResponse(p_j_star=p_star)
+    """The follower's answer to one BS power pair: ``best_responses`` of one."""
+    return BestResponse(p_j_star=best_responses(ch, ((*alloc1, *alloc2),), cfg)[0])
 
 
 @dataclass(frozen=True)

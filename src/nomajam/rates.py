@@ -78,7 +78,10 @@ def sinrs(terms, p_j: float) -> list[float]:
 
 
 def sum_rate(terms, p_j: float) -> float:
-    """Sum rate from ``link_terms`` at a scalar jamming power, added in user order."""
+    """Sum rate from ``link_terms`` at a scalar jamming power, added in user order.
+
+    ``jammer.best_responses`` unrolls this sum in its search.
+    """
     total = 0.0
     for s, d, g in terms:
         total += log2(1.0 + s / (d + p_j * g))

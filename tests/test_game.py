@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -26,6 +27,7 @@ from nomajam.game import (
     _full_power_root,
     _full_power_slope_factor,
     _stackelberg_fixed_point,
+    _stackelberg_fixed_points,
     _binding_profile,
     _slope_u_binding,
 )
@@ -307,9 +309,18 @@ def test_analysis_report_unchanged_under_damped_reference(monkeypatch, levels, s
     for seed in seeds:
         ch = channel_for_seed(cfg, seed)
         want = game.analysis_report(ch, *args)
+        lanes = []
+
+        def damped_lanes(ch, jcfg, profile_fns):
+            fns = list(profile_fns)
+            lanes.append(len(fns))
+            return [damped_fixed_point(ch, jcfg, f) for f in fns]
+
         with monkeypatch.context() as m:
-            m.setattr(game, "_stackelberg_fixed_point", damped_fixed_point)
+            m.setattr(game, "_stackelberg_fixed_points", damped_lanes)
             assert game.analysis_report(ch, *args) == want
+        # mood_classify's (L - 1)^2 totals and the 50 curvature samples at least
+        assert len(lanes) >= 2 and sum(lanes) >= (levels - 1) ** 2 + 50
 
 
 def test_fixed_point_undefined_profile_reports_where(jcfg):
@@ -345,6 +356,82 @@ def test_fixed_point_no_convergence_without_root(jcfg):
     assert out == FixedPointFailure("no_convergence", asked[-1])
     assert len(asked) == 100
     assert 0.0 <= out.p_j <= jcfg.p_j_max
+
+
+def scalar_fixed_point(ch, jcfg, profile_of_pj):
+    """The secant fixed point as a scalar loop, one follower call per step:
+    the reference for the lockstep lanes."""
+    tol = 2e-6 * jcfg.p_j_max
+    x_prev = h_prev = None
+    x = 0.0
+    for _ in range(100):
+        prof = profile_of_pj(x)
+        if prof is None:
+            return FixedPointFailure("undefined_profile", x)
+        p_j = best_response(ch, (prof.p1, prof.p2), (prof.p3, prof.p4), jcfg).p_j_star
+        h = p_j - x
+        if abs(h) <= tol:
+            prof = profile_of_pj(p_j)
+            if prof is None:
+                return FixedPointFailure("undefined_profile", p_j)
+            return StrategyProfile(prof.p1, prof.p2, prof.p3, prof.p4, p_j)
+        if h_prev is None:
+            nxt = p_j
+        elif h == h_prev:
+            nxt = x + 0.5 * h
+        else:
+            nxt = x - h * (x - x_prev) / (h - h_prev)
+            if not 0.0 <= nxt <= jcfg.p_j_max:
+                nxt = x + 0.5 * h
+        x_prev, h_prev, x = x, h, nxt
+    return FixedPointFailure("no_convergence", x_prev)
+
+
+def test_lockstep_fixed_points_equal_each_lane_alone(geom, jcfg):
+    # mood_classify's totals at grid 6 plus random totals, mixed with lanes
+    # that fail with undefined_profile at their first or second step and one
+    # that never converges: every lane asks the same jamming powers and ends
+    # exactly as it does alone, and as the scalar loop does
+    loud = StrategyProfile(20.0, 20.0, 20.0, 20.0)
+    silent = StrategyProfile(0.0, 0.0, 0.0, 0.0)
+    grid = StrategyGrid.build(6, 40.0)
+    rng = np.random.default_rng(7)
+    reasons = set()
+    for seed in (0, 11, 15):
+        ch = draw_channels(geom, seed)
+        totals = list(product(total_powers(grid), repeat=2))
+        totals += [tuple(rng.uniform(0.5, 40.0, size=2)) for _ in range(40)]
+        fns = [partial(_binding_profile, ch, t1, t2, r0=R0) for t1, t2 in totals]
+        # h jumps from positive to negative at half the loud profile's answer
+        jump = 0.5 * best_response(ch, (20.0, 20.0), (20.0, 20.0), jcfg).p_j_star
+        fns[3:3] = [lambda pj: None, lambda pj: loud if pj == 0.0 else None,
+                    lambda pj: loud if pj < jump else silent]
+        asked = [[] for _ in fns]
+
+        def recorded(k):
+            def profile_of_pj(pj):
+                asked[k].append(pj)
+                return fns[k](pj)
+            return profile_of_pj
+
+        got = _stackelberg_fixed_points(ch, jcfg, [recorded(k) for k in range(len(fns))])
+        for k, f in enumerate(fns):
+            alone_asked = []
+
+            def alone(pj, f=f):
+                alone_asked.append(pj)
+                return f(pj)
+
+            want = _stackelberg_fixed_point(ch, jcfg, alone)
+            assert got[k] == want == scalar_fixed_point(ch, jcfg, f), (seed, k)
+            assert asked[k] == alone_asked, (seed, k)
+            if isinstance(want, FixedPointFailure):
+                reasons.add(want.reason)
+        assert got[3] == FixedPointFailure("undefined_profile", 0.0)
+        assert got[4].reason == "undefined_profile" and got[4].p_j > 0.0
+        assert got[5].reason == "no_convergence" and len(asked[5]) == 100
+    assert reasons == {"undefined_profile", "no_convergence"}
+    assert _stackelberg_fixed_points(ch, jcfg, []) == []
 
 
 def test_brute_force_single_action_grid(channel, jcfg):
@@ -637,6 +724,40 @@ def test_ne_l3_mirrors_ne_l2(geom, jcfg):
     assert got == want
     assert pne3 is not None
     assert (pne3.profile.p3, pne3.profile.p4) == (pne2.profile.p1, pne2.profile.p2)
+
+
+def _indices(certs, swap=False):
+    """Sorted (a1_index, a2_index) of report certificates, or (a2, a1) with swap."""
+    pairs = [(c["a1_index"], c["a2_index"]) for c in certs if c is not None]
+    return sorted((j, i) if swap else (i, j) for i, j in pairs)
+
+
+@pytest.mark.parametrize("levels", [4, 6])
+def test_report_maps_under_cell_mirror(levels):
+    # swapping the cells relabels the game, so the mirrored realization's
+    # report is the original's with the cells swapped
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=levels)
+    args = (cfg.grid(), cfg.jammer_config(), cfg.r0, cfg.gamma, cfg.z, cfg.eps_ne)
+    full_power = 0
+    # seeds 0..9 are mood 1 at both levels, and seed 11 is mood 2
+    for seed in (*range(10), 11):
+        ch = channel_for_seed(cfg, seed)
+        rep = analysis_report(ch, *args)
+        mir = analysis_report(mirror_channel(ch), *args)
+        full_power += len(rep["ne_l2"]) + len(rep["ne_l3"])
+        assert mir["mood"] == rep["mood"], seed
+        assert sorted(mir["ps_pairs"]) == sorted([b, a] for a, b in rep["ps_pairs"])
+        assert {(p["p1"], p["p2"], p["p3"], p["p4"]) for p in mir["brute_force"]} == {
+            (p["p3"], p["p4"], p["p1"], p["p2"]) for p in rep["brute_force"]
+        }, seed
+        # ne_l2 and ne_l3 trade places, and so do their Pareto picks
+        for mine, theirs in (("ne_l1", "ne_l1"), ("ne_l2", "ne_l3"), ("ne_l3", "ne_l2")):
+            assert _indices(mir[mine]) == _indices(rep[theirs], swap=True), (seed, mine)
+        for mine, theirs in (("pareto_l1", "pareto_l1"), ("pne_l2", "pne_l3"),
+                             ("pne_l3", "pne_l2")):
+            assert (mir[mine] is None) == (rep[theirs] is None), (seed, mine)
+            assert _indices([mir[mine]]) == _indices([rep[theirs]], swap=True), (seed, mine)
+    assert full_power > 0
 
 
 def test_finders_respect_mood_gate(geom, jcfg):

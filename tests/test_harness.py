@@ -900,10 +900,14 @@ def test_worker_pool_is_sized_to_the_seed_count(pool_sizes, monkeypatch):
 
 @pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1)])
 def test_worker_pool_is_capped_at_the_cpu_count(pool_sizes, monkeypatch, cpus, size):
+    # a pool of one would only add a process: the seeds run in this one
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     cfg = ExperimentConfig(slots=3, seeds=(0, 1, 2, 3), summary_window=2)
-    run_experiment(cfg.replaced(workers=100000))
-    assert pool_sizes == [size]
+    got = run_experiment(cfg.replaced(workers=100000))
+    assert pool_sizes == ([size] if size > 1 else [])
+    want = run_experiment(cfg.replaced(workers=1))
+    assert got.per_seed.keys() == want.per_seed.keys()
+    assert all(np.array_equal(got.per_seed[s], want.per_seed[s]) for s in cfg.seeds)
 
 
 def test_summarize_window():

@@ -5,9 +5,12 @@ import pytest
 
 from nomajam.channel import draw_channels
 from nomajam.harness import CSV_HEADER, ExperimentConfig, TwoCellEnv
+from nomajam.game import StrategyGrid
 from nomajam.jammer import (
+    BLOCK,
     JammerConfig,
     best_response,
+    best_responses,
     concavity_probe,
     jammer_utility_curve,
 )
@@ -245,6 +248,32 @@ def test_best_response_equals_reference_bit_for_bit(geom):
             link_terms(ch, *powers), cfg.gamma, sweep[cfg]
         )
         assert np.array_equal(curve, reference), (i, p.tolist(), cfg)
+
+
+def test_best_responses_rows_equal_batches_of_one(geom):
+    # every joint profile of grid 8: each row of a batch equals a batch of
+    # one, bit for bit, whatever the row order and wherever the block
+    # boundaries fall
+    actions = StrategyGrid.build(8, 40.0).actions
+    allocs = [a1 + a2 for a1 in actions for a2 in actions]
+    assert len(allocs) == 784 and len(allocs) % BLOCK
+    for seed, cfg in ((0, JammerConfig()), (3, JammerConfig(p_j_max=1e6, gamma=50.0))):
+        ch = draw_channels(geom, seed)
+        alone = [best_responses(ch, [a], cfg)[0] for a in allocs]
+        assert alone == [best_response(ch, a[:2], a[2:], cfg).p_j_star for a in allocs]
+        assert all(type(p) is float for p in alone)
+        assert best_responses(ch, allocs, cfg) == alone
+        assert best_responses(ch, iter(allocs[::-1]), cfg) == alone[::-1]
+        shift = BLOCK // 2 + 3
+        assert best_responses(ch, allocs[shift:], cfg) == alone[shift:]
+    assert best_responses(ch, [], cfg) == []
+
+
+def test_best_responses_rejects_a_negative_lane(geom, jcfg):
+    ch = draw_channels(geom, 0)
+    allocs = [(1.0, 2.0, 3.0, 4.0)] * (BLOCK + 1) + [(1.0, 2.0, -3.0, 4.0)]
+    with pytest.raises(ValueError, match="non-negative"):
+        best_responses(ch, allocs, jcfg)
 
 
 def test_probe_grid_is_read_only():

@@ -11,10 +11,13 @@ import pathlib
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# Stale targets that only a change to the benchmark itself may drop.
+# Stale targets that only a change to the benchmark itself may drop.  The game
+# calls the follower through ``best_responses``, so it no longer imports
+# ``best_response``.
 EXPECTED_MISSING = {
     ("nomajam.jammer", "JammerAgent.step"),
     ("nomajam.game", "slope_sign_disagreements"),
+    ("nomajam.game", "best_response"),
 }
 
 
