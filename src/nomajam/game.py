@@ -11,7 +11,7 @@ points, every certificate is explicitly grid-relative.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from itertools import product
 
@@ -19,7 +19,14 @@ import numpy as np
 
 from .channel import CELLS, SRC_JAM, ChannelRealization
 from .jammer import BLOCK, JammerConfig, best_responses, concavity_probe
-from .rates import StrategyProfile, _rates4, bs_utility, link_terms, qos_binding_split
+from .rates import (
+    StrategyProfile,
+    _rates4,
+    bs_utility_rows,
+    link_terms,
+    qos_binding_split,
+    rate_rows,
+)
 
 EPS_NE = 1e-9
 
@@ -126,6 +133,27 @@ def _binding_profile(
     return StrategyProfile(p1=p1, p2=p2, p3=p3, p4=p4, p_j=p_j)
 
 
+def _binding_allocs(
+    ch: ChannelRealization,
+    p_bs1: np.ndarray,
+    p_bs2: np.ndarray,
+    p_j: np.ndarray,
+    r0: float,
+    cells: tuple[int, ...] = (1, 2),
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_binding_profile`` of each entry of equal-length arrays of totals and p_j.
+
+    Returns the (N, 4) allocations and the mask of defined entries; each
+    defined row holds the scalar profile's powers, bit for bit.
+    """
+    zero = np.zeros_like(p_j)
+    p1 = qos_binding_split(ch, p_bs1, p_bs2, p_j, r0, cell=1) if 1 in cells else zero
+    p3 = qos_binding_split(ch, p_bs1, p_bs2, p_j, r0, cell=2) if 2 in cells else zero
+    p2, p4 = p_bs1 - p1, p_bs2 - p3
+    ok = np.isfinite(p1) & np.isfinite(p3) & ~((p2 < 0) | (p4 < 0))
+    return np.stack((p1, p2, p3, p4), axis=1), ok
+
+
 @dataclass(frozen=True)
 class FixedPointFailure:
     """Why a Stackelberg fixed point gave up, and the jamming power it stopped at.
@@ -138,56 +166,54 @@ class FixedPointFailure:
     p_j: float
 
 
-def _stackelberg_fixed_points(
+def _lockstep_lanes(
     ch: ChannelRealization,
     jcfg: JammerConfig,
-    profile_fns,
+    n: int,
+    allocs_at,
 ) -> list[StrategyProfile | FixedPointFailure]:
-    """Self-consistent profile and jamming power for each pj-dependent profile.
+    """Self-consistent profile and jamming power for each of n pj-dependent lanes.
 
-    Each lane's ``profile_of_pj(pj)`` builds the BS profile given the jamming
-    power, and the jammer then best-responds to that profile.  The root of
-    h(pj) = BR(profile_of_pj(pj)).p_j_star - pj is found by a secant
-    iteration: h is evaluated at pj = 0, the first step goes to
-    BR(profile_of_pj(0)), and every later step is the secant through the last
-    two evaluations.  When the secant step leaves [0, p_j_max], or the two
-    values of h are equal, the damped step pj + h(pj) / 2 is taken instead.
-    A lane stops when |h(pj)| <= 2e-6 * p_j_max and returns
-    ``profile_of_pj(p)`` with ``p_j = p``, where p = BR(profile_of_pj(pj)).
-    It gives up with a ``FixedPointFailure``: ``undefined_profile`` when
-    ``profile_of_pj`` returns None, ``no_convergence`` after 100 evaluations
-    of h.
+    ``allocs_at(lanes, pjs)`` gives each listed lane's BS allocation
+    (p1, p2, p3, p4) at its jamming power, or None where the lane's profile
+    is undefined; the jammer then best-responds to the allocation.  The root
+    of h(pj) = BR(alloc(pj)) - pj is found by a secant iteration: h is
+    evaluated at pj = 0, the first step goes to BR(alloc(0)), and every
+    later step is the secant through the last two evaluations.  When the
+    secant step leaves [0, p_j_max], or the two values of h are equal, the
+    damped step pj + h(pj) / 2 is taken instead.  A lane stops when
+    |h(pj)| <= 2e-6 * p_j_max and returns the profile of alloc(p) with
+    ``p_j = p``, where p = BR(alloc(pj)).  It gives up with a
+    ``FixedPointFailure``: ``undefined_profile`` when the allocation is
+    None, ``no_convergence`` after 100 evaluations of h.
 
-    The lanes run in lockstep, one ``best_responses`` call per round for
-    every lane still iterating; each lane takes exactly the steps it would
-    take alone.
+    The lanes run in lockstep: each round makes one ``allocs_at`` call and
+    one ``best_responses`` call for every lane still iterating, and one last
+    ``allocs_at`` call builds the converged lanes' profiles.  Each lane takes
+    exactly the steps it would take alone.
     """
     tol, pmax = 2e-6 * jcfg.p_j_max, jcfg.p_j_max
-    fns = list(profile_fns)
-    out: list[StrategyProfile | FixedPointFailure | None] = [None] * len(fns)
+    out: list[StrategyProfile | FixedPointFailure | None] = [None] * n
     # lane -> (previous pj, previous h, pj to evaluate next)
-    live = {k: (None, None, 0.0) for k in range(len(fns))}
+    live = {k: (None, None, 0.0) for k in range(n)}
+    done: dict[int, float] = {}  # converged lane -> its jamming power
     for _ in range(100):
         if not live:
             break
+        lanes = list(live)
         asked = []
-        for k, (_, _, x) in live.items():
-            prof = fns[k](x)
-            if prof is None:
-                out[k] = FixedPointFailure("undefined_profile", x)
+        for k, alloc in zip(lanes, allocs_at(lanes, [live[k][2] for k in lanes])):
+            if alloc is None:
+                out[k] = FixedPointFailure("undefined_profile", live[k][2])
             else:
-                asked.append((k, prof))
-        answers = best_responses(
-            ch, ((p.p1, p.p2, p.p3, p.p4) for _, p in asked), jcfg
-        )
+                asked.append((k, alloc))
+        answers = best_responses(ch, (a for _, a in asked), jcfg)
         nxt_live = {}
         for (k, _), p_j in zip(asked, answers):
             x_prev, h_prev, x = live[k]
             h = p_j - x
             if abs(h) <= tol:
-                prof = fns[k](p_j)
-                out[k] = (FixedPointFailure("undefined_profile", p_j) if prof is None
-                          else replace(prof, p_j=p_j))
+                done[k] = p_j
                 continue
             if h_prev is None:
                 nxt = p_j
@@ -201,7 +227,34 @@ def _stackelberg_fixed_points(
         live = nxt_live
     for k, (x_prev, _, _) in live.items():
         out[k] = FixedPointFailure("no_convergence", x_prev)
+    if done:
+        lanes, pjs = list(done), list(done.values())
+        for k, p_j, alloc in zip(lanes, pjs, allocs_at(lanes, pjs)):
+            out[k] = (FixedPointFailure("undefined_profile", p_j) if alloc is None
+                      else StrategyProfile(*alloc, p_j))
     return out
+
+
+def _stackelberg_fixed_points(
+    ch: ChannelRealization,
+    jcfg: JammerConfig,
+    totals,
+    r0: float,
+    cells: tuple[int, ...] = (1, 2),
+) -> list[StrategyProfile | FixedPointFailure]:
+    """The fixed point of ``_binding_profile`` at each (p_bs1, p_bs2) total pair.
+
+    ``_lockstep_lanes`` with one lane per pair, whose round builds every live
+    lane's binding allocation in one ``_binding_allocs`` call.
+    """
+    t1, t2 = np.array(totals, dtype=float).reshape(-1, 2).T
+
+    def allocs_at(lanes, pjs):
+        idx = np.array(lanes, dtype=np.intp)
+        p, ok = _binding_allocs(ch, t1[idx], t2[idx], np.array(pjs, dtype=float), r0, cells)
+        return [a if defined else None for a, defined in zip(p.tolist(), ok.tolist())]
+
+    return _lockstep_lanes(ch, jcfg, len(t1), allocs_at)
 
 
 def _stackelberg_fixed_point(
@@ -209,8 +262,13 @@ def _stackelberg_fixed_point(
     jcfg: JammerConfig,
     profile_of_pj,
 ) -> StrategyProfile | FixedPointFailure:
-    """``_stackelberg_fixed_points`` of one lane."""
-    return _stackelberg_fixed_points(ch, jcfg, (profile_of_pj,))[0]
+    """The fixed point of one lane whose ``profile_of_pj(pj)`` returns a
+    ``StrategyProfile`` or None."""
+    def allocs_at(lanes, pjs):
+        profs = map(profile_of_pj, pjs)
+        return [None if p is None else p.as_tuple()[:4] for p in profs]
+
+    return _lockstep_lanes(ch, jcfg, 1, allocs_at)[0]
 
 
 def mood_classify(
@@ -226,22 +284,20 @@ def mood_classify(
     strong users also meet QoS and both splits leave strictly positive
     strong-user power.
     """
-    ps: list[tuple[int, int]] = []
     total_levels = range(2, grid.levels + 1)
     pairs = list(product(total_levels, total_levels))
-    sols = _stackelberg_fixed_points(ch, jcfg, [
-        partial(_binding_profile, ch, k1 * grid.step, k2 * grid.step, r0=r0)
-        for k1, k2 in pairs
-    ])
-    for (k1, k2), sol in zip(pairs, sols):
-        if isinstance(sol, FixedPointFailure):
-            continue
-        if sol.p2 <= 0 or sol.p4 <= 0:
-            continue
-        r = _rates4(ch, *sol.as_tuple())
-        qtol = 1e-9 * max(1.0, r0)
-        if r[1] >= r0 - qtol and r[3] >= r0 - qtol:
-            ps.append((k1, k2))
+    sols = _stackelberg_fixed_points(
+        ch, jcfg, [(k1 * grid.step, k2 * grid.step) for k1, k2 in pairs], r0
+    )
+    kept = [
+        (pair, sol.as_tuple()) for pair, sol in zip(pairs, sols)
+        if not isinstance(sol, FixedPointFailure) and sol.p2 > 0 and sol.p4 > 0
+    ]
+    profs = np.array([prof for _, prof in kept]).reshape(-1, 5)
+    r = rate_rows(ch, profs[:, :4], profs[:, 4])
+    qtol = 1e-9 * max(1.0, r0)
+    met = (r[:, 1] >= r0 - qtol) & (r[:, 3] >= r0 - qtol)
+    ps = [pair for (pair, _), m in zip(kept, met.tolist()) if m]
     return MoodReport(
         mood=1 if ps else 2,
         ps_set=tuple((k1 * grid.step, k2 * grid.step) for k1, k2 in ps),
@@ -311,11 +367,12 @@ class GridEvaluator:
             for start in range(0, n * n, BLOCK):
                 block = [actions[k // n] + actions[k % n]
                          for k in range(start, min(start + BLOCK, n * n))]
-                filled = []
-                for alloc, pj in zip(block, best_responses(self.ch, block, self.jcfg)):
-                    r = _rates4(self.ch, *alloc, pj)
-                    filled.append((pj, *r, bs_utility(r, pj, self.r0, self.gamma, self.z)))
-                rows[start:start + len(block), :6] = filled
+                pj = best_responses(self.ch, block, self.jcfg)
+                r = rate_rows(self.ch, block, pj)
+                filled = rows[start:start + len(block)]
+                filled[:, 0] = pj
+                filled[:, 1:5] = r
+                filled[:, 5] = bs_utility_rows(r, pj, self.r0, self.gamma, self.z)
             table[:, :, 6] = deviation_margins(table[:, :, 5])
             self._table = table
         return self._table[:, :, 5]
@@ -379,22 +436,6 @@ def _certificate(
         a1_index=i,
         a2_index=j,
     )
-
-
-def _slope_u_binding(
-    ch: ChannelRealization,
-    p_bs1: float,
-    p_bs2: float,
-    p_j: float,
-    r0: float,
-    gamma: float,
-) -> float | None:
-    """Indicator-free leader utility at binding splits with the jammer fixed."""
-    prof = _binding_profile(ch, p_bs1, p_bs2, p_j, r0)
-    if prof is None:
-        return None
-    r = _rates4(ch, *prof.as_tuple())
-    return r[0] + r[1] + r[2] + r[3] + gamma * p_j
 
 
 def leader_slopes(
@@ -567,9 +608,8 @@ def _full_power_root(
     """
     pmax = grid.p_bs_max
 
-    def profile_of(x: float):
-        totals = (x, pmax) if full_cell == 2 else (pmax, x)
-        return partial(_binding_profile, ch, *totals, r0=r0, cells=(full_cell,))
+    def totals(x: float) -> tuple[float, float]:
+        return (x, pmax) if full_cell == 2 else (pmax, x)
 
     def factor(x: float, sol) -> float | None:
         if isinstance(sol, FixedPointFailure):
@@ -577,7 +617,7 @@ def _full_power_root(
         return _full_power_slope_factor(ch, full_cell, x, pmax, sol.p_j, r0)
 
     xs = np.linspace(0.0, pmax, 33)
-    sols = _stackelberg_fixed_points(ch, jcfg, [profile_of(x) for x in xs])
+    sols = _stackelberg_fixed_points(ch, jcfg, [totals(x) for x in xs], r0, (full_cell,))
     vals = [factor(x, sol) for x, sol in zip(xs, sols)]
     bracket = None
     for (xa, va), (xb, vb) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
@@ -595,7 +635,8 @@ def _full_power_root(
     tol = 1e-6 * pmax
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        v_mid = factor(mid, _stackelberg_fixed_point(ch, jcfg, profile_of(mid)))
+        lane = partial(_binding_profile, ch, *totals(mid), r0=r0, cells=(full_cell,))
+        v_mid = factor(mid, _stackelberg_fixed_point(ch, jcfg, lane))
         if v_mid is None:
             break
         if (v_mid > 0) == (v_lo > 0):
@@ -715,32 +756,35 @@ def monotonicity_check(
     rep = MonotonicityReport()
     h = 1e-4 * p_bs_max
 
-    def utility(prof: StrategyProfile) -> tuple[float, tuple[bool, bool]]:
-        r = _rates4(ch, *prof.as_tuple())
-        flags = (min(r[0], r[1]) >= r0, min(r[2], r[3]) >= r0)
-        u = bs_utility(r, prof.p_j, r0, gamma, z)
-        return u, flags
-
     bases = []
     for _ in range(n_samples):
         t1, t2 = rng.uniform(0.2, 1.0, size=2) * p_bs_max
         f1, f3 = rng.uniform(0.1, 0.9, size=2)
         p1, p3 = f1 * t1, f3 * t2
         bases.append([p1, t1 - p1, p3, t2 - p3])
-    for base, pj in zip(bases, best_responses(ch, bases, jcfg)):
-        # Each weak user takes h from (and gives h to) its cell's strong user.
-        for weak, strong, _, _ in CELLS.values():
-            up, dn = base + [pj], base + [pj]
-            up[weak], up[strong] = up[weak] + h, up[strong] - h
-            dn[weak], dn[strong] = dn[weak] - h, dn[strong] + h
-            u_up, fl_up = utility(StrategyProfile(*up))
-            u_dn, fl_dn = utility(StrategyProfile(*dn))
-            if fl_up != fl_dn:
-                rep.skipped += 1
-                continue
-            rep.slope_checked += 1
-            if u_up - u_dn > 1e-9 * max(1.0, abs(u_up)):
-                rep.slope_violations += 1
+    pj_base = np.array(best_responses(ch, bases, jcfg))
+    # Each weak user takes h from (and gives h to) its cell's strong user:
+    # one rate pass over the up and down profiles of both cells.
+    moved = []
+    for weak, strong, _, _ in CELLS.values():
+        for dw in (h, -h):
+            p = np.array(bases)
+            p[:, weak] += dw
+            p[:, strong] -= dw
+            moved.append(p)
+    p = np.concatenate(moved)
+    pjs = np.tile(pj_base, len(moved))
+    r = rate_rows(ch, p, pjs)
+    u = bs_utility_rows(r, pjs, r0, gamma, z).reshape(-1, 2, n_samples)
+    flags = np.stack((np.minimum(r[:, 0], r[:, 1]) >= r0,
+                      np.minimum(r[:, 2], r[:, 3]) >= r0)).reshape(2, -1, 2, n_samples)
+    u_up, u_dn = u[:, 0], u[:, 1]
+    same = (flags[:, :, 0] == flags[:, :, 1]).all(axis=0)
+    rep.skipped += int((~same).sum())
+    rep.slope_checked += int(same.sum())
+    rep.slope_violations += int(
+        (same & (u_up - u_dn > 1e-9 * np.maximum(1.0, np.abs(u_up)))).sum()
+    )
 
     if any(ch.gain_rows[weak][own] <= 0 for weak, _, own, _ in CELLS.values()):
         # binding splits are undefined without the weak users' own gains
@@ -748,28 +792,35 @@ def monotonicity_check(
         return rep
     hh = 1e-3 * p_bs_max
     totals = [rng.uniform(0.3, 0.95, size=2) * p_bs_max for _ in range(n_samples)]
-    sols = _stackelberg_fixed_points(
-        ch, jcfg, [partial(_binding_profile, ch, t1, t2, r0=r0) for t1, t2 in totals]
-    )
+    sols = _stackelberg_fixed_points(ch, jcfg, totals, r0)
+    # Three points along each total of each converged sample, one binding pass
+    # and one rate pass for all of them.
+    pts = []
     for (t1, t2), sol in zip(totals, sols):
         if isinstance(sol, FixedPointFailure):
             rep.skipped += 1
             continue
-        pj = sol.p_j
         for axis in (0, 1):
-            pts = []
             for dx in (-hh, 0.0, hh):
-                x1 = t1 + dx if axis == 0 else t1
-                x2 = t2 + dx if axis == 1 else t2
-                u = _slope_u_binding(ch, x1, x2, pj, r0, gamma)
-                pts.append(None if u is None else 2.0 ** u)
-            if any(p is None for p in pts):
-                rep.skipped += 1
-                continue
-            rep.curvature_checked += 1
-            second = pts[0] - 2.0 * pts[1] + pts[2]
-            if second > 1e-7 * max(1.0, abs(pts[1])):
-                rep.curvature_violations += 1
+                pts.append((t1 + dx if axis == 0 else t1,
+                            t2 + dx if axis == 1 else t2, sol.p_j))
+    x1, x2, pj = np.array(pts).reshape(-1, 3).T
+    p, ok = _binding_allocs(ch, x1, x2, pj, r0)
+    r = rate_rows(ch, p[ok], pj[ok])
+    u = (((r[:, 0] + r[:, 1]) + r[:, 2]) + r[:, 3]) + gamma * pj[ok]
+    # The indicator-free leader utility, scaled exponentially by Python's
+    # ``**``: np.power's bits change with numpy's SIMD level.
+    scaled = np.zeros(len(ok))
+    scaled[ok] = [2.0 ** v for v in u.tolist()]
+    for defined, (lo, mid, hi) in zip(ok.reshape(-1, 3).all(axis=1).tolist(),
+                                      scaled.reshape(-1, 3).tolist()):
+        if not defined:
+            rep.skipped += 1
+            continue
+        rep.curvature_checked += 1
+        second = lo - 2.0 * mid + hi
+        if second > 1e-7 * max(1.0, abs(mid)):
+            rep.curvature_violations += 1
     return rep
 
 

@@ -170,6 +170,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         for name, holds, need in (
             ("r0", self.r0 >= 0, "be non-negative"),
+            # 2 ** r0 must be finite, and no finite rate log2(1 + x) reaches 1024
+            ("r0", self.r0 < 1024, "be below 1024"),
+            ("gamma", math.isfinite(self.gamma * self.p_j_max),
+             "keep gamma * p_j_max finite"),
             ("eps_ne", self.eps_ne >= 0, "be non-negative"),
             ("z", 0 <= self.z <= 1, "lie in [0, 1]"),
             ("discount", 0 <= self.discount < 1, "lie in [0, 1)"),

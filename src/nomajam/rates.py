@@ -60,6 +60,10 @@ def link_terms(
     power plus the other cell's total, and the strong users (UE2, UE4) have
     the weak-user signal cancelled and see only noise.  User i's SINR at
     jamming power p_j is s_i / (d_i + p_j * g_i).
+
+    The powers may also be equal-length 1-D arrays, one entry per
+    allocation: each entry then takes the same float operations, in the same
+    order, as the scalar call, so its terms are the same bits.
     """
     g1, g2, g3, g4 = ch.gain_rows
     return (
@@ -73,7 +77,7 @@ def link_terms(
 
 
 def sinrs(terms, p_j: float) -> list[float]:
-    """Per-user SINRs from ``link_terms`` at jamming power p_j."""
+    """Per-user SINRs from ``link_terms`` at jamming power p_j (or an array of them)."""
     return [s / (d + p_j * g) for s, d, g in terms]
 
 
@@ -112,8 +116,22 @@ def _rates4(
     ch: ChannelRealization, p1: float, p2: float, p3: float, p4: float, p_j: float
 ) -> tuple[float, ...]:
     """Per-user rates as plain floats (math.log2), for the scalar solvers."""
-    terms = link_terms(ch, p1, p2, p3, p4)
-    return tuple(math.log2(1.0 + sinr) for sinr in sinrs(terms, p_j))
+    x1, x2, x3, x4 = sinrs(link_terms(ch, p1, p2, p3, p4), p_j)
+    return log2(1.0 + x1), log2(1.0 + x2), log2(1.0 + x3), log2(1.0 + x4)
+
+
+def rate_rows(ch: ChannelRealization, allocs, p_j) -> np.ndarray:
+    """Per-user rates of N allocations (p1, p2, p3, p4), each at its own jamming power.
+
+    One pass of ``link_terms`` and ``sinrs`` over the allocations' columns
+    gives each SINR by ``_rates4``'s float operations; each rate is then
+    ``math.log2`` of a plain float, never ``np.log2``, whose last bit changes
+    with the SIMD level numpy dispatches to.  So row k of the (N, 4) result
+    equals ``_rates4`` of allocation k, bit for bit.
+    """
+    p = np.asarray(allocs, dtype=float)
+    x = 1.0 + np.array(sinrs(link_terms(ch, *p.T), np.asarray(p_j, dtype=float)))
+    return np.array(list(map(log2, x.T.ravel().tolist()))).reshape(p.shape)
 
 
 def qos_binding_split(
@@ -129,7 +147,8 @@ def qos_binding_split(
     Closed form: with t = 2^r0 and A the weak user's denominator with the
     cell's whole total on its strong user, p_weak = (t - 1) * A / (g_own * t).
     Returns inf when the binding power exceeds the cell's total (infeasible
-    marker).
+    marker).  Totals and p_j_star may be equal-length arrays; the result is
+    then the array of each entry's scalar answer, bit for bit.
     """
     if cell not in CELLS:
         raise ValueError(f"cell must be 1 or 2, got {cell}")
@@ -141,9 +160,10 @@ def qos_binding_split(
     _, d, g_jam = link_terms(ch, 0.0, p_bs1, 0.0, p_bs2)[weak]
     t = 2.0 ** r0
     p_weak = (t - 1.0) * (d + p_j_star * g_jam) / (g_own * t)
-    if p_weak > total + 1e-12 * max(1.0, total):
-        return math.inf
-    return p_weak
+    over = p_weak > total + 1e-12 * np.maximum(1.0, total)
+    if np.ndim(p_weak):
+        return np.where(over, math.inf, p_weak)
+    return math.inf if over else p_weak
 
 
 def objective_p2(rates, r0: float) -> float:
@@ -170,6 +190,18 @@ def bs_utility(rates, p_j: float, r0: float, gamma: float, z: float) -> float:
     i1 = 1.0 if min(r1, r2) >= r0 else z
     i2 = 1.0 if min(r3, r4) >= r0 else z
     return float(i1 * i2 * (r1 + r2 + r3 + r4 + gamma * p_j))
+
+
+def bs_utility_rows(r: np.ndarray, p_j, r0: float, gamma: float, z: float) -> np.ndarray:
+    """``bs_utility`` of each row of an (N, 4) rate array at its jamming power.
+
+    The same float operations in the same order, so each entry equals the
+    scalar utility bit for bit.
+    """
+    r1, r2, r3, r4 = r.T
+    i1 = np.where(np.minimum(r1, r2) >= r0, 1.0, z)
+    i2 = np.where(np.minimum(r3, r4) >= r0, 1.0, z)
+    return i1 * i2 * ((((r1 + r2) + r3) + r4) + gamma * np.asarray(p_j, dtype=float))
 
 
 def selfish_reward(

@@ -1,13 +1,19 @@
+import hashlib
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from nomajam import game
-from nomajam.channel import ChannelRealization, draw_channels
+from nomajam.channel import SRC_JAM, ChannelRealization, draw_channels
 from nomajam.game import (
     TABLE_BYTES_PER_PROFILE,
     FixedPointFailure,
@@ -26,14 +32,14 @@ from nomajam.game import (
     qos_binding_split,
     _full_power_root,
     _full_power_slope_factor,
+    _lockstep_lanes,
     _stackelberg_fixed_point,
     _stackelberg_fixed_points,
     _binding_profile,
-    _slope_u_binding,
 )
 from nomajam.harness import ExperimentConfig, channel_for_seed
 from nomajam.jammer import JammerConfig, best_response
-from nomajam.rates import StrategyProfile, rates_from_sinr, sinr_vector
+from nomajam.rates import StrategyProfile, _rates4, rates_from_sinr, sinr_vector
 
 from conftest import make_channel
 
@@ -311,10 +317,14 @@ def test_analysis_report_unchanged_under_damped_reference(monkeypatch, levels, s
         want = game.analysis_report(ch, *args)
         lanes = []
 
-        def damped_lanes(ch, jcfg, profile_fns):
-            fns = list(profile_fns)
-            lanes.append(len(fns))
-            return [damped_fixed_point(ch, jcfg, f) for f in fns]
+        def damped_lanes(ch, jcfg, totals, r0, cells=(1, 2)):
+            lanes.append(len(totals))
+            return [
+                damped_fixed_point(
+                    ch, jcfg, partial(_binding_profile, ch, t1, t2, r0=r0, cells=cells)
+                )
+                for t1, t2 in totals
+            ]
 
         with monkeypatch.context() as m:
             m.setattr(game, "_stackelberg_fixed_points", damped_lanes)
@@ -414,7 +424,13 @@ def test_lockstep_fixed_points_equal_each_lane_alone(geom, jcfg):
                 return fns[k](pj)
             return profile_of_pj
 
-        got = _stackelberg_fixed_points(ch, jcfg, [recorded(k) for k in range(len(fns))])
+        lanes = [recorded(k) for k in range(len(fns))]
+
+        def allocs_at(ks, pjs):
+            profs = [lanes[k](pj) for k, pj in zip(ks, pjs)]
+            return [None if p is None else p.as_tuple()[:4] for p in profs]
+
+        got = _lockstep_lanes(ch, jcfg, len(fns), allocs_at)
         for k, f in enumerate(fns):
             alone_asked = []
 
@@ -431,7 +447,38 @@ def test_lockstep_fixed_points_equal_each_lane_alone(geom, jcfg):
         assert got[4].reason == "undefined_profile" and got[4].p_j > 0.0
         assert got[5].reason == "no_convergence" and len(asked[5]) == 100
     assert reasons == {"undefined_profile", "no_convergence"}
-    assert _stackelberg_fixed_points(ch, jcfg, []) == []
+    assert _lockstep_lanes(ch, jcfg, 0, allocs_at) == []
+    assert _stackelberg_fixed_points(ch, jcfg, [], R0) == []
+
+
+@pytest.mark.parametrize("cells", [(1, 2), (1,), (2,)])
+def test_batched_lanes_equal_scalar_binding_lanes(geom, jcfg, cells):
+    # mood_classify's totals at grid 6, _full_power_root's 33-point scan of
+    # one cell's total, random totals and totals too small for a binding
+    # split: each lane of the array binding pass ends exactly as the one-lane
+    # fixed point of the scalar _binding_profile
+    rng = np.random.default_rng(5)
+    grid = StrategyGrid.build(6, 40.0)
+    outcomes = set()
+    for seed in (0, 11, 15):
+        ch = draw_channels(geom, seed)
+        totals = list(product(total_powers(grid), repeat=2))
+        totals += [(x, 40.0) for x in np.linspace(0.0, 40.0, 33)]
+        totals += [tuple(rng.uniform(0.5, 40.0, size=2)) for _ in range(20)]
+        totals += [(1e-3, 30.0), (30.0, 1e-3), (0.0, 0.0)]
+        got = _stackelberg_fixed_points(ch, jcfg, totals, R0, cells)
+        assert len(got) == len(totals)
+        for (t1, t2), lane in zip(totals, got):
+            want = _stackelberg_fixed_point(
+                ch, jcfg, partial(_binding_profile, ch, t1, t2, r0=R0, cells=cells)
+            )
+            assert lane == want, (seed, t1, t2)
+            if not isinstance(want, FixedPointFailure):
+                assert [float.hex(v) for v in lane.as_tuple()] == [
+                    float.hex(float(v)) for v in want.as_tuple()
+                ]
+            outcomes.add(want.reason if isinstance(want, FixedPointFailure) else "ok")
+    assert {"ok", "undefined_profile"} <= outcomes
 
 
 def test_brute_force_single_action_grid(channel, jcfg):
@@ -760,6 +807,108 @@ def test_report_maps_under_cell_mirror(levels):
     assert full_power > 0
 
 
+# Seeds 0..9 are mood 1 at grid levels 4 and 6, and seed 11 is mood 2.
+REPORT_SEEDS = (*range(10), 11)
+# sha256 of the sorted-key JSON of analysis_report for REPORT_SEEDS at grid
+# levels 4 then 6, taken before the rate and binding passes became arrays.
+REPORT_DIGEST = "2447c767362634c2c452a45bb3066248cd7aae811b8ca4bb0f516501529efe3d"
+
+
+@cache
+def default_report(levels: int, seed: int) -> dict:
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=levels)
+    return analysis_report(
+        channel_for_seed(cfg, seed), cfg.grid(), cfg.jammer_config(),
+        cfg.r0, cfg.gamma, cfg.z, cfg.eps_ne,
+    )
+
+
+def report_digest() -> str:
+    h = hashlib.sha256()
+    for levels in (4, 6):
+        for seed in REPORT_SEEDS:
+            h.update(json.dumps(default_report(levels, seed), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_whole_reports_match_pinned_digest():
+    # every byte of the reports: the utilities, margins, jamming powers and
+    # the monotonicity counts, not only the keys
+    assert report_digest() == REPORT_DIGEST
+
+
+def avx512_dispatch() -> list[str]:
+    """The AVX-512 dispatch targets numpy finds on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return []
+    return [f for f in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if __cpu_features__.get(f)]
+
+
+def test_reports_do_not_depend_on_simd_level():
+    # the rates are math.log2 of plain floats, so a process with AVX-512
+    # dispatch turned off computes the same report bytes
+    disabled = avx512_dispatch()
+    if not disabled:
+        pytest.skip("numpy finds no AVX-512 on this CPU")
+    tests = pathlib.Path(__file__).resolve().parent
+    code = (
+        "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+        f"assert not any(f[k] for k in {disabled!r})\n"
+        "import test_game\n"
+        "print(test_game.report_digest())\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=os.pathsep.join((os.path.dirname(os.path.dirname(game.__file__)),
+                                           str(tests))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-1] == REPORT_DIGEST
+
+
+def report_keys(rep: dict) -> tuple:
+    """The mood, feasible totals, brute-force set and certificate indices."""
+    return (
+        rep["mood"],
+        sorted(map(tuple, rep["ps_pairs"])),
+        sorted((p["p1"], p["p2"], p["p3"], p["p4"]) for p in rep["brute_force"]),
+        [_indices(rep[k]) for k in ("ne_l1", "ne_l2", "ne_l3")],
+        [_indices([rep[k]]) for k in ("pareto_l1", "pne_l2", "pne_l3")],
+    )
+
+
+def certificates(rep: dict) -> list[dict]:
+    return rep["ne_l1"] + rep["ne_l2"] + rep["ne_l3"]
+
+
+@pytest.mark.parametrize("levels", [4, 6])
+def test_report_keys_hold_under_jammer_power_scaling(levels):
+    # c times the jammer's gains and gamma with p_j_max / c leaves every
+    # p_j * g and gamma * p_j as it was, up to the follower's absolute stop:
+    # equal keys, c times the jamming powers within twice the stop (1e-5 in
+    # each game, c of them in the scaled one) and equal utilities, which are
+    # flat in p_j at the jammer's optimum
+    c = 4.0
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=levels)
+    jcfg = JammerConfig(p_j_max=cfg.p_j_max / c, gamma=cfg.gamma * c)
+    for seed in REPORT_SEEDS:
+        ch = channel_for_seed(cfg, seed)
+        gains = ch.gains.copy()
+        gains[:, SRC_JAM] *= c
+        scaled = analysis_report(
+            ChannelRealization(gains=gains, seed=seed), cfg.grid(), jcfg,
+            cfg.r0, cfg.gamma * c, cfg.z, cfg.eps_ne,
+        )
+        rep = default_report(levels, seed)
+        assert report_keys(scaled) == report_keys(rep), seed
+        for a, b in zip(rep["brute_force"], scaled["brute_force"]):
+            assert abs(a["p_j"] - c * b["p_j"]) <= (c + 1.0) * 1e-5, seed
+        for a, b in zip(certificates(rep), certificates(scaled)):
+            assert abs(a["utility"] - b["utility"]) <= 1e-9 * max(1.0, abs(a["utility"]))
+
+
 def test_finders_respect_mood_gate(geom, jcfg):
     grid = StrategyGrid.build(4, 40.0)
     seed, ch = first_seed_with_mood(geom, grid, jcfg, want=1)
@@ -785,6 +934,15 @@ def test_leader_slopes_on_feasible_set(geom, jcfg):
         slopes = leader_slopes(ch, t1, t2, sol.p_j, R0)
         assert slopes is not None
         assert all(np.isfinite(v) for v in slopes)
+
+
+def _slope_u_binding(ch, p_bs1, p_bs2, p_j, r0, gamma):
+    """Indicator-free leader utility at binding splits with the jammer fixed."""
+    prof = _binding_profile(ch, p_bs1, p_bs2, p_j, r0)
+    if prof is None:
+        return None
+    r = _rates4(ch, *prof.as_tuple())
+    return r[0] + r[1] + r[2] + r[3] + gamma * p_j
 
 
 def central_difference_slopes(ch, p_bs1, p_bs2, p_j, r0):
@@ -860,6 +1018,19 @@ def test_monotonicity_constant_utility_all_zero_gains():
                              n_samples=40, seed=2)
     assert rep.slope_violations == 0
     assert rep.curvature_violations == 0
+
+
+def test_no_binding_split_anywhere_gives_empty_passes(jcfg):
+    # BS gains so small that no total has a binding split: every lane fails,
+    # so mood_classify's rate pass and the curvature audit's binding and rate
+    # passes run on empty batches
+    g = np.full((4, 3), 1e-6)
+    g[:, 2] = 5.0
+    ch = make_channel(g)
+    mood = mood_classify(ch, StrategyGrid.build(4, 40.0), jcfg, R0)
+    assert (mood.mood, mood.ps_set, mood.ps_levels) == (2, (), ())
+    rep = monotonicity_check(ch, jcfg, R0, GAMMA, Z, 40.0, n_samples=20, seed=1)
+    assert rep.curvature_checked == 0 and rep.skipped >= 20
 
 
 def test_monotonicity_random_realization_reported(channel, jcfg):

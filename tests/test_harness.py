@@ -3,7 +3,9 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import math
 import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -778,6 +780,32 @@ def test_cli_rejects_out_of_range(tmp_path, changes, capsys):
     cfgfile.write_text(f"{key} = {raw}\n", encoding="utf-8")
     assert cli_main(["--config", str(cfgfile), "--slots", "3"]) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scheme, key, value",
+    [("NE-ANALYSIS", "r0", 1e300), ("QLU", "gamma", 1e308), ("NE-ANALYSIS", "gamma", 1e308)],
+)
+def test_cli_rejects_values_beyond_the_float_range(tmp_path, scheme, key, value, capsys):
+    # 2.0 ** r0 overflowed at run time (exit 2), and gamma * p_j went
+    # infinite in a run that exited 0
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scheme = {scheme}\n{key} = {value}\n", encoding="utf-8")
+    assert cli_main(["--config", str(cfgfile), "--slots", "3", "--seeds", "1"]) == 1
+    assert f"{key} must" in capsys.readouterr().err
+
+
+def test_float_range_boundaries():
+    # r0 up to the last float below 1024; gamma while gamma * p_j_max is finite
+    top = sys.float_info.max
+    ExperimentConfig(r0=math.nextafter(1024.0, 0.0)).validate()
+    with pytest.raises(ValueError, match="r0 must be below 1024"):
+        ExperimentConfig(r0=1024.0).validate()
+    ExperimentConfig(gamma=top / 32, p_j_max=20.0).validate()
+    ExperimentConfig(gamma=top / 2, p_j_max=2.0).validate()
+    for gamma, p_j_max in ((top / 16, 20.0), (top, 1.5), (2.0, top)):
+        with pytest.raises(ValueError, match="gamma must keep gamma \\* p_j_max finite"):
+            ExperimentConfig(gamma=gamma, p_j_max=p_j_max).validate()
 
 
 def test_cli_rejects_removed_search_tolerance_key(tmp_path, capsys):

@@ -3,9 +3,13 @@ import pytest
 
 from nomajam.rates import (
     StrategyProfile,
+    _rates4,
     bs_utility,
+    bs_utility_rows,
     jammer_utility,
     objective_p2,
+    qos_binding_split,
+    rate_rows,
     rates_from_sinr,
     selfish_reward,
     sinr_vector,
@@ -186,3 +190,49 @@ def test_plain_float_scores_equal_the_array_formulas():
         ):
             assert type(got) is float
             assert got == want and got.hex() == want.hex(), (k, rates, got, want)
+
+
+def hexes(values) -> list[str]:
+    return [float.hex(float(v)) for v in values]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rate_rows_equal_scalar_rates_bit_for_bit(seed):
+    # random allocations with zero weak powers, p_j = 0 and p_j = p_j_max
+    # among them; every row equals _rates4 and bs_utility of its allocation,
+    # in the batch and as a batch of one
+    rng = np.random.default_rng(seed)
+    ch = make_channel(rng.exponential(1.0, (4, 3)) * rng.choice([1e-3, 1.0, 1e3]))
+    n = 200
+    allocs = rng.uniform(0.0, 40.0, (n, 4))
+    allocs[rng.random(n) < 0.2, 0] = 0.0
+    allocs[rng.random(n) < 0.2, 2] = 0.0
+    p_j = rng.uniform(0.0, 20.0, n)
+    p_j[::5] = 0.0
+    p_j[1::5] = 20.0
+    r0, gamma, z = 0.9, 0.5, 0.01
+    rows = rate_rows(ch, allocs, p_j)
+    u = bs_utility_rows(rows, p_j, r0, gamma, z)
+    assert rows.shape == (n, 4) and u.shape == (n,)
+    for k in range(n):
+        alloc, pj = allocs[k].tolist(), float(p_j[k])
+        want = _rates4(ch, *alloc, pj)
+        assert hexes(rows[k]) == hexes(want), k
+        assert hexes(rate_rows(ch, [alloc], [pj])[0]) == hexes(want), k
+        assert float.hex(float(u[k])) == float.hex(bs_utility(want, pj, r0, gamma, z)), k
+
+
+def test_binding_split_arrays_equal_scalar_calls():
+    # feasible and infeasible entries alike: each array entry is the scalar
+    # answer, inf included
+    rng = np.random.default_rng(4)
+    ch = make_channel(rng.exponential(1.0, (4, 3)))
+    t1, t2 = rng.uniform(0.0, 40.0, (2, 300))
+    p_j = rng.uniform(0.0, 20.0, 300)
+    p_j[::7] = 0.0
+    for cell in (1, 2):
+        got = qos_binding_split(ch, t1, t2, p_j, 0.9, cell)
+        want = [qos_binding_split(ch, a, b, c, 0.9, cell)
+                for a, b, c in zip(t1.tolist(), t2.tolist(), p_j.tolist())]
+        assert hexes(got) == hexes(want)
+        assert 0 < np.isinf(got).sum() < len(want)
