@@ -21,7 +21,6 @@ from .channel import CELLS, SRC_JAM, ChannelRealization
 from .jammer import BLOCK, JammerConfig, best_responses, concavity_probe
 from .rates import (
     StrategyProfile,
-    _rates4,
     bs_utility_rows,
     link_terms,
     qos_binding_split,
@@ -110,29 +109,6 @@ class MoodReport:
     ps_levels: tuple[tuple[int, int], ...]
 
 
-def _binding_profile(
-    ch: ChannelRealization,
-    p_bs1: float,
-    p_bs2: float,
-    p_j: float,
-    r0: float,
-    cells: tuple[int, ...] = (1, 2),
-) -> StrategyProfile | None:
-    """Profile with the weak user of each listed cell at its QoS-binding power.
-
-    Each cell not listed puts its whole total on its strong user.  None when
-    a listed cell's binding power exceeds its total.
-    """
-    p1 = qos_binding_split(ch, p_bs1, p_bs2, p_j, r0, cell=1) if 1 in cells else 0.0
-    p3 = qos_binding_split(ch, p_bs1, p_bs2, p_j, r0, cell=2) if 2 in cells else 0.0
-    if not (math.isfinite(p1) and math.isfinite(p3)):
-        return None
-    p2, p4 = p_bs1 - p1, p_bs2 - p3
-    if p2 < 0 or p4 < 0:
-        return None
-    return StrategyProfile(p1=p1, p2=p2, p3=p3, p4=p4, p_j=p_j)
-
-
 def _binding_allocs(
     ch: ChannelRealization,
     p_bs1: np.ndarray,
@@ -141,10 +117,14 @@ def _binding_allocs(
     r0: float,
     cells: tuple[int, ...] = (1, 2),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_binding_profile`` of each entry of equal-length arrays of totals and p_j.
+    """Allocations with the weak user of each listed cell at its QoS-binding power.
 
-    Returns the (N, 4) allocations and the mask of defined entries; each
-    defined row holds the scalar profile's powers, bit for bit.
+    The totals and p_j are equal-length arrays, one entry per allocation.
+    Each cell not listed puts its whole total on its strong user.  Returns
+    the (N, 4) allocations (p1, p2, p3, p4) and the mask of defined entries:
+    an entry is undefined when a listed cell's binding power exceeds its
+    total (``qos_binding_split``'s inf) or leaves its strong user negative
+    power.
     """
     zero = np.zeros_like(p_j)
     p1 = qos_binding_split(ch, p_bs1, p_bs2, p_j, r0, cell=1) if 1 in cells else zero
@@ -158,8 +138,8 @@ def _binding_allocs(
 class FixedPointFailure:
     """Why a Stackelberg fixed point gave up, and the jamming power it stopped at.
 
-    ``reason`` is ``"undefined_profile"`` when ``profile_of_pj(p_j)`` returned
-    None, or ``"no_convergence"`` when the evaluation budget ran out.
+    ``reason`` is ``"undefined_profile"`` when the lane's allocation at p_j is
+    undefined, or ``"no_convergence"`` when the evaluation budget ran out.
     """
 
     reason: str
@@ -242,7 +222,7 @@ def _stackelberg_fixed_points(
     r0: float,
     cells: tuple[int, ...] = (1, 2),
 ) -> list[StrategyProfile | FixedPointFailure]:
-    """The fixed point of ``_binding_profile`` at each (p_bs1, p_bs2) total pair.
+    """The fixed point of the binding allocation at each (p_bs1, p_bs2) total pair.
 
     ``_lockstep_lanes`` with one lane per pair, whose round builds every live
     lane's binding allocation in one ``_binding_allocs`` call.
@@ -255,20 +235,6 @@ def _stackelberg_fixed_points(
         return [a if defined else None for a, defined in zip(p.tolist(), ok.tolist())]
 
     return _lockstep_lanes(ch, jcfg, len(t1), allocs_at)
-
-
-def _stackelberg_fixed_point(
-    ch: ChannelRealization,
-    jcfg: JammerConfig,
-    profile_of_pj,
-) -> StrategyProfile | FixedPointFailure:
-    """The fixed point of one lane whose ``profile_of_pj(pj)`` returns a
-    ``StrategyProfile`` or None."""
-    def allocs_at(lanes, pjs):
-        profs = map(profile_of_pj, pjs)
-        return [None if p is None else p.as_tuple()[:4] for p in profs]
-
-    return _lockstep_lanes(ch, jcfg, 1, allocs_at)[0]
 
 
 def mood_classify(
@@ -453,13 +419,13 @@ def leader_slopes(
     is strong user k's marginal rate in its own power, o the other cell and
     w_o its weak user, whose binding power rises with P_c by
     (t - 1) * g[w_o][c] / (g[w_o][o] * t) (``qos_binding_split``'s
-    derivative).  None when the binding profile is undefined.
+    derivative).  None when the binding allocation is undefined.
     """
-    prof = _binding_profile(ch, p_bs1, p_bs2, p_j, r0)
-    if prof is None:
+    p, ok = _binding_allocs(ch, *np.array([[p_bs1], [p_bs2], [p_j]]), r0)
+    if not ok[0]:
         return None
     g = ch.gain_rows
-    terms = link_terms(ch, prof.p1, prof.p2, prof.p3, prof.p4)
+    terms = link_terms(ch, *p[0].tolist())
     t = 2.0 ** r0
     m = {}
     for cell, (_, strong, own, _) in CELLS.items():
@@ -483,7 +449,7 @@ def _grid_binding_strong(ev: GridEvaluator, p_j: float, cell: int, level: int) -
     if level == 1:
         return True
     p = (level - 1) * ev.grid.step
-    return _rates4(ev.ch, 0.0, p, 0.0, p, p_j)[CELLS[cell][1]] < ev.r0
+    return rate_rows(ev.ch, [(0.0, p, 0.0, p)], [p_j])[0, CELLS[cell][1]] < ev.r0
 
 
 def find_ne_l1(
@@ -635,8 +601,8 @@ def _full_power_root(
     tol = 1e-6 * pmax
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        lane = partial(_binding_profile, ch, *totals(mid), r0=r0, cells=(full_cell,))
-        v_mid = factor(mid, _stackelberg_fixed_point(ch, jcfg, lane))
+        sol = _stackelberg_fixed_points(ch, jcfg, [totals(mid)], r0, (full_cell,))[0]
+        v_mid = factor(mid, sol)
         if v_mid is None:
             break
         if (v_mid > 0) == (v_lo > 0):
@@ -691,7 +657,7 @@ def _find_ne_full_power(
             t_fail = a_fail[0] + a_fail[1]
             best_case = [0.0] * 4
             best_case[weak_fail], best_case[strong_full] = t_fail, grid.p_bs_max
-            if _rates4(ch, *best_case, pj)[weak_fail] >= r0:
+            if rate_rows(ch, [best_case], [pj])[0, weak_fail] >= r0:
                 continue
             # Full cell's weak user at the lowest admissible split: one level
             # less (same total) must break its QoS.

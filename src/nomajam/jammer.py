@@ -149,7 +149,7 @@ def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[fl
             a.argmin(axis=1).tolist(), terms
         ):
             def u(p: float) -> float:
-                # rates.sum_rate unrolled: four rates added in user order
+                # the sum rate of the four users' terms, added in user order
                 return -(log2(1.0 + s1 / (d1 + p * g1)) + log2(1.0 + s2 / (d2 + p * g2))
                          + log2(1.0 + s3 / (d3 + p * g3)) + log2(1.0 + s4 / (d4 + p * g4))
                          + gamma * p)

@@ -81,17 +81,6 @@ def sinrs(terms, p_j: float) -> list[float]:
     return [s / (d + p_j * g) for s, d, g in terms]
 
 
-def sum_rate(terms, p_j: float) -> float:
-    """Sum rate from ``link_terms`` at a scalar jamming power, added in user order.
-
-    ``jammer.best_responses`` unrolls this sum in its search.
-    """
-    total = 0.0
-    for s, d, g in terms:
-        total += log2(1.0 + s / (d + p_j * g))
-    return total
-
-
 def sum_rate_curve(terms, p_j: np.ndarray) -> np.ndarray:
     """Sum rate from ``link_terms`` at each power of a 1-D array, in one broadcast.
 
@@ -112,22 +101,15 @@ def rates_from_sinr(sinr) -> np.ndarray:
     return np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
-def _rates4(
-    ch: ChannelRealization, p1: float, p2: float, p3: float, p4: float, p_j: float
-) -> tuple[float, ...]:
-    """Per-user rates as plain floats (math.log2), for the scalar solvers."""
-    x1, x2, x3, x4 = sinrs(link_terms(ch, p1, p2, p3, p4), p_j)
-    return log2(1.0 + x1), log2(1.0 + x2), log2(1.0 + x3), log2(1.0 + x4)
-
-
 def rate_rows(ch: ChannelRealization, allocs, p_j) -> np.ndarray:
     """Per-user rates of N allocations (p1, p2, p3, p4), each at its own jamming power.
 
     One pass of ``link_terms`` and ``sinrs`` over the allocations' columns
-    gives each SINR by ``_rates4``'s float operations; each rate is then
-    ``math.log2`` of a plain float, never ``np.log2``, whose last bit changes
-    with the SIMD level numpy dispatches to.  So row k of the (N, 4) result
-    equals ``_rates4`` of allocation k, bit for bit.
+    gives each SINR by the float operations of a scalar call; each rate is
+    then ``math.log2`` of a plain float, never ``np.log2``, whose last bit
+    changes with the SIMD level numpy dispatches to.  So row k of the (N, 4)
+    result is the same bits whatever the other rows and whatever the SIMD
+    level, and a batch of one is the one-allocation answer.
     """
     p = np.asarray(allocs, dtype=float)
     x = 1.0 + np.array(sinrs(link_terms(ch, *p.T), np.asarray(p_j, dtype=float)))

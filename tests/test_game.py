@@ -33,15 +33,13 @@ from nomajam.game import (
     _full_power_root,
     _full_power_slope_factor,
     _lockstep_lanes,
-    _stackelberg_fixed_point,
     _stackelberg_fixed_points,
-    _binding_profile,
 )
 from nomajam.harness import ExperimentConfig, channel_for_seed
 from nomajam.jammer import JammerConfig, best_response
-from nomajam.rates import StrategyProfile, _rates4, rates_from_sinr, sinr_vector
+from nomajam.rates import StrategyProfile, rates_from_sinr, sinr_vector
 
-from conftest import make_channel
+from conftest import binding_profile, make_channel, rates4
 
 R0 = 0.9
 GAMMA = 0.5
@@ -236,8 +234,8 @@ def test_mood_agrees_with_split_grid_search(geom, jcfg):
             if oracle_feasible:
                 assert (t1, t2) in ps
     for (t1, t2) in ps:
-        prof = _stackelberg_fixed_point(
-            ch, jcfg, lambda pj: _binding_profile(ch, t1, t2, pj, R0)
+        prof = one_lane_fixed_point(
+            ch, jcfg, lambda pj: binding_profile(ch, t1, t2, pj, R0)
         )
         assert not isinstance(prof, FixedPointFailure)
         rates = rates_from_sinr(sinr_vector(ch, prof))
@@ -253,7 +251,8 @@ def damped_fixed_point(ch, jcfg, profile_of_pj):
     """The damped iteration (weight 0.5) the secant fixed point replaced.
 
     Kept as the reference; it returns the same failure type so that it can
-    stand in for ``_stackelberg_fixed_point`` inside ``analysis_report``.
+    stand in for each lane of ``_stackelberg_fixed_points`` inside
+    ``analysis_report``.
     """
     tol = 1e-6 * jcfg.p_j_max
     pj = 0.0
@@ -291,9 +290,9 @@ def test_fixed_point_agrees_with_damped_reference(geom, jcfg):
         pairs = grid_pairs + [tuple(rng.uniform(0.5, 40.0, size=2)) for _ in range(20)]
         for t1, t2 in pairs:
             def prof_of(pj):
-                return _binding_profile(ch, t1, t2, pj, R0)
+                return binding_profile(ch, t1, t2, pj, R0)
 
-            got = _stackelberg_fixed_point(ch, jcfg, prof_of)
+            got = one_lane_fixed_point(ch, jcfg, prof_of)
             ref = damped_fixed_point(ch, jcfg, prof_of)
             checked += 1
             assert isinstance(got, FixedPointFailure) == isinstance(ref, FixedPointFailure)
@@ -306,9 +305,10 @@ def test_fixed_point_agrees_with_damped_reference(geom, jcfg):
     assert converged >= 600
 
 
-@pytest.mark.parametrize("levels,seeds", [(4, (0, 11, 22)), (6, (1, 12, 15))])
+@pytest.mark.parametrize("levels,seeds", [(4, (0, 11, 22)), (6, (1, 12, 15)), (8, (169,))])
 def test_analysis_report_unchanged_under_damped_reference(monkeypatch, levels, seeds):
-    # seeds 11 and 22 at grid 4 and 11 and 15 at grid 6 are mood 2
+    # seeds 11 and 22 at grid 4 and 11 and 15 at grid 6 are mood 2; seed 169
+    # at grid 8 runs _full_power_root's bisection, one lane per step
     cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=levels, seeds=seeds)
     grid, jcfg = cfg.grid(), cfg.jammer_config()
     args = (grid, jcfg, cfg.r0, cfg.gamma, cfg.z, cfg.eps_ne)
@@ -321,7 +321,7 @@ def test_analysis_report_unchanged_under_damped_reference(monkeypatch, levels, s
             lanes.append(len(totals))
             return [
                 damped_fixed_point(
-                    ch, jcfg, partial(_binding_profile, ch, t1, t2, r0=r0, cells=cells)
+                    ch, jcfg, partial(binding_profile, ch, t1, t2, r0=r0, cells=cells)
                 )
                 for t1, t2 in totals
             ]
@@ -336,14 +336,14 @@ def test_analysis_report_unchanged_under_damped_reference(monkeypatch, levels, s
 def test_fixed_point_undefined_profile_reports_where(jcfg):
     ch = make_channel(np.full((4, 3), 5.0))
     loud = StrategyProfile(20.0, 20.0, 20.0, 20.0)
-    assert _stackelberg_fixed_point(ch, jcfg, lambda pj: None) == FixedPointFailure(
+    assert one_lane_fixed_point(ch, jcfg, lambda pj: None) == FixedPointFailure(
         "undefined_profile", 0.0
     )
     # defined at pj = 0 only: the iteration stops at its first step,
     # the jammer's response to that profile
     first = best_response(ch, (20.0, 20.0), (20.0, 20.0), jcfg).p_j_star
     assert first > 0.0
-    out = _stackelberg_fixed_point(ch, jcfg, lambda pj: loud if pj == 0.0 else None)
+    out = one_lane_fixed_point(ch, jcfg, lambda pj: loud if pj == 0.0 else None)
     assert out == FixedPointFailure("undefined_profile", first)
 
 
@@ -362,10 +362,20 @@ def test_fixed_point_no_convergence_without_root(jcfg):
         asked.append(pj)
         return loud if pj < 3.0 else silent
 
-    out = _stackelberg_fixed_point(ch, jcfg, prof_of)
+    out = one_lane_fixed_point(ch, jcfg, prof_of)
     assert out == FixedPointFailure("no_convergence", asked[-1])
     assert len(asked) == 100
     assert 0.0 <= out.p_j <= jcfg.p_j_max
+
+
+def one_lane_fixed_point(ch, jcfg, profile_of_pj):
+    """The lockstep fixed point of one lane whose ``profile_of_pj(pj)`` returns
+    a ``StrategyProfile`` or None."""
+    def allocs_at(lanes, pjs):
+        profs = map(profile_of_pj, pjs)
+        return [None if p is None else p.as_tuple()[:4] for p in profs]
+
+    return _lockstep_lanes(ch, jcfg, 1, allocs_at)[0]
 
 
 def scalar_fixed_point(ch, jcfg, profile_of_pj):
@@ -411,7 +421,7 @@ def test_lockstep_fixed_points_equal_each_lane_alone(geom, jcfg):
         ch = draw_channels(geom, seed)
         totals = list(product(total_powers(grid), repeat=2))
         totals += [tuple(rng.uniform(0.5, 40.0, size=2)) for _ in range(40)]
-        fns = [partial(_binding_profile, ch, t1, t2, r0=R0) for t1, t2 in totals]
+        fns = [partial(binding_profile, ch, t1, t2, r0=R0) for t1, t2 in totals]
         # h jumps from positive to negative at half the loud profile's answer
         jump = 0.5 * best_response(ch, (20.0, 20.0), (20.0, 20.0), jcfg).p_j_star
         fns[3:3] = [lambda pj: None, lambda pj: loud if pj == 0.0 else None,
@@ -438,7 +448,7 @@ def test_lockstep_fixed_points_equal_each_lane_alone(geom, jcfg):
                 alone_asked.append(pj)
                 return f(pj)
 
-            want = _stackelberg_fixed_point(ch, jcfg, alone)
+            want = one_lane_fixed_point(ch, jcfg, alone)
             assert got[k] == want == scalar_fixed_point(ch, jcfg, f), (seed, k)
             assert asked[k] == alone_asked, (seed, k)
             if isinstance(want, FixedPointFailure):
@@ -456,7 +466,7 @@ def test_batched_lanes_equal_scalar_binding_lanes(geom, jcfg, cells):
     # mood_classify's totals at grid 6, _full_power_root's 33-point scan of
     # one cell's total, random totals and totals too small for a binding
     # split: each lane of the array binding pass ends exactly as the one-lane
-    # fixed point of the scalar _binding_profile
+    # fixed point of the scalar binding_profile
     rng = np.random.default_rng(5)
     grid = StrategyGrid.build(6, 40.0)
     outcomes = set()
@@ -469,8 +479,8 @@ def test_batched_lanes_equal_scalar_binding_lanes(geom, jcfg, cells):
         got = _stackelberg_fixed_points(ch, jcfg, totals, R0, cells)
         assert len(got) == len(totals)
         for (t1, t2), lane in zip(totals, got):
-            want = _stackelberg_fixed_point(
-                ch, jcfg, partial(_binding_profile, ch, t1, t2, r0=R0, cells=cells)
+            want = one_lane_fixed_point(
+                ch, jcfg, partial(binding_profile, ch, t1, t2, r0=R0, cells=cells)
             )
             assert lane == want, (seed, t1, t2)
             if not isinstance(want, FixedPointFailure):
@@ -712,7 +722,7 @@ def test_ne_l2_slope_root(geom, jcfg):
 
     # at an interior root the slope factor crosses zero
     if 1e-3 < x_bar < grid.p_bs_max - 1e-3:
-        sol = _stackelberg_fixed_point(ch, jcfg, write_off_profile)
+        sol = one_lane_fixed_point(ch, jcfg, write_off_profile)
         if not isinstance(sol, FixedPointFailure):
             f = _full_power_slope_factor(
                 ch, 2, x_bar, grid.p_bs_max, sol.p_j, R0
@@ -723,6 +733,32 @@ def test_ne_l2_slope_root(geom, jcfg):
     # the selected point is the certificate nearest the root
     dists = [abs(c.profile.p_bs1 - x_bar) for c in l2]
     assert abs(pne2.profile.p_bs1 - x_bar) == pytest.approx(min(dists))
+
+
+def test_full_power_root_bisection_pinned(monkeypatch):
+    # seed 169 at grid 8 is the one realization of seeds 0..199 at grid levels
+    # 4, 6 and 8 whose 33-point scan brackets a root, so the one that runs the
+    # bisection: 15 one-lane fixed points for each full cell.  The root's bits
+    # and the report's bytes are pinned from the scalar one-lane solver the
+    # bisection used before it ran on _stackelberg_fixed_points.
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=8)
+    ch = channel_for_seed(cfg, 169)
+    grid, jcfg = cfg.grid(), cfg.jammer_config()
+    lanes = []
+
+    def recorded(ch, jcfg, totals, r0, cells=(1, 2)):
+        lanes.append(len(totals))
+        return _stackelberg_fixed_points(ch, jcfg, totals, r0, cells)
+
+    monkeypatch.setattr(game, "_stackelberg_fixed_points", recorded)
+    for full_cell, want in ((2, "0x1.4440e80000000p+3"), (1, "0x1.8f0a100000000p+2")):
+        lanes.clear()
+        assert float.hex(_full_power_root(ch, grid, jcfg, cfg.r0, full_cell)) == want
+        assert lanes == [33] + [1] * 15, full_cell
+    rep = analysis_report(ch, grid, jcfg, cfg.r0, cfg.gamma, cfg.z, cfg.eps_ne)
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == (
+        "db5eb00636e5cc638d68aa1b146a62bff65d8a5882b6d10f4552a785293d8555"
+    )
 
 
 @pytest.mark.parametrize("full_cell", [2, 1])
@@ -927,8 +963,8 @@ def test_leader_slopes_on_feasible_set(geom, jcfg):
     seed, ch = first_seed_with_mood(geom, grid, jcfg, want=1)
     mood = mood_classify(ch, grid, jcfg, R0)
     for t1, t2 in mood.ps_set:
-        sol = _stackelberg_fixed_point(
-            ch, jcfg, lambda pj: _binding_profile(ch, t1, t2, pj, R0)
+        sol = one_lane_fixed_point(
+            ch, jcfg, lambda pj: binding_profile(ch, t1, t2, pj, R0)
         )
         assert not isinstance(sol, FixedPointFailure)
         slopes = leader_slopes(ch, t1, t2, sol.p_j, R0)
@@ -938,10 +974,10 @@ def test_leader_slopes_on_feasible_set(geom, jcfg):
 
 def _slope_u_binding(ch, p_bs1, p_bs2, p_j, r0, gamma):
     """Indicator-free leader utility at binding splits with the jammer fixed."""
-    prof = _binding_profile(ch, p_bs1, p_bs2, p_j, r0)
+    prof = binding_profile(ch, p_bs1, p_bs2, p_j, r0)
     if prof is None:
         return None
-    r = _rates4(ch, *prof.as_tuple())
+    r = rates4(ch, *prof.as_tuple())
     return r[0] + r[1] + r[2] + r[3] + gamma * p_j
 
 

@@ -50,27 +50,29 @@ def test_no_unused_imports(path):
 
 
 def _definitions(tree):
-    """(name, first line, last line) of every function, class and method, and
-    of every name a module-level assignment binds."""
+    """(name, first line, last line, module-level def) of every function, class
+    and method, and of every name a module-level assignment binds; the flag is
+    True for the functions and classes of the module body."""
+    top = {id(node) for node in tree.body}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, node.end_lineno
+            yield node.name, node.lineno, node.end_lineno, id(node) in top
     for node in tree.body:
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
         for target in targets:
             for name in ast.walk(target):
                 if isinstance(name, ast.Name):
-                    yield name.id, node.lineno, node.end_lineno
+                    yield name.id, node.lineno, node.end_lineno, False
 
 
 def _references(tree):
-    """(name, line) of every name and attribute."""
+    """(name, line, bare name) of every name and attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
 
 
 def _acceptance_imports():
@@ -89,21 +91,23 @@ def test_every_definition_is_referenced():
     # names outside its own definition is dead code or test-only API; an
     # ``__all__`` entry alone does not count, except for the names the
     # acceptance criteria import; dunder methods are called by Python itself,
-    # and dunder names such as __version__ are read by tools
+    # and dunder names such as __version__ are read by tools.  A module-level
+    # function or class counts only a bare name as a reference: an attribute
+    # of the same name, such as a record field, does not call it
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.rglob("*.py"))}
     public = _acceptance_imports()
     refs: dict[str, list] = {}
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            refs.setdefault(name, []).append((path, line))
+        for name, line, bare in _references(tree):
+            refs.setdefault(name, []).append((path, line, bare))
     dead = [
         f"{path.relative_to(PACKAGE)}:{first} {name}"
         for path, tree in trees.items()
-        for name, first, last in _definitions(tree)
+        for name, first, last, top in _definitions(tree)
         if not (name.startswith("__") and name.endswith("__"))
         and name not in public
-        and not any(p != path or not first <= line <= last
-                    for p, line in refs.get(name, ()))
+        and not any((bare or not top) and (p != path or not first <= line <= last)
+                    for p, line, bare in refs.get(name, ()))
     ]
     assert not dead, f"defined but never referenced under src/: {dead}"

@@ -1,4 +1,5 @@
 import math
+from math import log2
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from nomajam.rates import (
     link_terms,
     rates_from_sinr,
     sinr_vector,
-    sum_rate,
 )
 
 from conftest import make_channel
@@ -186,6 +186,17 @@ def reference_utility_curve(terms, gamma, pj):
     for s, d, g in terms:
         total += np.log2(1.0 + s / (d + pj * g))
     return -(total + gamma * pj)
+
+
+def sum_rate(terms, p_j: float) -> float:
+    """Sum rate from ``link_terms`` at a scalar jamming power, added in user order.
+
+    ``jammer.best_responses`` unrolls this sum in its search.
+    """
+    total = 0.0
+    for s, d, g in terms:
+        total += log2(1.0 + s / (d + p_j * g))
+    return total
 
 
 def reference_best_response(ch, alloc1, alloc2, cfg):

@@ -3,7 +3,6 @@ import pytest
 
 from nomajam.rates import (
     StrategyProfile,
-    _rates4,
     bs_utility,
     bs_utility_rows,
     jammer_utility,
@@ -15,7 +14,7 @@ from nomajam.rates import (
     sinr_vector,
 )
 
-from conftest import make_channel
+from conftest import make_channel, rates4
 
 
 def test_profile_rejects_negative_power():
@@ -199,7 +198,7 @@ def hexes(values) -> list[str]:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rate_rows_equal_scalar_rates_bit_for_bit(seed):
     # random allocations with zero weak powers, p_j = 0 and p_j = p_j_max
-    # among them; every row equals _rates4 and bs_utility of its allocation,
+    # among them; every row equals rates4 and bs_utility of its allocation,
     # in the batch and as a batch of one
     rng = np.random.default_rng(seed)
     ch = make_channel(rng.exponential(1.0, (4, 3)) * rng.choice([1e-3, 1.0, 1e3]))
@@ -216,7 +215,7 @@ def test_rate_rows_equal_scalar_rates_bit_for_bit(seed):
     assert rows.shape == (n, 4) and u.shape == (n,)
     for k in range(n):
         alloc, pj = allocs[k].tolist(), float(p_j[k])
-        want = _rates4(ch, *alloc, pj)
+        want = rates4(ch, *alloc, pj)
         assert hexes(rows[k]) == hexes(want), k
         assert hexes(rate_rows(ch, [alloc], [pj])[0]) == hexes(want), k
         assert float.hex(float(u[k])) == float.hex(bs_utility(want, pj, r0, gamma, z)), k
