@@ -117,6 +117,11 @@ class ChannelRealization:
         return tuple(tuple(float(x) for x in row) for row in self.gains)
 
 
+# Above every fading factor ``draw_channels`` can draw: numpy's exponential
+# sampler returns at most 7.70 - log(2**-53), about 44.4.
+MAX_FADING = 64.0
+
+
 def draw_channels(geom: Geometry, seed: int, fading: bool = True) -> ChannelRealization:
     """Draw a channel realization; deterministic in (geometry, seed).
 

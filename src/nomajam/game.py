@@ -406,11 +406,11 @@ def _certificate(
 
 def leader_slopes(
     ch: ChannelRealization,
-    p_bs1: float,
-    p_bs2: float,
-    p_j: float,
+    p_bs1: float | np.ndarray,
+    p_bs2: float | np.ndarray,
+    p_j: float | np.ndarray,
     r0: float,
-) -> tuple[float, float] | None:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray] | None:
     """Slopes of the leader utility in each total power, in closed form.
 
     Along QoS-binding splits with the jammer power held fixed, both weak
@@ -419,25 +419,29 @@ def leader_slopes(
     is strong user k's marginal rate in its own power, o the other cell and
     w_o its weak user, whose binding power rises with P_c by
     (t - 1) * g[w_o][c] / (g[w_o][o] * t) (``qos_binding_split``'s
-    derivative).  None when the binding allocation is undefined.
+    derivative).  For scalar totals and p_j: the pair of slopes, or None
+    when the binding allocation is undefined.  For equal-length 1-D arrays:
+    the two arrays of slopes, NaN where the allocation is undefined, each
+    entry the scalar call's bits, from one ``_binding_allocs`` pass.
     """
-    p, ok = _binding_allocs(ch, *np.array([[p_bs1], [p_bs2], [p_j]]), r0)
-    if not ok[0]:
-        return None
+    x1, x2, pj = np.array([p_bs1, p_bs2, p_j], dtype=float).reshape(3, -1)
+    p, ok = _binding_allocs(ch, x1, x2, pj, r0)
     g = ch.gain_rows
-    terms = link_terms(ch, *p[0].tolist())
+    terms, pj = link_terms(ch, *p[ok].T), pj[ok]
     t = 2.0 ** r0
     m = {}
     for cell, (_, strong, own, _) in CELLS.items():
         s, d, g_jam = terms[strong]
-        m[cell] = g[strong][own] / ((d + p_j * g_jam + s) * math.log(2.0))
-
-    def slope(cell: int) -> float:
-        _, _, own, other = CELLS[cell]
+        m[cell] = g[strong][own] / ((d + pj * g_jam + s) * math.log(2.0))
+    slopes = np.full((2, len(ok)), math.nan)
+    for cell, (_, _, own, other) in CELLS.items():
         w_o = CELLS[3 - cell][0]
-        return (m[cell] - m[3 - cell] * (t - 1.0) * g[w_o][own] / g[w_o][other]) / t
-
-    return slope(1), slope(2)
+        slopes[cell - 1, ok] = (
+            m[cell] - m[3 - cell] * (t - 1.0) * g[w_o][own] / g[w_o][other]
+        ) / t
+    if np.ndim(p_bs1):
+        return slopes[0], slopes[1]
+    return tuple(slopes[:, 0].tolist()) if ok[0] else None
 
 
 def _grid_binding_strong(ev: GridEvaluator, p_j: float, cell: int, level: int) -> bool:
@@ -476,7 +480,8 @@ def find_ne_l1(
     ev = evaluator or GridEvaluator(ch, grid, jcfg, r0, gamma, z)
     ps_levels = set(mood.ps_levels)
     qtol = 1e-9 * max(1.0, r0)
-    certs: list[NeCertificate] = []
+    # Candidates (i, j, s1, s2) and their (P1, P2, p_j), for one slope pass.
+    cands, points = [], []
     for i, (w1, s1) in enumerate(grid.action_levels):
         for j, (w2, s2) in enumerate(grid.action_levels):
             k1, k2 = w1 + s1, w2 + s2
@@ -495,15 +500,21 @@ def find_ne_l1(
             ):
                 continue
             a1, a2 = grid.actions[i], grid.actions[j]
-            d1, d2 = leader_slopes(ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0)
-            stol = 1e-9 * max(1.0, abs(d1), abs(d2))
-            ok1 = d1 >= -stol or _grid_binding_strong(ev, pj, 1, s1)
-            ok2 = d2 >= -stol or _grid_binding_strong(ev, pj, 2, s2)
-            if not (ok1 and ok2):
-                continue
-            cert = _certificate(ev, i, j, NE_L1, 1, eps_ne)
-            if cert is not None:
-                certs.append(cert)
+            cands.append((i, j, s1, s2))
+            points.append((a1[0] + a1[1], a2[0] + a2[1], pj))
+    if not cands:
+        return []
+    d1s, d2s = leader_slopes(ch, *np.array(points).T, r0)
+    certs: list[NeCertificate] = []
+    for (i, j, s1, s2), (_, _, pj), d1, d2 in zip(cands, points, d1s.tolist(), d2s.tolist()):
+        stol = 1e-9 * max(1.0, abs(d1), abs(d2))
+        ok1 = d1 >= -stol or _grid_binding_strong(ev, pj, 1, s1)
+        ok2 = d2 >= -stol or _grid_binding_strong(ev, pj, 2, s2)
+        if not (ok1 and ok2):
+            continue
+        cert = _certificate(ev, i, j, NE_L1, 1, eps_ne)
+        if cert is not None:
+            certs.append(cert)
     return certs
 
 
@@ -722,19 +733,18 @@ def monotonicity_check(
     rep = MonotonicityReport()
     h = 1e-4 * p_bs_max
 
-    bases = []
-    for _ in range(n_samples):
-        t1, t2 = rng.uniform(0.2, 1.0, size=2) * p_bs_max
-        f1, f3 = rng.uniform(0.1, 0.9, size=2)
-        p1, p3 = f1 * t1, f3 * t2
-        bases.append([p1, t1 - p1, p3, t2 - p3])
+    # Each sample's two totals, then its two weak-user shares, in one draw.
+    draw = rng.uniform((0.2, 0.2, 0.1, 0.1), (1.0, 1.0, 0.9, 0.9), size=(n_samples, 4))
+    t = draw[:, :2] * p_bs_max
+    w = draw[:, 2:] * t
+    bases = np.stack((w[:, 0], t[:, 0] - w[:, 0], w[:, 1], t[:, 1] - w[:, 1]), axis=1)
     pj_base = np.array(best_responses(ch, bases, jcfg))
     # Each weak user takes h from (and gives h to) its cell's strong user:
     # one rate pass over the up and down profiles of both cells.
     moved = []
     for weak, strong, _, _ in CELLS.values():
         for dw in (h, -h):
-            p = np.array(bases)
+            p = bases.copy()
             p[:, weak] += dw
             p[:, strong] -= dw
             moved.append(p)
@@ -757,12 +767,12 @@ def monotonicity_check(
         rep.skipped += 2 * n_samples
         return rep
     hh = 1e-3 * p_bs_max
-    totals = [rng.uniform(0.3, 0.95, size=2) * p_bs_max for _ in range(n_samples)]
+    totals = rng.uniform(0.3, 0.95, size=(n_samples, 2)) * p_bs_max
     sols = _stackelberg_fixed_points(ch, jcfg, totals, r0)
     # Three points along each total of each converged sample, one binding pass
     # and one rate pass for all of them.
     pts = []
-    for (t1, t2), sol in zip(totals, sols):
+    for (t1, t2), sol in zip(totals.tolist(), sols):
         if isinstance(sol, FixedPointFailure):
             rep.skipped += 1
             continue

@@ -22,10 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
+    CELLS,
     DEFAULT_BS_POSITIONS,
     DEFAULT_JAMMER_POSITION,
     DEFAULT_NOISE_POWER_DB,
     DEFAULT_USER_POSITIONS,
+    MAX_FADING,
+    SRC_JAM,
     ChannelRealization,
     Geometry,
     draw_channels,
@@ -168,12 +171,19 @@ class ExperimentConfig:
         for name in ("p_bs_max", "p_j_max", "alpha_dqn", "reward_scale"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        learning = self.scheme != "NE-ANALYSIS"
+        # A summary mean adds up to this many values, each below 4 * 1024 bits
+        # (no finite rate log2(1 + x) reaches 1024) plus gamma * p_j.
+        per_mean = max(min(self.summary_window, self.slots), len(self.seeds))
         for name, holds, need in (
             ("r0", self.r0 >= 0, "be non-negative"),
             # 2 ** r0 must be finite, and no finite rate log2(1 + x) reaches 1024
             ("r0", self.r0 < 1024, "be below 1024"),
             ("gamma", math.isfinite(self.gamma * self.p_j_max),
              "keep gamma * p_j_max finite"),
+            ("gamma", not learning or math.isfinite(
+                2.0 * per_mean * (4096.0 + self.gamma * self.p_j_max)),
+             f"keep the summary means of {per_mean} values finite"),
             ("eps_ne", self.eps_ne >= 0, "be non-negative"),
             ("z", 0 <= self.z <= 1, "lie in [0, 1]"),
             ("discount", 0 <= self.discount < 1, "lie in [0, 1)"),
@@ -188,9 +198,24 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must {need}, got {getattr(self, name)}")
         if self.redraw_period < 0:
             raise ValueError("redraw_period must be non-negative")
-        self.geometry()  # validates positions/distances
+        geom = self.geometry()  # validates positions/distances
         self.jammer_config()
-        learning = self.scheme != "NE-ANALYSIS"
+        if not learning:
+            # qos_binding_split forms (t - 1) * A and g_own * t, t = 2 ** r0 and
+            # A a weak user's denominator; bound both from the largest gains a
+            # draw can give, with a factor of 2 to spare.
+            with np.errstate(divide="ignore", over="ignore"):
+                g = (geom.large_scale * MAX_FADING / geom.noise_power).tolist()
+            worst = max(
+                max(g[w][own], 1.0 + self.p_bs_max * (g[w][own] + g[w][other])
+                    + self.p_j_max * g[w][SRC_JAM])
+                for w, _, own, other in CELLS.values()
+            )
+            if math.isfinite(worst) and not self.r0 + math.log2(worst) < 1023:
+                raise ValueError(
+                    f"r0 must keep 2 ** r0 times the largest weak-user denominator "
+                    f"finite, below {1023 - math.log2(worst):.6g} here, got {self.r0}"
+                )
         if learning and self.n_actions < 2:
             raise ValueError(
                 f"grid_levels must be at least 3 for {self.scheme}: "
@@ -567,9 +592,13 @@ def hot_boot(cfg: ExperimentConfig, boot_ss: np.random.SeedSequence):
     for i, scenario_ss in enumerate(scenario_seeds):
         env = TwoCellEnv(cfg, scenario_ss)
         loss = 0.0
-        for _ in range(cfg.hot_boot_slots):
-            run_slot(env, agents)
-            loss += agents.last_loss[0]
+        try:
+            for _ in range(cfg.hot_boot_slots):
+                run_slot(env, agents)
+                loss += agents.last_loss[0]
+        except FloatingPointError as exc:
+            # the boot pair's slots run on across scenarios
+            raise FloatingPointError(f"hot boot, scenario {i}: {exc}") from exc
         log.info("hot-boot scenario %d mean loss %.4g", i, loss / cfg.hot_boot_slots)
     return agents.params.player(0)
 

@@ -8,9 +8,11 @@ s_i, g_i >= 0, is concave in p: each term's marginal rate loss
 s_i g_i / ((d_i + p g_i)(d_i + s_i + p g_i)) falls as p grows.  So a coarse
 sweep brackets the maximizer and golden-section search refines it inside
 the bracket; printed closed-form optimality conditions are not trusted.
-``best_responses`` runs the sweep for a block of allocations in one numpy
-pass and the search on each of them on plain floats, so a block's rows are
-bit-identical to batches of one.
+``best_responses`` keeps each allocation's twelve link terms as one flat
+tuple, runs the sweep for a block of allocations in one numpy pass, and
+runs the search on each of them on plain floats in one module-level
+function that writes the utility out at every point, with no closure and
+no call per point; a block's rows are bit-identical to batches of one.
 """
 
 from __future__ import annotations
@@ -71,21 +73,44 @@ def jammer_utility_curve(
     return -(sum_rate_curve(link_terms(ch, *alloc1, *alloc2), pj) + gamma * pj)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Golden-section maximization of a unimodal f on [a, b]."""
+def _best_power(terms, a: float, b: float, gamma: float, pmax: float, tol: float) -> float:
+    """Utility-maximizing jamming power of one allocation, its sweep bracket [a, b].
+
+    ``terms`` is the allocation's twelve link terms (s, d, g of each user,
+    users in order).  Golden-section search narrows [a, b] until it is at
+    most ``tol`` wide; the answer is the best of 0, the bracket's middle and
+    ``pmax``, a tie going to the larger power.  The utility is written out
+    at each point it is evaluated, with the four users' rates added in user
+    order, then gamma * p, then negated: no closure and no call per point.
+    """
+    s1, d1, g1, s2, d2, g2, s3, d3, g3, s4, d4, g4 = terms
     c = b - (b - a) * _INVPHI
     d = a + (b - a) * _INVPHI
-    fc, fd = f(c), f(d)
+    fc = -(log2(1.0 + s1 / (d1 + c * g1)) + log2(1.0 + s2 / (d2 + c * g2))
+           + log2(1.0 + s3 / (d3 + c * g3)) + log2(1.0 + s4 / (d4 + c * g4)) + gamma * c)
+    fd = -(log2(1.0 + s1 / (d1 + d * g1)) + log2(1.0 + s2 / (d2 + d * g2))
+           + log2(1.0 + s3 / (d3 + d * g3)) + log2(1.0 + s4 / (d4 + d * g4)) + gamma * d)
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INVPHI
-            fc = f(c)
+            fc = -(log2(1.0 + s1 / (d1 + c * g1)) + log2(1.0 + s2 / (d2 + c * g2))
+                   + log2(1.0 + s3 / (d3 + c * g3)) + log2(1.0 + s4 / (d4 + c * g4))
+                   + gamma * c)
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INVPHI
-            fd = f(d)
-    return 0.5 * (a + b)
+            fd = -(log2(1.0 + s1 / (d1 + d * g1)) + log2(1.0 + s2 / (d2 + d * g2))
+                   + log2(1.0 + s3 / (d3 + d * g3)) + log2(1.0 + s4 / (d4 + d * g4))
+                   + gamma * d)
+    # max over (utility, power) pairs, as the builtin max takes them
+    best = None
+    for p in (0.0, 0.5 * (a + b), pmax):
+        u = -(log2(1.0 + s1 / (d1 + p * g1)) + log2(1.0 + s2 / (d2 + p * g2))
+              + log2(1.0 + s3 / (d3 + p * g3)) + log2(1.0 + s4 / (d4 + p * g4)) + gamma * p)
+        if best is None or (u, p) > best:
+            best = (u, p)
+    return best[1]
 
 
 def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[float]:
@@ -93,16 +118,18 @@ def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[fl
 
     The utility is concave in the jamming power (see the module docstring),
     so the best of the config's 65-point sweep lies within one step of the
-    maximizer; golden-section search refines it on that bracket until the
-    bracket is 1e-5 wide, or 1e-12 * p_j_max where that is wider (a bracket
-    cannot shrink below a few ulps of p_j_max).  The ends are the clamp
-    points: the best utility wins outright, and a tie goes to the larger
-    power.
+    maximizer; golden-section search (``_best_power``) refines it on that
+    bracket until the bracket is 1e-5 wide, or 1e-12 * p_j_max where that is
+    wider (a bracket cannot shrink below a few ulps of p_j_max).  The ends
+    are the clamp points: the best utility wins outright, and a tie goes to
+    the larger power.
 
-    The sweep runs for up to ``BLOCK`` allocations at a time in one reused
-    buffer, each element by the same float operations as a block of one, so
-    no answer depends on the block it was solved in.  Deterministic in its
-    inputs; allocations are read lazily, one block at a time.
+    Each allocation's ``link_terms`` are kept as one flat tuple of twelve
+    floats.  The sweep runs for up to ``BLOCK`` allocations at a time in one
+    reused buffer, built from one (n, 12) array of those tuples, each element
+    by the same float operations as a block of one, so no answer depends on
+    the block it was solved in.  Deterministic in its inputs; allocations are
+    read lazily, one block at a time.
     """
     grid, cost, ends = cfg.probe_grid, cfg._probe_cost, cfg._probe_floats
     gamma, pmax = cfg.gamma, cfg.p_j_max
@@ -112,14 +139,15 @@ def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[fl
     out: list[float] = []
     work = None
     while block := list(islice(lanes, BLOCK)):
-        terms = []
+        rows = []
         for alloc in block:
             # Plain floats: numpy scalars would slow every step of the search.
             p1, p2, p3, p4 = map(float, alloc)
             if min(p1, p2, p3, p4) < 0:
                 raise ValueError("allocations must be non-negative")
-            terms.append(link_terms(ch, p1, p2, p3, p4))
-        n = len(terms)
+            t1, t2, t3, t4 = link_terms(ch, p1, p2, p3, p4)
+            rows.append((*t1, *t2, *t3, *t4))
+        n = len(rows)
         if work is None:
             work = np.empty(9 * n * PROBE_POINTS)
         # Contiguous user-major views of the one buffer: every ufunc below
@@ -127,7 +155,7 @@ def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[fl
         # without buffers of its own; broadcasts are copies into ``w``.
         x, w = work[:8 * n * PROBE_POINTS].reshape(2, 4, n, PROBE_POINTS)
         a = work[8 * n * PROBE_POINTS:9 * n * PROBE_POINTS].reshape(n, PROBE_POINTS)
-        s, d, g = np.array(terms).transpose(2, 1, 0)[:, :, :, None]
+        s, d, g = np.array(rows).reshape(n, 4, 3).T[:, :, :, None]
         # Each user's rate log2(1 + s / (d + p g)) on the sweep, then the sum
         # over users in user order plus the cost; its minimum is the best
         # utility.
@@ -145,17 +173,9 @@ def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[fl
         np.add(a, x[3], out=a)
         np.copyto(w[0], cost)
         np.add(a, w[0], out=a)
-        for k, ((s1, d1, g1), (s2, d2, g2), (s3, d3, g3), (s4, d4, g4)) in zip(
-            a.argmin(axis=1).tolist(), terms
-        ):
-            def u(p: float) -> float:
-                # the sum rate of the four users' terms, added in user order
-                return -(log2(1.0 + s1 / (d1 + p * g1)) + log2(1.0 + s2 / (d2 + p * g2))
-                         + log2(1.0 + s3 / (d3 + p * g3)) + log2(1.0 + s4 / (d4 + p * g4))
-                         + gamma * p)
-
-            star = _golden_max(u, ends[max(0, k - 1)], ends[min(top, k + 1)], tol)
-            out.append(max((u(0.0), 0.0), (u(star), star), (u(pmax), pmax))[1])
+        for k, terms in zip(a.argmin(axis=1).tolist(), rows):
+            out.append(_best_power(terms, ends[max(0, k - 1)], ends[min(top, k + 1)],
+                                   gamma, pmax, tol))
     return out
 
 

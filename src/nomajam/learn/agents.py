@@ -254,6 +254,9 @@ class DqnAgent(_Players):
 
         Drawn positions count from the oldest stored transition, so once the
         ring has wrapped they pick what a deque of the same capacity would.
+        Raises ``FloatingPointError`` naming the slot (counted from this
+        agent's first transition) and the player once a loss is not finite:
+        the network has diverged, and training on would only spread NaN.
         """
         nx = self._encode(next_obs)
         k = self.slot % self.capacity
@@ -272,6 +275,12 @@ class DqnAgent(_Players):
             self.params, self.target, self.obs_buf[batch], self.action_buf[batch],
             self.reward_buf[batch], self.next_obs_buf[batch], self.lr, self.discount,
         )
+        for player, loss in enumerate(self.last_loss.tolist(), 1):
+            if not math.isfinite(loss):
+                raise FloatingPointError(
+                    f"DQN diverged at slot {self.slot - 1}: player {player}'s "
+                    f"training loss is {loss}"
+                )
         if self.slot % self.sync_period == 0:
             target_sync(self.params, self.target)
             self.sync_count += 1

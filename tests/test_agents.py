@@ -200,6 +200,18 @@ def test_dqn_sync_count():
     assert a.sync_count == 5
 
 
+def test_dqn_stops_on_a_non_finite_loss():
+    # a diverged network used to train on, NaN weights and all, to the end of
+    # the run; the first transition is the whole batch, so its loss is inf
+    a = make_dqn()
+    obs = ((1, 1, 1, 1), (1, 1, 1, 1))
+    a.act(obs)
+    with np.errstate(all="ignore"), pytest.raises(
+        FloatingPointError, match="slot 0: player 2's training loss is inf"
+    ):
+        a.learn((0, 0), (0.1, 1e300), obs)
+
+
 def test_dqn_rejects_mismatched_boot_weights():
     wrong = init_mlp(4, 9, np.random.default_rng(7))
     with pytest.raises(ValueError):

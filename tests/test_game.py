@@ -35,7 +35,7 @@ from nomajam.game import (
     _lockstep_lanes,
     _stackelberg_fixed_points,
 )
-from nomajam.harness import ExperimentConfig, channel_for_seed
+from nomajam.harness import CSV_HEADER, ExperimentConfig, TwoCellEnv, channel_for_seed
 from nomajam.jammer import JammerConfig, best_response
 from nomajam.rates import StrategyProfile, rates_from_sinr, sinr_vector
 
@@ -843,6 +843,46 @@ def test_report_maps_under_cell_mirror(levels):
     assert full_power > 0
 
 
+@pytest.mark.parametrize("jammer_mode", ["learning", "best-response"])
+def test_slot_outcome_maps_under_cell_mirror(jammer_mode):
+    # the slot loop's part of the relation: on the mirrored realization,
+    # _outcome(a2, a1) is _outcome(a1, a2) with users (1, 2) and (3, 4) and
+    # the two cells swapped.  Each user's SINR takes the same float
+    # operations, so the rates are the same bits; the sums over users (sum
+    # rate, objective, shared utility, jammer reward) add in another order
+    # and may differ in the last bits.  The follower adds its users in
+    # another order too, so its p_j may move within its 1e-5 stop (2 of 2,250
+    # outcomes here); the rest is compared only where p_j agrees.
+    cfg = ExperimentConfig(scheme="QLS", jammer_mode=jammer_mode)
+    col = {name: k for k, name in enumerate(CSV_HEADER[2:])}
+    swapped = [(f"{f}{k}", f"{f}{m}") for f in ("p", "r", "qos")
+               for k, m in ((1, 3), (2, 4), (3, 1), (4, 2))]
+    swapped += [("selfish_1", "selfish_2"), ("selfish_2", "selfish_1")]
+    compared = 0
+    for seed in range(10):
+        env, mir = TwoCellEnv(cfg, seed), TwoCellEnv(cfg, seed)
+        mir.ch = mirror_channel(env.ch)
+        n = len(env.grid.actions)
+        jams = [None] if env.jammer is None else range(cfg.jammer_grid_levels + 1)
+        for a1, a2, a_j in product(range(n), range(n), jams):
+            obs, rewards, tail, jam_reward, jam_obs = env._outcome(a1, a2, a_j)
+            m_obs, m_rewards, m_tail, m_jam_reward, m_jam_obs = mir._outcome(a2, a1, a_j)
+            p_j = tail[col["p_j"]]
+            assert abs(m_tail[col["p_j"]] - p_j) <= 1e-5
+            if m_tail[col["p_j"]] != p_j:
+                continue
+            compared += 1
+            for mine, theirs in swapped:
+                assert m_tail[col[mine]] == tail[col[theirs]], (seed, a1, a2, a_j, mine)
+            for name in ("sum_rate", "objective", "u_bs"):
+                assert m_tail[col[name]] == pytest.approx(tail[col[name]], rel=1e-14)
+            assert m_obs == obs[::-1] and m_rewards == rewards[::-1]
+            if a_j is not None:
+                assert m_jam_obs == (jam_obs[0][::-1],)
+                assert m_jam_reward == pytest.approx(jam_reward, rel=1e-14)
+    assert compared >= 0.99 * 10 * n * n * len(jams)
+
+
 # Seeds 0..9 are mood 1 at grid levels 4 and 6, and seed 11 is mood 2.
 REPORT_SEEDS = (*range(10), 11)
 # sha256 of the sorted-key JSON of analysis_report for REPORT_SEEDS at grid
@@ -1008,9 +1048,15 @@ def test_leader_slopes_match_central_differences(monkeypatch):
     # every slope find_ne_l1 takes, for seeds 0..39 at grid levels 4, 6 and 8
     calls = []
 
-    def recorded(*args):
-        slopes = leader_slopes(*args)
-        calls.append((args, slopes))
+    def recorded(ch, p_bs1, p_bs2, p_j, r0):
+        # find_ne_l1 asks for a realization's candidates in one array call;
+        # record each as the scalar call it stands for, whose bits it must be
+        slopes = leader_slopes(ch, p_bs1, p_bs2, p_j, r0)
+        for k, pair in enumerate(zip(*slopes)):
+            args = (ch, float(p_bs1[k]), float(p_bs2[k]), float(p_j[k]), r0)
+            scalar = leader_slopes(*args)
+            assert scalar == (None if math.isnan(pair[0]) else pair)
+            calls.append((args, scalar))
         return slopes
 
     monkeypatch.setattr(game, "leader_slopes", recorded)
@@ -1033,6 +1079,42 @@ def test_leader_slopes_match_central_differences(monkeypatch):
         if closed is not None:
             assert closed == pytest.approx(oracle, rel=1e-6, abs=0.0)
             assert signs(closed) == signs(oracle)
+
+
+def per_sample_draws(seed, n_samples, p_bs_max):
+    """Oracle for monotonicity_check's samples: its draws as first written, two
+    uniform pairs per slope sample, then one pair per curvature sample."""
+    rng = np.random.default_rng(seed)
+    bases = []
+    for _ in range(n_samples):
+        t1, t2 = rng.uniform(0.2, 1.0, size=2) * p_bs_max
+        f1, f3 = rng.uniform(0.1, 0.9, size=2)
+        p1, p3 = f1 * t1, f3 * t2
+        bases.append([p1, t1 - p1, p3, t2 - p3])
+    totals = [rng.uniform(0.3, 0.95, size=2) * p_bs_max for _ in range(n_samples)]
+    return np.array(bases), np.array(totals)
+
+
+def test_monotonicity_draws_equal_the_per_sample_loop(monkeypatch, channel, jcfg):
+    # the audit draws all its samples in one call per kind; the follower and
+    # the fixed points are stubbed, since only their inputs are compared
+    seen = {}
+
+    def follower(ch, allocs, cfg):
+        seen["bases"] = np.array(allocs)
+        return [0.0] * len(seen["bases"])
+
+    def fixed_points(ch, cfg, totals, r0):
+        seen["totals"] = np.array(totals)
+        return [FixedPointFailure("no_convergence", 0.0)] * len(totals)
+
+    monkeypatch.setattr(game, "best_responses", follower)
+    monkeypatch.setattr(game, "_stackelberg_fixed_points", fixed_points)
+    for seed in range(200):
+        monotonicity_check(channel, jcfg, R0, GAMMA, Z, 40.0, n_samples=50, seed=seed)
+        bases, totals = per_sample_draws(seed, 50, 40.0)
+        assert seen["bases"].tobytes() == bases.tobytes(), seed
+        assert seen["totals"].tobytes() == totals.tobytes(), seed
 
 
 def test_monotonicity_zero_interference():

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -784,15 +785,33 @@ def test_cli_rejects_out_of_range(tmp_path, changes, capsys):
 
 @pytest.mark.parametrize(
     "scheme, key, value",
-    [("NE-ANALYSIS", "r0", 1e300), ("QLU", "gamma", 1e308), ("NE-ANALYSIS", "gamma", 1e308)],
+    [("NE-ANALYSIS", "r0", 1e300), ("QLU", "gamma", 1e308), ("NE-ANALYSIS", "gamma", 1e308),
+     ("NE-ANALYSIS", "r0", 1023.9999999999999), ("QLU", "gamma", sys.float_info.max / 32)],
 )
 def test_cli_rejects_values_beyond_the_float_range(tmp_path, scheme, key, value, capsys):
     # 2.0 ** r0 overflowed at run time (exit 2), and gamma * p_j went
-    # infinite in a run that exited 0
+    # infinite in a run that exited 0; just below 1024, r0 overflowed the
+    # binding split's (t - 1) * A, and gamma = max / 32 the summary's mean
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"scheme = {scheme}\n{key} = {value}\n", encoding="utf-8")
     assert cli_main(["--config", str(cfgfile), "--slots", "3", "--seeds", "1"]) == 1
     assert f"{key} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme, key, where", [
+    ("DQLU", "alpha_dqn", "DQN diverged at slot 1"),
+    ("HBDQLU", "reward_scale", "hot boot, scenario 0: DQN diverged at slot 0"),
+])
+def test_cli_exits_2_naming_dqn_divergence(tmp_path, scheme, key, where, capsys):
+    # a value of 1e300 ran to exit 0 on NaN weights; numpy's overflow
+    # warnings are silenced so that the run reaches the loss check
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scheme = {scheme}\n{key} = 1e300\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli_main(["--config", str(cfgfile), "--slots", "50", "--seeds", "1"])
+    assert code == 2
+    assert f"runtime error: {where}: player 1's training loss is" in capsys.readouterr().err
 
 
 def test_float_range_boundaries():
@@ -801,11 +820,26 @@ def test_float_range_boundaries():
     ExperimentConfig(r0=math.nextafter(1024.0, 0.0)).validate()
     with pytest.raises(ValueError, match="r0 must be below 1024"):
         ExperimentConfig(r0=1024.0).validate()
-    ExperimentConfig(gamma=top / 32, p_j_max=20.0).validate()
-    ExperimentConfig(gamma=top / 2, p_j_max=2.0).validate()
+    ExperimentConfig(scheme="NE-ANALYSIS", gamma=top / 32, p_j_max=20.0).validate()
+    ExperimentConfig(scheme="NE-ANALYSIS", gamma=top / 2, p_j_max=2.0).validate()
     for gamma, p_j_max in ((top / 16, 20.0), (top, 1.5), (2.0, top)):
         with pytest.raises(ValueError, match="gamma must keep gamma \\* p_j_max finite"):
             ExperimentConfig(gamma=gamma, p_j_max=p_j_max).validate()
+    # a learning run's summary means each add max(min(window, slots), seeds)
+    # values of up to 4 * 1024 + gamma * p_j_max
+    ExperimentConfig(gamma=top / 2**13, p_j_max=20.0).validate()
+    with pytest.raises(ValueError, match="gamma must keep the summary means of 200 values"):
+        ExperimentConfig(gamma=top / 2**12, p_j_max=20.0).validate()
+    with pytest.raises(ValueError, match="gamma must keep the summary means of 5000 values"):
+        ExperimentConfig(gamma=top / 2**13, p_j_max=20.0, seeds=tuple(range(5000))).validate()
+    # the game's binding split forms 2 ** r0 times a weak user's denominator;
+    # at the default geometry and the largest fading draw that caps r0 near 1001.9
+    with pytest.raises(ValueError, match="r0 must keep 2 \\*\\* r0 times the largest"):
+        ExperimentConfig(scheme="NE-ANALYSIS", r0=1001.9).validate()
+    near = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=4, seeds=(0, 1), r0=1001.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_ne_analysis(near)
 
 
 def test_cli_rejects_removed_search_tolerance_key(tmp_path, capsys):
