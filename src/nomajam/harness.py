@@ -15,6 +15,7 @@ import logging
 import math
 import operator
 import os
+import sys
 import typing
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from .channel import (
     ChannelRealization,
     Geometry,
     draw_channels,
+    path_loss,
 )
 from .game import TABLE_BYTES_PER_PROFILE, StrategyGrid, analysis_report
 from .jammer import JammerConfig, best_response
@@ -199,6 +201,30 @@ class ExperimentConfig:
         if self.redraw_period < 0:
             raise ValueError("redraw_period must be non-negative")
         geom = self.geometry()  # validates positions/distances
+        try:
+            noise = geom.noise_power
+        except OverflowError:
+            noise = math.inf
+        if not sys.float_info.min <= noise < math.inf:
+            raise ValueError(
+                f"noise_db must keep the noise power 10 ** (noise_db / 10) a "
+                f"normal float, got {self.noise_db}"
+            )
+        users = ("xl_ue1", "xl_ue2", "xl_ue3", "xl_ue4")
+        sources = ("xl_bs1", "xl_bs2", "xl_jammer")
+        for (u, s), d in np.ndenumerate(geom.distances()):
+            try:
+                finite = 0.0 < path_loss(float(d)) < math.inf
+            except (OverflowError, ZeroDivisionError):  # d ** 3.76 out of range
+                finite = False
+            if not finite:
+                pair = (users[u], sources[s])
+                # the position off the scale is the larger one
+                key = max(pair, key=lambda k: abs(getattr(self, k)))
+                raise ValueError(
+                    f"{key} must keep the path loss between {pair[0]} and {pair[1]} "
+                    f"finite and non-zero, got {getattr(self, key)}"
+                )
         self.jammer_config()
         if not learning:
             # qos_binding_split forms (t - 1) * A and g_own * t, t = 2 ** r0 and

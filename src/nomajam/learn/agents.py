@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel import CELLS
-from .nn import MlpParams, dqn_train_step, init_mlp, mlp_forward, target_sync
+from .nn import MlpParams, _forward_cached, dqn_train_step, init_mlp, target_sync
 
 SINR_LEVELS = 8
 SINR_LO_DB = -20.0
@@ -87,11 +87,13 @@ class QTable:
         self.table = np.zeros((n_states, n_actions))
 
     def update(self, state: int, action: int, reward: float, next_state: int) -> None:
-        row = self.table[next_state]
-        best_next = row[row.argmax()]  # .max() without its reduction's overhead
-        self.table[state, action] = (1.0 - self.alpha) * self.table[
+        # on plain floats: the same IEEE arithmetic as on numpy scalars
+        table = self.table
+        row = table[next_state]
+        best_next = row.item(row.argmax())  # .max() without its reduction's overhead
+        table[state, action] = (1.0 - self.alpha) * table.item(
             state, action
-        ] + self.alpha * (reward + self.discount * best_next)
+        ) + self.alpha * (reward + self.discount * best_next)
 
 
 @dataclass
@@ -194,10 +196,14 @@ class DqnAgent(_Players):
     player, held as one stack.
 
     Player i's networks are slice i of stacked ``MlpParams``, and its replay
-    memory is row i of four preallocated (players, replay_capacity, ...)
-    ring arrays holding its last ``replay_capacity`` transitions,
-    observations already normalized and rewards already scaled.  The forward
-    pass, the training step and the target sync run once for all players.
+    memory holds its last ``replay_capacity`` transitions, observations
+    already normalized and rewards already scaled: row i of ``obs_buf``,
+    ``next_obs_buf``, ``action_buf`` and ``reward_buf``, preallocated
+    (players, replay_capacity, ...) rings.  ``obs_buf`` and
+    ``next_obs_buf`` are the two halves of one (2 * players,
+    replay_capacity, 4) ring, so one gather fetches both batches.  The
+    forward pass, the training step and the target sync run once for all
+    players.
     """
 
     def __init__(
@@ -228,8 +234,8 @@ class DqnAgent(_Players):
         self.params = MlpParams.stack(nets)
         self.target = self.params.copy()
         self.capacity = replay_capacity
-        self.obs_buf = np.empty((m, replay_capacity, 4))
-        self.next_obs_buf = np.empty((m, replay_capacity, 4))
+        self._obs_ring = np.empty((2 * m, replay_capacity, 4))
+        self.obs_buf, self.next_obs_buf = self._obs_ring[:m], self._obs_ring[m:]
         self.action_buf = np.empty((m, replay_capacity), dtype=np.intp)
         self.reward_buf = np.empty((m, replay_capacity))
         self.batch_size = batch_size
@@ -238,13 +244,14 @@ class DqnAgent(_Players):
         self.slot = 0  # transitions stored so far, wrapped ones included
         self.sync_count = 0
         self.last_loss = np.zeros(m)
-        self._players = np.arange(m)[:, None]
+        # each ring row's first index in its flattened ring
+        self._row_starts = np.arange(2 * m)[:, None] * replay_capacity
 
     def _encode(self, obs) -> np.ndarray:
         return np.asarray(obs, dtype=float) / (self.sinr_levels - 1)
 
     def act(self, obs) -> tuple[int, ...]:
-        q = mlp_forward(self.params, self._current(obs))
+        q = _forward_cached(self.params, self._current(obs)[:, None])[-1][:, 0]
         eps = self.eps
         return tuple([select_action(qi, eps, rng) for qi, rng in zip(q, self.rngs)])
 
@@ -267,13 +274,18 @@ class DqnAgent(_Players):
         self.slot += 1
         size = min(self.slot, self.capacity)
         n = min(self.batch_size, size)
-        idx = np.array([rng.integers(size, size=n) for rng in self.rngs])
+        m = len(self.rngs)
+        draws = [rng.integers(size, size=n) for rng in self.rngs]
+        idx = np.array(draws + draws)  # both halves of the observation ring
         if self.slot > self.capacity:
-            idx = (idx + self.slot) % self.capacity
-        batch = (self._players, idx)
+            idx += self.slot
+            idx %= self.capacity
+        # flat indices; the first m rows also index the action and reward rings
+        idx += self._row_starts
+        obs = self._obs_ring.reshape(-1, 4).take(idx, axis=0)
         self.last_loss = dqn_train_step(
-            self.params, self.target, self.obs_buf[batch], self.action_buf[batch],
-            self.reward_buf[batch], self.next_obs_buf[batch], self.lr, self.discount,
+            self.params, self.target, obs[:m], self.action_buf.take(idx[:m]),
+            self.reward_buf.take(idx[:m]), obs[m:], self.lr, self.discount,
         )
         for player, loss in enumerate(self.last_loss.tolist(), 1):
             if not math.isfinite(loss):

@@ -10,41 +10,67 @@ runs all m at once with stacked ``matmul``.  Slice i of a stacked pass gives
 the same bits as the pass of network i alone (``tests/test_nn.py`` pins
 this), so stacking the two base stations' networks changes no output.  The
 training step takes stacks only; one network trains as a stack of one.
+
+Each network or stack keeps its six arrays as views into one contiguous
+float64 buffer, ``flat``, in layer order (w1, b1, w2, b2, w3, b3).  The
+training step writes every gradient into a second buffer of the same
+layout and takes its SGD step on the two buffers whole; a target network
+has its own buffer, so a target sync is one copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from functools import lru_cache
 
 import numpy as np
 
 HIDDEN = 24
 
 
-@dataclass
 class MlpParams:
     """Weights/biases of the three affine layers (two ReLU, one linear), one
-    network or a stack of them along a leading axis."""
+    network or a stack of them along a leading axis.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    # per layer, the views (w transposed, b as a row) the forward pass adds
-    # with; in-place updates of the weights show through them
-    _affine: list = field(init=False, repr=False, compare=False)
+    ``weights`` and ``biases`` are views into ``flat``; the constructor
+    copies the arrays it is given into a new buffer.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != 3 or len(self.biases) != 3:
+    def __init__(self, weights, biases) -> None:
+        if len(weights) != 3 or len(biases) != 3:
             raise ValueError("expected exactly three layers")
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(weights, biases):
             if w.shape[:-1] != b.shape:
                 raise ValueError(f"weight/bias mismatch: {w.shape} vs {b.shape}")
-        for w_out, w_in in zip(self.weights[1:], self.weights[:-1]):
+        for w_out, w_in in zip(weights[1:], weights[:-1]):
             if w_out.shape[-1] != w_in.shape[-2]:
                 raise ValueError("consecutive layer shapes do not chain")
+        arrays = [a for layer in zip(weights, biases) for a in layer]
+        flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        self._bind(flat, [a.shape for a in arrays])
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        """View ``flat`` as the six arrays of ``shapes``, in layer order."""
+        views, start = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[start:start + size].reshape(shape))
+            start += size
+        self.flat, self._shapes = flat, list(shapes)
+        self.weights, self.biases = views[0::2], views[1::2]
+        # per layer, the views (w transposed, b as a row) the forward pass adds with
         self._affine = [
             (w.swapaxes(-1, -2), b[..., None, :])
             for w, b in zip(self.weights, self.biases)
         ]
+        self._grad = None
+
+    @classmethod
+    def _on(cls, flat: np.ndarray, shapes) -> "MlpParams":
+        """Parameters viewing ``flat`` itself, laid out as ``shapes``."""
+        params = cls.__new__(cls)
+        params._bind(flat, shapes)
+        return params
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -59,17 +85,11 @@ class MlpParams:
         return self.weights[0].ndim == 3
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpParams._on(self.flat.copy(), self._shapes)
 
     def player(self, i: int) -> "MlpParams":
         """A copy of network i of a stack."""
-        return MlpParams(
-            weights=[w[i].copy() for w in self.weights],
-            biases=[b[i].copy() for b in self.biases],
-        )
+        return MlpParams([w[i] for w in self.weights], [b[i] for b in self.biases])
 
     @classmethod
     def stack(cls, nets) -> "MlpParams":
@@ -81,13 +101,16 @@ class MlpParams:
         )
 
     def _as_stack(self) -> "MlpParams":
-        """The network itself if stacked, else a stack of one sharing its arrays."""
+        """The network itself if stacked, else a stack of one sharing its buffer."""
         if self.stacked:
             return self
-        return MlpParams(
-            weights=[w[None] for w in self.weights],
-            biases=[b[None] for b in self.biases],
-        )
+        return MlpParams._on(self.flat, [(1,) + s for s in self._shapes])
+
+    def _gradient(self) -> "MlpParams":
+        """The gradient buffer kept for these parameters, laid out like them."""
+        if self._grad is None:
+            self._grad = MlpParams._on(np.empty_like(self.flat), self._shapes)
+        return self._grad
 
 
 def init_mlp(n_inputs: int, n_outputs: int, rng: np.random.Generator) -> MlpParams:
@@ -102,15 +125,22 @@ def init_mlp(n_inputs: int, n_outputs: int, rng: np.random.Generator) -> MlpPara
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
-    """Every layer's pre- and post-activation for stacked params and a
-    (m, B, n_inputs) batch per network."""
+    """Both hidden layers' activations and the Q-values, for stacked params
+    and a (m, B, n_inputs) batch per network.
+
+    A hidden unit's ReLU passes its gradient exactly where its activation is
+    positive, so the activations stand in for the pre-activations.
+    """
     (w1t, b1), (w2t, b2), (w3t, b3) = params._affine
-    z1 = x @ w1t + b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ w2t + b2
-    h2 = np.maximum(z2, 0.0)
-    q = h2 @ w3t + b3
-    return z1, h1, z2, h2, q
+    h1 = x @ w1t
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ w2t
+    h2 += b2
+    np.maximum(h2, 0.0, out=h2)
+    q = h2 @ w3t
+    q += b3
+    return h1, h2, q
 
 
 def mlp_forward(params: MlpParams, obs) -> np.ndarray:
@@ -125,33 +155,50 @@ def mlp_forward(params: MlpParams, obs) -> np.ndarray:
     return q.reshape(shape[:-1] + q.shape[-1:])
 
 
+@lru_cache(maxsize=1)
+def _row_starts(m: int, n: int, n_outputs: int) -> np.ndarray:
+    """Flat index of each row's first Q-value in an (m, n, n_outputs) array.
+
+    One shape is kept: the training step's batch length settles at its full
+    size, and a cache per warm-up length would grow with the batch squared.
+    """
+    starts = np.arange(0, m * n * n_outputs, n_outputs).reshape(m, n)
+    starts.setflags(write=False)
+    return starts
+
+
 def _td_gradients(params: MlpParams, x: np.ndarray, actions, targets):
     """Residuals Q(x, a) - target and their gradients, per network of a stack.
 
     ``x`` is (m, B, n_inputs), ``actions`` and ``targets`` are (m, B).  The
     gradients are those of 0.5 * mean(residual^2) over each network's batch,
     for every parameter; only the taken actions' output units carry a
-    residual.
+    residual, and each action must lie in [0, n_outputs).  The gradients
+    are written into ``params._gradient()``, which the next call overwrites,
+    and returned as its weight and bias lists.
     """
+    grad = params._gradient()
     _, w2, w3 = params.weights
-    z1, h1, z2, h2, q = _forward_cached(params, x)
+    dw1, dw2, dw3 = grad.weights
+    db1, db2, db3 = grad.biases
+    h1, h2, q = _forward_cached(params, x)
     m, n = actions.shape
-    at = (np.arange(m)[:, None], np.arange(n), actions)
-    residual = q[at] - targets
+    taken = _row_starts(m, n, q.shape[-1]) + actions  # flat indices into q
+    residual = q.take(taken) - targets
 
     dq = np.zeros_like(q)
-    dq[at] = residual / n
-    dw3 = dq.swapaxes(1, 2) @ h2
-    db3 = dq.sum(axis=1)
-    dh2 = dq @ w3
-    dz2 = dh2 * (z2 > 0)
-    dw2 = dz2.swapaxes(1, 2) @ h1
-    db2 = dz2.sum(axis=1)
-    dh1 = dz2 @ w2
-    dz1 = dh1 * (z1 > 0)
-    dw1 = dz1.swapaxes(1, 2) @ x
-    db1 = dz1.sum(axis=1)
-    return residual, [dw1, dw2, dw3], [db1, db2, db3]
+    dq.put(taken, residual / n)
+    np.matmul(dq.swapaxes(1, 2), h2, out=dw3)
+    np.add.reduce(dq, axis=1, out=db3)
+    dz2 = dq @ w3
+    np.multiply(dz2, h2 > 0, out=dz2)
+    np.matmul(dz2.swapaxes(1, 2), h1, out=dw2)
+    np.add.reduce(dz2, axis=1, out=db2)
+    dz1 = dz2 @ w2
+    np.multiply(dz1, h1 > 0, out=dz1)
+    np.matmul(dz1.swapaxes(1, 2), x, out=dw1)
+    np.add.reduce(dz1, axis=1, out=db1)
+    return residual, grad.weights, grad.biases
 
 
 def mlp_backward(
@@ -192,15 +239,15 @@ def dqn_train_step(
     """
     if actions.shape[-1] == 0:
         raise ValueError("batch must be non-empty")
-    next_q = _forward_cached(target_net, nx)[-1]
-    targets = rewards + discount * next_q.max(axis=2)
-    residual, gw, gb = _td_gradients(main, x, actions, targets)
+    targets = _forward_cached(target_net, nx)[-1].max(axis=2)
+    targets *= discount
+    targets += rewards
+    residual, _, _ = _td_gradients(main, x, actions, targets)
     loss = (residual**2).sum(axis=1) / (2 * actions.shape[1])
-
-    for w, dw in zip(main.weights, gw):
-        w -= lr * dw
-    for b, db in zip(main.biases, gb):
-        b -= lr * db
+    # per element the same w - lr * dw as six separate updates
+    grad = main._gradient()
+    grad.flat *= lr
+    main.flat -= grad.flat
     return loss
 
 
@@ -208,8 +255,5 @@ def target_sync(main: MlpParams, target_net: MlpParams) -> MlpParams:
     """Hard-copy the main network's parameters into the target network."""
     if main.layer_sizes != target_net.layer_sizes:
         raise ValueError("main and target network shapes differ")
-    for tw, mw in zip(target_net.weights, main.weights):
-        tw[...] = mw
-    for tb, mb in zip(target_net.biases, main.biases):
-        tb[...] = mb
+    np.copyto(target_net.flat, main.flat)  # a count that differs raises too
     return target_net

@@ -200,6 +200,23 @@ def test_dqn_sync_count():
     assert a.sync_count == 5
 
 
+def test_dqn_target_takes_the_main_weights_only_at_a_sync():
+    a = make_dqn(sync_period=3, batch_size=4)
+    # both observation rings are halves of one ring, so one gather reads both
+    assert a.obs_buf.base is a.next_obs_buf.base
+    synced = a.params.flat.copy()
+    rng = np.random.default_rng(9)
+    obs = ((1, 2, 3, 4), (4, 3, 2, 1))
+    for slot in range(1, 8):
+        nxt = tuple(tuple(int(v) for v in rng.integers(0, 8, size=4)) for _ in range(2))
+        a.learn(a.act(obs), tuple(rng.normal(size=2).tolist()), nxt)
+        obs = nxt
+        if slot % 3 == 0:
+            synced = a.params.flat.copy()
+        assert np.array_equal(a.target.flat, synced)
+    assert not np.array_equal(a.params.flat, synced)
+
+
 def test_dqn_stops_on_a_non_finite_loss():
     # a diverged network used to train on, NaN weights and all, to the end of
     # the run; the first transition is the whole batch, so its loss is inf

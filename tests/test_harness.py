@@ -296,30 +296,37 @@ def test_dqn_pair_stays_within_its_byte_bound():
     # the environment's outcome memo and the training step's fixed arrays
     import tracemalloc
 
-    cfg = ExperimentConfig(
-        scheme="DQLU", grid_levels=30, batch_size=64, replay_capacity=128,
-        jammer_mode="best-response",
-    )
-    cfg.validate()
-    env = TwoCellEnv(cfg, 0)
-    tracemalloc.start()
-    try:
-        agents = harness._build_agents(
-            cfg, (np.random.SeedSequence(1), np.random.SeedSequence(2))
+    for grid_levels, batch_size, replay_capacity in (
+        (30, 64, 128),
+        # few actions and a large batch, where the per-sample figure is
+        # thinnest: a step that allocated six gradient arrays and six
+        # lr * dw temporaries peaked 5-13 kB above the bound here
+        (3, 768, 768),
+    ):
+        cfg = ExperimentConfig(
+            scheme="DQLU", grid_levels=grid_levels, batch_size=batch_size,
+            replay_capacity=replay_capacity, jammer_mode="best-response",
         )
-        for _ in range(cfg.batch_size + 8):
-            run_slot(env, agents)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    rings = (agents.obs_buf, agents.next_obs_buf, agents.action_buf, agents.reward_buf)
-    ring_bytes = cfg.replay_capacity * harness.REPLAY_BYTES_PER_TRANSITION
-    assert sum(a.nbytes for a in rings) == ring_bytes
-    n = cfg.n_actions
-    pair_bytes = n * harness.DQN_BYTES_PER_ACTION + cfg.batch_size * (
-        harness.DQN_BYTES_PER_SAMPLE + n * harness.DQN_BYTES_PER_ACTION_SAMPLE
-    )
-    assert peak <= pair_bytes + ring_bytes + 256 * 1024
+        cfg.validate()
+        env = TwoCellEnv(cfg, 0)
+        tracemalloc.start()
+        try:
+            agents = harness._build_agents(
+                cfg, (np.random.SeedSequence(1), np.random.SeedSequence(2))
+            )
+            for _ in range(cfg.batch_size + 8):
+                run_slot(env, agents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rings = (agents.obs_buf, agents.next_obs_buf, agents.action_buf, agents.reward_buf)
+        ring_bytes = cfg.replay_capacity * harness.REPLAY_BYTES_PER_TRANSITION
+        assert sum(a.nbytes for a in rings) == ring_bytes
+        n = cfg.n_actions
+        pair_bytes = n * harness.DQN_BYTES_PER_ACTION + cfg.batch_size * (
+            harness.DQN_BYTES_PER_SAMPLE + n * harness.DQN_BYTES_PER_ACTION_SAMPLE
+        )
+        assert peak <= pair_bytes + ring_bytes + 256 * 1024, (grid_levels, batch_size)
 
 
 def test_hot_boot_shape_and_determinism():
@@ -786,12 +793,18 @@ def test_cli_rejects_out_of_range(tmp_path, changes, capsys):
 @pytest.mark.parametrize(
     "scheme, key, value",
     [("NE-ANALYSIS", "r0", 1e300), ("QLU", "gamma", 1e308), ("NE-ANALYSIS", "gamma", 1e308),
-     ("NE-ANALYSIS", "r0", 1023.9999999999999), ("QLU", "gamma", sys.float_info.max / 32)],
+     ("NE-ANALYSIS", "r0", 1023.9999999999999), ("QLU", "gamma", sys.float_info.max / 32),
+     ("QLU", "noise_db", 4000), ("NE-ANALYSIS", "noise_db", 4000), ("QLU", "noise_db", -4000),
+     ("QLU", "xl_jammer", 1e300), ("NE-ANALYSIS", "xl_jammer", 1e300),
+     ("QLU", "xl_ue1", 1e300), ("NE-ANALYSIS", "xl_ue1", 1e300)],
 )
 def test_cli_rejects_values_beyond_the_float_range(tmp_path, scheme, key, value, capsys):
     # 2.0 ** r0 overflowed at run time (exit 2), and gamma * p_j went
     # infinite in a run that exited 0; just below 1024, r0 overflowed the
-    # binding split's (t - 1) * A, and gamma = max / 32 the summary's mean
+    # binding split's (t - 1) * A, and gamma = max / 32 the summary's mean;
+    # the noise power 10 ** (noise_db / 10) and a path loss's d ** 3.76
+    # overflowed (exit 2, or a bare OverflowError for NE-ANALYSIS), and a
+    # noise power that underflowed to 0 made every gain infinite
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"scheme = {scheme}\n{key} = {value}\n", encoding="utf-8")
     assert cli_main(["--config", str(cfgfile), "--slots", "3", "--seeds", "1"]) == 1

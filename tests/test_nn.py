@@ -325,3 +325,71 @@ def test_stacked_act_equals_single_observation_pass():
         for i, net in enumerate(nets):
             assert np.array_equal(q[i], reference_pass(net, obs[i]))
             assert np.array_equal(q[i], mlp_forward(net, obs[i]))
+
+
+def test_arrays_are_views_of_one_flat_buffer_in_layer_order():
+    # single networks and stacks alike: w1, b1, w2, b2, w3, b3 back to back
+    rng = np.random.default_rng(60)
+    nets, stack = stacked_pair(rng)
+    for p in (nets[0], stack, stack.copy(), stack.player(1)):
+        arrays = [a for layer in zip(p.weights, p.biases) for a in layer]
+        assert p.flat.flags.c_contiguous and p.flat.dtype == np.float64
+        assert np.array_equal(p.flat, np.concatenate([a.ravel() for a in arrays]))
+        for a in arrays:
+            assert a.base is p.flat
+        p.flat[:] = 0.0  # writes through the flat buffer show in every array
+        assert all(not a.any() for a in arrays)
+
+
+def test_consecutive_flat_steps_equal_six_reference_updates_each():
+    # one stack trains through batch lengths that change as in warm-up, so
+    # the kept gradient buffer and row indices are rewritten every step;
+    # each step must equal w - lr * dw for all six arrays of each network
+    rng = np.random.default_rng(61)
+    nets, stack = stacked_pair(rng)
+    tnets, tstack = stacked_pair(rng)
+    for batch in (1, 2, 17, 32, 32, 17, 1):
+        x, nx = rng.uniform(0.0, 1.0, (2, 2, batch, 4))
+        actions = rng.integers(15, size=(2, batch))
+        rewards = rng.normal(size=(2, batch))
+        dqn_train_step(stack, tstack, x, actions, rewards, nx, 0.1, 0.7)
+        for i, (net, tnet) in enumerate(zip(nets, tnets)):
+            y = rewards[i] + 0.7 * reference_pass(tnet, nx[i]).max(axis=1)
+            grads = reference_pass(net, x[i], actions[i], y)[2]
+            for a, d in zip(net.weights + net.biases, grads):
+                a[...] = a - 0.1 * d
+            got = stack.player(i)
+            for g, w in zip(got.weights + got.biases, net.weights + net.biases):
+                assert np.array_equal(g, w)
+
+
+def test_target_is_untouched_until_sync_and_sync_copies_exactly():
+    rng = np.random.default_rng(62)
+    _, main = stacked_pair(rng)
+    target_net = main.copy()
+    frozen = target_net.flat.copy()
+    x, nx = rng.uniform(0.0, 1.0, (2, 2, 8, 4))
+    for _ in range(3):
+        dqn_train_step(main, target_net, x, rng.integers(15, size=(2, 8)),
+                       rng.normal(size=(2, 8)), nx, 0.1, 0.7)
+        assert np.array_equal(target_net.flat, frozen)
+    assert not np.array_equal(main.flat, frozen)
+    assert target_sync(main, target_net) is target_net
+    assert np.array_equal(target_net.flat, main.flat)
+    assert not np.shares_memory(target_net.flat, main.flat)
+    with pytest.raises(ValueError):
+        target_sync(main, main.player(0))
+
+
+def test_player_returns_an_independent_copy():
+    # hot boot hands player 0's network to a new pair; it must not follow
+    # the stack it came from, nor write into it
+    _, stack = stacked_pair(np.random.default_rng(63))
+    before = stack.flat.copy()
+    net = stack.player(0)
+    assert not np.shares_memory(net.flat, stack.flat)
+    kept = net.flat.copy()
+    stack.flat += 1.0
+    assert np.array_equal(net.flat, kept)
+    net.flat[:] = 0.0
+    assert np.array_equal(stack.flat, before + 1.0)
