@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import product
 
 import numpy as np
 
@@ -134,107 +133,110 @@ def _binding_allocs(
     return np.stack((p1, p2, p3, p4), axis=1), ok
 
 
-@dataclass(frozen=True)
-class FixedPointFailure:
-    """Why a Stackelberg fixed point gave up, and the jamming power it stopped at.
-
-    ``reason`` is ``"undefined_profile"`` when the lane's allocation at p_j is
-    undefined, or ``"no_convergence"`` when the evaluation budget ran out.
-    """
-
-    reason: str
-    p_j: float
-
-
-def _lockstep_lanes(
-    ch: ChannelRealization,
-    jcfg: JammerConfig,
-    n: int,
-    allocs_at,
-) -> list[StrategyProfile | FixedPointFailure]:
-    """Self-consistent profile and jamming power for each of n pj-dependent lanes.
-
-    ``allocs_at(lanes, pjs)`` gives each listed lane's BS allocation
-    (p1, p2, p3, p4) at its jamming power, or None where the lane's profile
-    is undefined; the jammer then best-responds to the allocation.  The root
-    of h(pj) = BR(alloc(pj)) - pj is found by a secant iteration: h is
-    evaluated at pj = 0, the first step goes to BR(alloc(0)), and every
-    later step is the secant through the last two evaluations.  When the
-    secant step leaves [0, p_j_max], or the two values of h are equal, the
-    damped step pj + h(pj) / 2 is taken instead.  A lane stops when
-    |h(pj)| <= 2e-6 * p_j_max and returns the profile of alloc(p) with
-    ``p_j = p``, where p = BR(alloc(pj)).  It gives up with a
-    ``FixedPointFailure``: ``undefined_profile`` when the allocation is
-    None, ``no_convergence`` after 100 evaluations of h.
-
-    The lanes run in lockstep: each round makes one ``allocs_at`` call and
-    one ``best_responses`` call for every lane still iterating, and one last
-    ``allocs_at`` call builds the converged lanes' profiles.  Each lane takes
-    exactly the steps it would take alone.
-    """
-    tol, pmax = 2e-6 * jcfg.p_j_max, jcfg.p_j_max
-    out: list[StrategyProfile | FixedPointFailure | None] = [None] * n
-    # lane -> (previous pj, previous h, pj to evaluate next)
-    live = {k: (None, None, 0.0) for k in range(n)}
-    done: dict[int, float] = {}  # converged lane -> its jamming power
-    for _ in range(100):
-        if not live:
-            break
-        lanes = list(live)
-        asked = []
-        for k, alloc in zip(lanes, allocs_at(lanes, [live[k][2] for k in lanes])):
-            if alloc is None:
-                out[k] = FixedPointFailure("undefined_profile", live[k][2])
-            else:
-                asked.append((k, alloc))
-        answers = best_responses(ch, (a for _, a in asked), jcfg)
-        nxt_live = {}
-        for (k, _), p_j in zip(asked, answers):
-            x_prev, h_prev, x = live[k]
-            h = p_j - x
-            if abs(h) <= tol:
-                done[k] = p_j
-                continue
-            if h_prev is None:
-                nxt = p_j
-            elif h == h_prev:
-                nxt = x + 0.5 * h
-            else:
-                nxt = x - h * (x - x_prev) / (h - h_prev)
-                if not 0.0 <= nxt <= pmax:
-                    nxt = x + 0.5 * h
-            nxt_live[k] = (x, h, nxt)
-        live = nxt_live
-    for k, (x_prev, _, _) in live.items():
-        out[k] = FixedPointFailure("no_convergence", x_prev)
-    if done:
-        lanes, pjs = list(done), list(done.values())
-        for k, p_j, alloc in zip(lanes, pjs, allocs_at(lanes, pjs)):
-            out[k] = (FixedPointFailure("undefined_profile", p_j) if alloc is None
-                      else StrategyProfile(*alloc, p_j))
-    return out
-
-
 def _stackelberg_fixed_points(
     ch: ChannelRealization,
     jcfg: JammerConfig,
     totals,
     r0: float,
     cells: tuple[int, ...] = (1, 2),
-) -> list[StrategyProfile | FixedPointFailure]:
-    """The fixed point of the binding allocation at each (p_bs1, p_bs2) total pair.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Stackelberg fixed point of the binding allocation at each total pair.
 
-    ``_lockstep_lanes`` with one lane per pair, whose round builds every live
-    lane's binding allocation in one ``_binding_allocs`` call.
+    Each (p_bs1, p_bs2) lane's jamming power p that the jammer's best response
+    to the lane's binding allocation (``_binding_allocs``) returns.  Returns
+    the (N, 4) allocations at their fixed points, the jamming powers and the
+    mask of lanes that have one (entries off it are undefined).
+
+    The allocation is affine in p: a listed cell's weak user takes
+    (t - 1)(A + p g_j) / (g_own t), t = 2^r0, with A its denominator when the
+    strong user has the cell's whole total, and the strong user the rest; a
+    lane is defined on [0, p_hi], until a strong user's power runs out.  The
+    jammer's utility is concave in p, so its best response is where
+    F(p) = S(p) - gamma ln 2, S = sum_i s_i g_i / ((d_i + p g_i)(d_i + s_i + p g_i))
+    crosses 0, and the fixed point is the root of F with the s_i and d_i of
+    the allocation at p.  F falls in p: a listed weak user's SINR is pinned
+    at t - 1 and its d + s is A, so its term is (t - 1) g_j / (A + p g_j); a
+    strong user's term (d = 1) rises in s and falls in p, and s falls in p;
+    an unlisted weak user has s = 0.  So p* = 0 where F(0) <= 0, p_j_max
+    where the lane is defined there and F(p_j_max) >= 0, none where
+    F(p_hi) > 0 with p_hi < p_j_max, and otherwise the one root in (0, p_hi].
+
+    No follower is called.  The lanes run in lockstep through Numerical
+    Recipes' ``rtsafe``: Newton steps on G = F / S = 1 - gamma ln 2 / S (F's
+    root, with S's 1/p^2 fall flattened), each replaced by a bisection of
+    the bracket where it leaves the bracket or is not half the step before
+    last, until a step is below 1e-12 * p_j_max.  With gamma = 0, F = S > 0
+    below p_hi, so a lane with F(p_hi) <= 0 ends at p_hi.  Arrays see only
+    +, -, * and /, so the bits do not depend on numpy's SIMD level.
     """
     t1, t2 = np.array(totals, dtype=float).reshape(-1, 2).T
+    pmax = jcfg.p_j_max
+    a0, ok = _binding_allocs(ch, t1, t2, np.zeros_like(t1), r0, cells)
+    a0[~ok] = 0.0  # keep undefined lanes finite; the mask drops them
+    terms = link_terms(ch, *a0.T)
+    g, t = ch.gain_rows, 2.0 ** r0
+    # Per cell: the weak user's A and the strong user's signal at p = 0 for
+    # each lane, the weak power's slope k, then the weak user's (t - 1) g_j
+    # (0 for a cell not listed) and g_j, and the strong user's g_j, signal
+    # slope and two products of those.
+    rows = []
+    for cell, (weak, strong, own, _) in CELLS.items():
+        (s_w, d_w, gj_w), (s_s, _, gj_s) = terms[weak], terms[strong]
+        k = (t - 1.0) * gj_w / (g[weak][own] * t) if cell in cells else 0.0
+        ds = -k * g[strong][own]
+        rows.append((d_w + s_w, s_s, k, (t - 1.0) * gj_w if cell in cells else 0.0,
+                     gj_w, gj_s, ds, gj_s * ds, gj_s + ds))
+    big_a, s0, k, *cols = (np.array(col, dtype=float) for col in zip(*rows))
+    tw, gw, gs, ds, gs_ds, gs_plus = (v[:, None] for v in cols)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = a0[:, [CELLS[c][1] for c in CELLS]].T / k[:, None]
+    p_hi = np.minimum(np.where(k[:, None] > 0, reach, pmax).min(axis=0), pmax)
 
-    def allocs_at(lanes, pjs):
-        idx = np.array(lanes, dtype=np.intp)
-        p, ok = _binding_allocs(ch, t1[idx], t2[idx], np.array(pjs, dtype=float), r0, cells)
-        return [a if defined else None for a, defined in zip(p.tolist(), ok.tolist())]
+    def marginal(p, a, s0):
+        """S and dS/dp at jamming power p, for lanes with weak-user A ``a`` and
+        strong-user signal ``s0`` at p = 0 ((2, m) arrays)."""
+        den = a + p * gw
+        w = tw / den
+        s = s0 + p * ds
+        e = 1.0 + p * gs
+        f = e + s
+        ef = e * f
+        u = gs * s / ef
+        du = (gs_ds - u * (gs * f + e * gs_plus)) / ef - w * gw / den
+        return (w[0] + u[0]) + (w[1] + u[1]), du[0] + du[1]
 
-    return _lockstep_lanes(ch, jcfg, len(t1), allocs_at)
+    c = jcfg.gamma * math.log(2.0)
+    s_lo, ds_lo = marginal(0.0, big_a, s0)
+    s_hi, _ = marginal(p_hi, big_a, s0)
+    pj = np.where(s_lo <= c, 0.0, p_hi)
+    ok &= (s_lo <= c) | (s_hi <= c) | (p_hi == pmax)
+    lanes = np.flatnonzero(ok & (s_lo > c) & (s_hi < c))
+    if c > 0 and len(lanes):
+        a, s0 = big_a[:, lanes], s0[:, lanes]
+        lo, hi = np.zeros(len(lanes)), p_hi[lanes]
+        x, s, ds_x = lo, s_lo[lanes], ds_lo[lanes]
+        step = step_old = hi
+        live = np.ones(len(lanes), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while True:
+                newton = x - (s - c) * s / (c * ds_x)
+                half = 0.5 * (hi - lo)
+                mid = lo + half
+                take = (np.abs(newton - mid) <= half) & (np.abs(newton - x) <= 0.5 * step_old)
+                nxt = np.where(take, newton, mid)
+                step_old, step = step, np.abs(nxt - x)
+                x = np.where(live, nxt, x)
+                live &= step >= 1e-12 * pmax
+                if not live.any():
+                    break
+                s, ds_x = marginal(x, a, s0)
+                above = s > c
+                lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+                live &= s != c
+        pj[lanes] = x
+    alloc, defined = _binding_allocs(ch, t1, t2, pj, r0, cells)
+    defined &= ok
+    return alloc, np.where(defined, pj, math.nan), defined
 
 
 def mood_classify(
@@ -250,20 +252,14 @@ def mood_classify(
     strong users also meet QoS and both splits leave strictly positive
     strong-user power.
     """
-    total_levels = range(2, grid.levels + 1)
-    pairs = list(product(total_levels, total_levels))
-    sols = _stackelberg_fixed_points(
-        ch, jcfg, [(k1 * grid.step, k2 * grid.step) for k1, k2 in pairs], r0
-    )
-    kept = [
-        (pair, sol.as_tuple()) for pair, sol in zip(pairs, sols)
-        if not isinstance(sol, FixedPointFailure) and sol.p2 > 0 and sol.p4 > 0
-    ]
-    profs = np.array([prof for _, prof in kept]).reshape(-1, 5)
-    r = rate_rows(ch, profs[:, :4], profs[:, 4])
+    levels = np.arange(2, grid.levels + 1)
+    pairs = np.stack(np.meshgrid(levels, levels, indexing="ij"), axis=-1).reshape(-1, 2)
+    alloc, pj, ok = _stackelberg_fixed_points(ch, jcfg, pairs * grid.step, r0)
+    kept = ok & (alloc[:, 1] > 0) & (alloc[:, 3] > 0)
+    r = rate_rows(ch, alloc[kept], pj[kept])
     qtol = 1e-9 * max(1.0, r0)
     met = (r[:, 1] >= r0 - qtol) & (r[:, 3] >= r0 - qtol)
-    ps = [pair for (pair, _), m in zip(kept, met.tolist()) if m]
+    ps = [tuple(pair) for pair in pairs[kept][met].tolist()]
     return MoodReport(
         mood=1 if ps else 2,
         ps_set=tuple((k1 * grid.step, k2 * grid.step) for k1, k2 in ps),
@@ -588,20 +584,21 @@ def _full_power_root(
     def totals(x: float) -> tuple[float, float]:
         return (x, pmax) if full_cell == 2 else (pmax, x)
 
-    def factor(x: float, sol) -> float | None:
-        if isinstance(sol, FixedPointFailure):
-            return None
-        return _full_power_slope_factor(ch, full_cell, x, pmax, sol.p_j, r0)
+    def factors(xs) -> list[float | None]:
+        """The slope factor at each failing-cell total, None where undefined."""
+        _, pj, ok = _stackelberg_fixed_points(ch, jcfg, [totals(x) for x in xs], r0,
+                                              (full_cell,))
+        return [_full_power_slope_factor(ch, full_cell, x, pmax, p, r0) if defined else None
+                for x, p, defined in zip(xs, pj.tolist(), ok.tolist())]
 
-    xs = np.linspace(0.0, pmax, 33)
-    sols = _stackelberg_fixed_points(ch, jcfg, [totals(x) for x in xs], r0, (full_cell,))
-    vals = [factor(x, sol) for x, sol in zip(xs, sols)]
+    xs = np.linspace(0.0, pmax, 33).tolist()
+    vals = factors(xs)
     bracket = None
     for (xa, va), (xb, vb) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
         if va is None or vb is None:
             continue
         if va == 0.0:
-            return float(xa)
+            return xa
         if va * vb < 0:
             bracket = (xa, xb, va)
             break
@@ -612,8 +609,7 @@ def _full_power_root(
     tol = 1e-6 * pmax
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        sol = _stackelberg_fixed_points(ch, jcfg, [totals(mid)], r0, (full_cell,))[0]
-        v_mid = factor(mid, sol)
+        v_mid = factors([mid])[0]
         if v_mid is None:
             break
         if (v_mid > 0) == (v_lo > 0):
@@ -768,19 +764,16 @@ def monotonicity_check(
         return rep
     hh = 1e-3 * p_bs_max
     totals = rng.uniform(0.3, 0.95, size=(n_samples, 2)) * p_bs_max
-    sols = _stackelberg_fixed_points(ch, jcfg, totals, r0)
-    # Three points along each total of each converged sample, one binding pass
-    # and one rate pass for all of them.
-    pts = []
-    for (t1, t2), sol in zip(totals.tolist(), sols):
-        if isinstance(sol, FixedPointFailure):
-            rep.skipped += 1
-            continue
-        for axis in (0, 1):
-            for dx in (-hh, 0.0, hh):
-                pts.append((t1 + dx if axis == 0 else t1,
-                            t2 + dx if axis == 1 else t2, sol.p_j))
-    x1, x2, pj = np.array(pts).reshape(-1, 3).T
+    _, pj, found = _stackelberg_fixed_points(ch, jcfg, totals, r0)
+    rep.skipped += int((~found).sum())
+    # Three points along each total of each sample with a fixed point, (t1 - hh,
+    # t1, t1 + hh) then (t2 - hh, t2, t2 + hh); one binding pass and one rate
+    # pass for all of them.
+    t1, t2, pj = totals[found, 0, None], totals[found, 1, None], pj[found, None]
+    dx = np.array([-hh, 0.0, hh])
+    x1 = np.hstack((t1 + dx, np.repeat(t1, 3, axis=1))).ravel()
+    x2 = np.hstack((np.repeat(t2, 3, axis=1), t2 + dx)).ravel()
+    pj = np.repeat(pj, 6)
     p, ok = _binding_allocs(ch, x1, x2, pj, r0)
     r = rate_rows(ch, p[ok], pj[ok])
     u = (((r[:, 0] + r[:, 1]) + r[:, 2]) + r[:, 3]) + gamma * pj[ok]
@@ -788,15 +781,13 @@ def monotonicity_check(
     # ``**``: np.power's bits change with numpy's SIMD level.
     scaled = np.zeros(len(ok))
     scaled[ok] = [2.0 ** v for v in u.tolist()]
-    for defined, (lo, mid, hi) in zip(ok.reshape(-1, 3).all(axis=1).tolist(),
-                                      scaled.reshape(-1, 3).tolist()):
-        if not defined:
-            rep.skipped += 1
-            continue
-        rep.curvature_checked += 1
-        second = lo - 2.0 * mid + hi
-        if second > 1e-7 * max(1.0, abs(mid)):
-            rep.curvature_violations += 1
+    defined = ok.reshape(-1, 3).all(axis=1)
+    lo, mid, hi = scaled.reshape(-1, 3)[defined].T
+    rep.skipped += int((~defined).sum())
+    rep.curvature_checked += int(defined.sum())
+    rep.curvature_violations += int(
+        (lo - 2.0 * mid + hi > 1e-7 * np.maximum(1.0, np.abs(mid))).sum()
+    )
     return rep
 
 

@@ -200,9 +200,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must {need}, got {getattr(self, name)}")
         if self.redraw_period < 0:
             raise ValueError("redraw_period must be non-negative")
-        geom = self.geometry()  # validates positions/distances
         try:
-            noise = geom.noise_power
+            noise = 10.0 ** (self.noise_db / 10.0)  # Geometry.noise_power
         except OverflowError:
             noise = math.inf
         if not sys.float_info.min <= noise < math.inf:
@@ -210,28 +209,33 @@ class ExperimentConfig:
                 f"noise_db must keep the noise power 10 ** (noise_db / 10) a "
                 f"normal float, got {self.noise_db}"
             )
-        users = ("xl_ue1", "xl_ue2", "xl_ue3", "xl_ue4")
-        sources = ("xl_bs1", "xl_bs2", "xl_jammer")
-        for (u, s), d in np.ndenumerate(geom.distances()):
-            try:
-                finite = 0.0 < path_loss(float(d)) < math.inf
-            except (OverflowError, ZeroDivisionError):  # d ** 3.76 out of range
-                finite = False
-            if not finite:
-                pair = (users[u], sources[s])
-                # the position off the scale is the larger one
-                key = max(pair, key=lambda k: abs(getattr(self, k)))
-                raise ValueError(
-                    f"{key} must keep the path loss between {pair[0]} and {pair[1]} "
-                    f"finite and non-zero, got {getattr(self, key)}"
-                )
+        # Every user-source pair, before Geometry rejects a distance without
+        # naming it: a finite, non-zero path loss, and the largest gain a draw
+        # can give times the source's power budget finite.  A message names
+        # the position off the scale, the larger one of the pair.
+        for u in ("xl_ue1", "xl_ue2", "xl_ue3", "xl_ue4"):
+            for s, budget in (("xl_bs1", "p_bs_max"), ("xl_bs2", "p_bs_max"),
+                              ("xl_jammer", "p_j_max")):
+                d = abs(getattr(self, u) - getattr(self, s))
+                try:
+                    loss = path_loss(d) if d > 0 else math.inf
+                except (OverflowError, ZeroDivisionError):  # d ** 3.76 out of range
+                    loss = math.inf
+                if not 0.0 < loss < math.inf:
+                    need = f"the path loss between {u} and {s} finite and non-zero"
+                elif not math.isfinite(loss * MAX_FADING / noise * getattr(self, budget)):
+                    need = f"the largest gain between {u} and {s} times {budget} finite"
+                else:
+                    continue
+                key = max((u, s), key=lambda k: abs(getattr(self, k)))
+                raise ValueError(f"{key} must keep {need}, got {getattr(self, key)}")
+        geom = self.geometry()
         self.jammer_config()
         if not learning:
             # qos_binding_split forms (t - 1) * A and g_own * t, t = 2 ** r0 and
             # A a weak user's denominator; bound both from the largest gains a
             # draw can give, with a factor of 2 to spare.
-            with np.errstate(divide="ignore", over="ignore"):
-                g = (geom.large_scale * MAX_FADING / geom.noise_power).tolist()
+            g = (geom.large_scale * MAX_FADING / geom.noise_power).tolist()
             worst = max(
                 max(g[w][own], 1.0 + self.p_bs_max * (g[w][own] + g[w][other])
                     + self.p_j_max * g[w][SRC_JAM])

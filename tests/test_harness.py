@@ -811,6 +811,34 @@ def test_cli_rejects_values_beyond_the_float_range(tmp_path, scheme, key, value,
     assert f"{key} must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["QLU", "NE-ANALYSIS"])
+@pytest.mark.parametrize("lines, message", [
+    ("noise_db = -3000\nxl_ue1 = 1e-20\n",
+     "xl_ue1 must keep the largest gain between xl_ue1 and xl_bs1 times p_bs_max finite"),
+    ("xl_ue1 = 0.0\n",
+     "xl_ue1 must keep the path loss between xl_ue1 and xl_bs1 finite and non-zero"),
+])
+def test_cli_names_the_position_of_an_overflowing_gain_or_a_zero_distance(
+    tmp_path, scheme, lines, message, capsys
+):
+    # the gain overflowed at the first channel draw, exiting 2 with "gains
+    # must be finite and non-negative"; the zero distance exited 1 with a
+    # message from Geometry that named neither position
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scheme = {scheme}\n{lines}", encoding="utf-8")
+    assert cli_main(["--config", str(cfgfile), "--slots", "3", "--seeds", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_gain_bound_names_the_jammer_budget():
+    # at the stock geometry the jammer's largest gain at UE3 is about 300,
+    # which p_j_max = 1e306 takes past the float range
+    with pytest.raises(ValueError, match="xl_jammer must keep the largest gain between "
+                                         "xl_ue3 and xl_jammer times p_j_max finite"):
+        ExperimentConfig(scheme="NE-ANALYSIS", p_j_max=1e306).validate()
+    ExperimentConfig(scheme="NE-ANALYSIS", p_j_max=1e305).validate()
+
+
 @pytest.mark.parametrize("scheme, key, where", [
     ("DQLU", "alpha_dqn", "DQN diverged at slot 1"),
     ("HBDQLU", "reward_scale", "hot boot, scenario 0: DQN diverged at slot 0"),
