@@ -81,7 +81,7 @@ class Geometry:
     @cached_property
     def large_scale(self) -> np.ndarray:
         """Read-only 4x3 matrix of ``path_loss`` over ``distances()``."""
-        loss = np.vectorize(path_loss)(self.distances())
+        loss = np.array([list(map(path_loss, row)) for row in self.distances().tolist()])
         loss.setflags(write=False)
         return loss
 

@@ -343,21 +343,25 @@ class GridEvaluator:
         self.u_matrix()
         return self._table[:, :, 6]
 
-    def entry(self, i: int, j: int) -> tuple[float, tuple, float]:
-        """(p_j_star, rates, shared BS utility) for action indices (i, j)."""
-        self.u_matrix()
-        pj, *r, u, _ = self._table[i, j].tolist()
-        return pj, tuple(r), u
-
-    def deviation_margin(self, i: int, j: int) -> float:
-        """Smallest utility loss over all unilateral grid deviations."""
-        return float(self.margin_matrix()[i, j])
-
     def profile(self, i: int, j: int) -> StrategyProfile:
         a1, a2 = self.grid.actions[i], self.grid.actions[j]
+        self.u_matrix()
         return StrategyProfile(
-            p1=a1[0], p2=a1[1], p3=a2[0], p4=a2[1], p_j=self.entry(i, j)[0]
+            p1=a1[0], p2=a1[1], p3=a2[0], p4=a2[1], p_j=float(self._table[i, j, 0])
         )
+
+    def certificates(
+        self, pairs: np.ndarray, ne_class: str, mood: int, eps_ne: float
+    ) -> list[NeCertificate]:
+        """A certificate for each (i, j) row of ``pairs`` that no unilateral
+        grid deviation improves by more than eps_ne, in the rows' order."""
+        pairs = pairs[self.margin_matrix()[pairs[:, 0], pairs[:, 1]] >= -eps_ne]
+        u, margin = self._table[pairs[:, 0], pairs[:, 1], 5:].T.tolist()
+        return [
+            NeCertificate(profile=self.profile(i, j), ne_class=ne_class, mood=mood,
+                          utility=uk, deviation_margin=mk, a1_index=i, a2_index=j)
+            for (i, j), uk, mk in zip(pairs.tolist(), u, margin)
+        ]
 
 
 def brute_force_ne(
@@ -379,25 +383,6 @@ def brute_force_ne(
     ev = evaluator or GridEvaluator(ch, grid, jcfg, r0, gamma, z)
     margins = ev.margin_matrix()
     return [ev.profile(i, j) for i, j in np.argwhere(margins >= -eps_ne).tolist()]
-
-
-def _certificate(
-    ev: GridEvaluator, i: int, j: int, ne_class: str, mood: int, eps_ne: float
-) -> NeCertificate | None:
-    """Certificate of grid profile (i, j), or None when a unilateral grid
-    deviation gains more than eps_ne."""
-    margin = ev.deviation_margin(i, j)
-    if margin < -eps_ne:
-        return None
-    return NeCertificate(
-        profile=ev.profile(i, j),
-        ne_class=ne_class,
-        mood=mood,
-        utility=ev.entry(i, j)[2],
-        deviation_margin=margin,
-        a1_index=i,
-        a2_index=j,
-    )
 
 
 def leader_slopes(
@@ -440,18 +425,6 @@ def leader_slopes(
     return tuple(slopes[:, 0].tolist()) if ok[0] else None
 
 
-def _grid_binding_strong(ev: GridEvaluator, p_j: float, cell: int, level: int) -> bool:
-    """Whether the cell's strong user's QoS is binding at grid resolution.
-
-    True when one grid level less strong-user power (same jamming) would
-    break its QoS, or when the strong user is at the lowest level.
-    """
-    if level == 1:
-        return True
-    p = (level - 1) * ev.grid.step
-    return rate_rows(ev.ch, [(0.0, p, 0.0, p)], [p_j])[0, CELLS[cell][1]] < ev.r0
-
-
 def find_ne_l1(
     ch: ChannelRealization,
     grid: StrategyGrid,
@@ -474,44 +447,45 @@ def find_ne_l1(
     if mood.mood != 1:
         return []
     ev = evaluator or GridEvaluator(ch, grid, jcfg, r0, gamma, z)
-    ps_levels = set(mood.ps_levels)
+    ev.u_matrix()
+    table = ev._table
+    L, n = grid.levels, len(grid.actions)
+    w, s = np.array(grid.action_levels).T
+    k = w + s
     qtol = 1e-9 * max(1.0, r0)
-    # Candidates (i, j, s1, s2) and their (P1, P2, p_j), for one slope pass.
-    cands, points = [], []
-    for i, (w1, s1) in enumerate(grid.action_levels):
-        for j, (w2, s2) in enumerate(grid.action_levels):
-            k1, k2 = w1 + s1, w2 + s2
-            if (k1, k2) not in ps_levels:
-                continue
-            pj, r, _ = ev.entry(i, j)
-            if min(r) < r0 - qtol:
-                continue
-            # Weak users at the lowest grid split that still meets QoS.
-            if any(
-                ev.entry(grid.index[w, k1 - w], j)[1][0] >= r0 - qtol
-                for w in range(1, w1)
-            ) or any(
-                ev.entry(i, grid.index[w, k2 - w])[1][2] >= r0 - qtol
-                for w in range(1, w2)
-            ):
-                continue
-            a1, a2 = grid.actions[i], grid.actions[j]
-            cands.append((i, j, s1, s2))
-            points.append((a1[0] + a1[1], a2[0] + a2[1], pj))
-    if not cands:
-        return []
-    d1s, d2s = leader_slopes(ch, *np.array(points).T, r0)
-    certs: list[NeCertificate] = []
-    for (i, j, s1, s2), (_, _, pj), d1, d2 in zip(cands, points, d1s.tolist(), d2s.tolist()):
-        stol = 1e-9 * max(1.0, abs(d1), abs(d2))
-        ok1 = d1 >= -stol or _grid_binding_strong(ev, pj, 1, s1)
-        ok2 = d2 >= -stol or _grid_binding_strong(ev, pj, 2, s2)
-        if not (ok1 and ok2):
-            continue
-        cert = _certificate(ev, i, j, NE_L1, 1, eps_ne)
-        if cert is not None:
-            certs.append(cert)
-    return certs
+    meet = table[:, :, 1:5] >= r0 - qtol
+    feasible = np.zeros((L + 1, L + 1), dtype=bool)
+    feasible[tuple(np.array(mood.ps_levels, dtype=int).reshape(-1, 2).T)] = True
+
+    def lowest_split(met: np.ndarray) -> np.ndarray:
+        """Whether each [own action, other action] has its weak user at the
+        least level of its total whose weak user meets QoS (``met``)."""
+        own, other = np.nonzero(met)
+        least = np.full((L + 1, n), L)
+        np.minimum.at(least, (k[own], other), w[own])
+        return w[:, None] == least[k[:, None], np.arange(n)]
+
+    ij = np.argwhere(
+        feasible[k[:, None], k] & meet.all(axis=2) & lowest_split(meet[:, :, 0])
+        & lowest_split(meet[:, :, 2].T).T
+    )
+    i, j = ij.T
+    pj = table[i, j, 0]
+    totals = np.array(grid.actions).sum(axis=1)
+    d1, d2 = leader_slopes(ch, totals[i], totals[j], pj, r0)
+    # NaN slopes come in pairs, where the binding allocation is undefined: both
+    # sign tests fail and the binding test decides; fmax scales as max() did.
+    stol = 1e-9 * np.fmax(np.fmax(1.0, np.abs(d1)), np.abs(d2))
+
+    def binding_strong(cell: int, level: np.ndarray) -> np.ndarray:
+        """Whether the cell's strong user's QoS binds at grid resolution: one
+        level less power (same jamming) breaks it, or it is at level 1."""
+        p = (level - 1) * grid.step
+        rows = np.stack((np.zeros_like(p), p, np.zeros_like(p), p), axis=1)
+        return (level == 1) | (rate_rows(ch, rows, pj)[:, CELLS[cell][1]] < r0)
+
+    ok = ((d1 >= -stol) | binding_strong(1, s[i])) & ((d2 >= -stol) | binding_strong(2, s[j]))
+    return ev.certificates(ij[ok], NE_L1, 1, eps_ne)
 
 
 @dataclass(frozen=True)
@@ -542,16 +516,17 @@ def pareto_ne_l1(
 def _full_power_slope_factor(
     ch: ChannelRealization,
     full_cell: int,
-    p_bs_fail: float,
+    p_bs_fail: float | np.ndarray,
     p_bs_max: float,
-    p_j: float,
+    p_j: float | np.ndarray,
     r0: float,
-) -> float:
+) -> float | np.ndarray:
     """Sign-carrying factor of the failing leader's utility slope.
 
     In the regime where one cell cannot meet QoS and the other transmits at
     full power, the failing cell's scaled utility is concave in its total
-    power and this linear factor carries the slope's sign.
+    power and this linear factor carries the slope's sign.  The failing
+    total and p_j may be equal-length arrays, each entry the scalar's bits.
     """
     weak, _, own, other = CELLS[full_cell]
     g = ch.gain_rows[weak]
@@ -638,6 +613,7 @@ def _find_ne_full_power(
     if mood.mood != 2:
         return [], None
     ev = evaluator or GridEvaluator(ch, grid, jcfg, r0, gamma, z)
+    ev.u_matrix()
     ne_class = NE_L2 if full_cell == 2 else NE_L3
     weak_full, strong_full, _, _ = CELLS[full_cell]
     weak_fail = CELLS[3 - full_cell][0]
@@ -645,43 +621,31 @@ def _find_ne_full_power(
     L = grid.levels
     # The full cell spends its whole budget; the failing cell's weak user is
     # at the lowest level (its rate is a write-off, so power there only
-    # drains the shared sum rate).
-    full = [grid.index[w, L - w] for w in range(1, L)]
-    fail = [grid.index[1, s] for s in range(1, L)]
+    # drains the shared sum rate).  ``lower`` holds the full cell's actions
+    # with one weak level less at the same total, for w = 2..L-1.
+    full = np.array([grid.index[w, L - w] for w in range(1, L)])
+    fail = np.array([grid.index[1, s] for s in range(1, L)])
+    lower = np.array([grid.index[w - 1, L - w + 1] for w in range(2, L)], dtype=int)
+    # The table as [failing cell's action, full cell's action].
+    table = ev._table if full_cell == 2 else ev._table.transpose(1, 0, 2)
+    met = table[np.ix_(fail, full)][:, :, 1:5] >= r0 - qtol
+    mask = met[:, :, weak_full] & met[:, :, strong_full] & ~met[:, :, weak_fail]
+    # Full cell's weak user at the lowest admissible split: one level less
+    # (same total) must break its QoS.
+    mask[:, 1:] &= ~(table[np.ix_(fail, lower)][:, :, 1 + weak_full] >= r0 - qtol)
     rows, cols = (fail, full) if full_cell == 2 else (full, fail)
-    certs: list[NeCertificate] = []
-    for i in rows:
-        for j in cols:
-            k_full, k_fail = (j, i) if full_cell == 2 else (i, j)
-            pj, r, _ = ev.entry(i, j)
-            if not (r[weak_full] >= r0 - qtol and r[strong_full] >= r0 - qtol):
-                continue
-            if r[weak_fail] >= r0 - qtol:
-                continue
-            # The failing cell can not reach QoS even with its whole budget
-            # on the weak user.
-            a_fail = grid.actions[k_fail]
-            t_fail = a_fail[0] + a_fail[1]
-            best_case = [0.0] * 4
-            best_case[weak_fail], best_case[strong_full] = t_fail, grid.p_bs_max
-            if rate_rows(ch, [best_case], [pj])[0, weak_fail] >= r0:
-                continue
-            # Full cell's weak user at the lowest admissible split: one level
-            # less (same total) must break its QoS.
-            w_full = grid.action_levels[k_full][0]
-            if w_full > 1:
-                k = grid.index[w_full - 1, L - w_full + 1]
-                r_alt = ev.entry(i, k)[1] if full_cell == 2 else ev.entry(k, j)[1]
-                if r_alt[weak_full] >= r0 - qtol:
-                    continue
-            slope = _full_power_slope_factor(
-                ch, full_cell, t_fail, grid.p_bs_max, pj, r0
-            )
-            if slope < -1e-9 * max(1.0, abs(slope)):
-                continue
-            cert = _certificate(ev, i, j, ne_class, 2, eps_ne)
-            if cert is not None:
-                certs.append(cert)
+    a, b = np.argwhere(mask if full_cell == 2 else mask.T).T
+    i, j = rows[a], cols[b]
+    pj = ev._table[i, j, 0]
+    t_fail = np.array(grid.actions).sum(axis=1)[i if full_cell == 2 else j]
+    # The failing cell can not reach QoS even with its whole budget on the
+    # weak user.
+    best_case = np.zeros((len(pj), 4))
+    best_case[:, weak_fail], best_case[:, strong_full] = t_fail, grid.p_bs_max
+    slope = _full_power_slope_factor(ch, full_cell, t_fail, grid.p_bs_max, pj, r0)
+    ok = ~(rate_rows(ch, best_case, pj)[:, weak_fail] >= r0) & ~(
+        slope < -1e-9 * np.maximum(1.0, np.abs(slope)))
+    certs = ev.certificates(np.stack((i, j), axis=1)[ok], ne_class, 2, eps_ne)
     if not certs:
         return [], None
     x_bar = _full_power_root(ch, grid, jcfg, r0, full_cell)
@@ -778,9 +742,13 @@ def monotonicity_check(
     r = rate_rows(ch, p[ok], pj[ok])
     u = (((r[:, 0] + r[:, 1]) + r[:, 2]) + r[:, 3]) + gamma * pj[ok]
     # The indicator-free leader utility, scaled exponentially by Python's
-    # ``**``: np.power's bits change with numpy's SIMD level.
+    # ``**``: np.power's bits change with numpy's SIMD level.  A triple with
+    # a utility of 1023 or more is skipped: 2 ** u overflows from 1024 on, and
+    # the second difference's 2 * 2 ** u from 1023 on.
+    fits = ~(u >= 1023.0)
+    ok[ok] = fits
     scaled = np.zeros(len(ok))
-    scaled[ok] = [2.0 ** v for v in u.tolist()]
+    scaled[ok] = [2.0 ** v for v in u[fits].tolist()]
     defined = ok.reshape(-1, 3).all(axis=1)
     lo, mid, hi = scaled.reshape(-1, 3)[defined].T
     rep.skipped += int((~defined).sum())

@@ -234,14 +234,20 @@ class ExperimentConfig:
         if not learning:
             # qos_binding_split forms (t - 1) * A and g_own * t, t = 2 ** r0 and
             # A a weak user's denominator; bound both from the largest gains a
-            # draw can give, with a factor of 2 to spare.
+            # draw can give, with a factor of 2 to spare.  A itself must be
+            # finite: a message names the budget of its larger term.
             g = (geom.large_scale * MAX_FADING / geom.noise_power).tolist()
-            worst = max(
-                max(g[w][own], 1.0 + self.p_bs_max * (g[w][own] + g[w][other])
-                    + self.p_j_max * g[w][SRC_JAM])
-                for w, _, own, other in CELLS.values()
-            )
-            if math.isfinite(worst) and not self.r0 + math.log2(worst) < 1023:
+            worst = 0.0
+            for w, _, own, other in CELLS.values():
+                bs, jam = self.p_bs_max * (g[w][own] + g[w][other]), self.p_j_max * g[w][SRC_JAM]
+                if not math.isfinite(1.0 + bs + jam):
+                    key = "p_j_max" if jam > bs else "p_bs_max"
+                    raise ValueError(
+                        f"{key} must keep the largest weak-user denominator finite, "
+                        f"got {getattr(self, key)}"
+                    )
+                worst = max(worst, g[w][own], 1.0 + bs + jam)
+            if not self.r0 + math.log2(worst) < 1023:
                 raise ValueError(
                     f"r0 must keep 2 ** r0 times the largest weak-user denominator "
                     f"finite, below {1023 - math.log2(worst):.6g} here, got {self.r0}"

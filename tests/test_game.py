@@ -13,10 +13,14 @@ import numpy as np
 import pytest
 
 from nomajam import game
-from nomajam.channel import SRC_JAM, ChannelRealization, draw_channels
+from nomajam.channel import CELLS, SRC_JAM, ChannelRealization, draw_channels
 from nomajam.game import (
+    NE_L1,
+    NE_L2,
+    NE_L3,
     TABLE_BYTES_PER_PROFILE,
     GridEvaluator,
+    NeCertificate,
     StrategyGrid,
     analysis_report,
     brute_force_ne,
@@ -671,6 +675,15 @@ def test_deviation_margins_match_delete_reference():
         assert np.array_equal(deviation_margins(u), delete_margins(u)), u
 
 
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_grid_table_stays_within_its_byte_bound(geom, jcfg):
     # the figure behind the NE-ANALYSIS grid bound in config validation;
     # 256 KiB covers the follower's fixed working memory
@@ -678,15 +691,20 @@ def test_grid_table_stays_within_its_byte_bound(geom, jcfg):
     # a first table builds the follower's per-config sweep grid outside the trace
     GridEvaluator(ch, StrategyGrid.build(3, 40.0), jcfg, R0, GAMMA, Z).u_matrix()
     grid = StrategyGrid.build(8, 40.0)
-    ev = GridEvaluator(ch, grid, jcfg, R0, GAMMA, Z)
-    tracemalloc.start()
-    try:
-        ev.u_matrix()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     n = len(grid.actions)
-    assert peak <= TABLE_BYTES_PER_PROFILE * n * n + 256 * 1024
+    ev = GridEvaluator(ch, grid, jcfg, R0, GAMMA, Z)
+    assert traced_peak(ev.u_matrix) <= TABLE_BYTES_PER_PROFILE * n * n + 256 * 1024
+    # the finders' masks over a filled table stay within the same bound per
+    # profile; seed 33 is mood 2 at grid 8, with an NE_L2
+    for seed, want_mood in ((0, 1), (33, 2)):
+        ch = draw_channels(geom, seed)
+        ev = GridEvaluator(ch, grid, jcfg, R0, GAMMA, Z)
+        ev.u_matrix()
+        mood = mood_classify(ch, grid, jcfg, R0)
+        assert mood.mood == want_mood
+        for finder in (find_ne_l1, find_ne_l2, find_ne_l3):
+            run = partial(finder, ch, grid, jcfg, R0, GAMMA, Z, mood_report=mood, evaluator=ev)
+            assert traced_peak(run) <= TABLE_BYTES_PER_PROFILE * n * n, (seed, finder)
 
 
 def test_mood_ps_pairs_distinct_at_grid_levels_7():
@@ -904,7 +922,7 @@ def test_full_power_cell_prefers_max_total(geom, jcfg):
     c = l2[0]
     best_per_total = {}
     for j, a2 in enumerate(grid.actions):
-        u = ev.entry(c.a1_index, j)[2]
+        u = ev.u_matrix()[c.a1_index, j]
         t = a2[0] + a2[1]
         best_per_total[t] = max(best_per_total.get(t, -np.inf), u)
     totals = sorted(best_per_total)
@@ -1117,6 +1135,172 @@ def test_finders_respect_mood_gate(geom, jcfg):
     assert l3 == [] and pne3 is None
     seed2, ch2 = first_seed_with_mood(geom, grid, jcfg, want=2)
     assert find_ne_l1(ch2, grid, jcfg, R0, GAMMA, Z) == []
+
+
+def oracle_entry(ev, i, j):
+    """(p_j, rates, utility) of grid profile (i, j), its rates from the scalar pass."""
+    prof = ev.profile(i, j)
+    return prof.p_j, rates4(ev.ch, *prof.as_tuple()), float(ev.u_matrix()[i, j])
+
+
+def oracle_certificate(ev, i, j, ne_class, mood, eps_ne):
+    margin = float(ev.margin_matrix()[i, j])
+    if margin < -eps_ne:
+        return None
+    return NeCertificate(profile=ev.profile(i, j), ne_class=ne_class, mood=mood,
+                         utility=oracle_entry(ev, i, j)[2], deviation_margin=margin,
+                         a1_index=i, a2_index=j)
+
+
+def oracle_binding_strong(ev, p_j, cell, level):
+    if level == 1:
+        return True
+    p = (level - 1) * ev.grid.step
+    return rates4(ev.ch, 0.0, p, 0.0, p, p_j)[CELLS[cell][1]] < ev.r0
+
+
+def oracle_ne_l1(ev, mood, eps_ne):
+    """find_ne_l1 as the per-entry double loop its table masks replaced."""
+    if mood.mood != 1:
+        return []
+    grid, r0 = ev.grid, ev.r0
+    ps_levels = set(mood.ps_levels)
+    qtol = 1e-9 * max(1.0, r0)
+    certs = []
+    for i, (w1, s1) in enumerate(grid.action_levels):
+        for j, (w2, s2) in enumerate(grid.action_levels):
+            k1, k2 = w1 + s1, w2 + s2
+            if (k1, k2) not in ps_levels:
+                continue
+            pj, r, _ = oracle_entry(ev, i, j)
+            if min(r) < r0 - qtol:
+                continue
+            # weak users at the lowest grid split that still meets QoS
+            if any(oracle_entry(ev, grid.index[w, k1 - w], j)[1][0] >= r0 - qtol
+                   for w in range(1, w1)) or any(
+                   oracle_entry(ev, i, grid.index[w, k2 - w])[1][2] >= r0 - qtol
+                   for w in range(1, w2)):
+                continue
+            a1, a2 = grid.actions[i], grid.actions[j]
+            slopes = leader_slopes(ev.ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0)
+            d1, d2 = slopes or (math.nan, math.nan)
+            stol = 1e-9 * max(1.0, abs(d1), abs(d2))
+            if not ((d1 >= -stol or oracle_binding_strong(ev, pj, 1, s1))
+                    and (d2 >= -stol or oracle_binding_strong(ev, pj, 2, s2))):
+                continue
+            cert = oracle_certificate(ev, i, j, NE_L1, 1, eps_ne)
+            if cert is not None:
+                certs.append(cert)
+    return certs
+
+
+def oracle_full_power(ev, mood, eps_ne, full_cell):
+    """_find_ne_full_power's certificates as the per-entry double loop its
+    table masks replaced, the Pareto pick flagged."""
+    if mood.mood != 2:
+        return []
+    ch, grid, r0 = ev.ch, ev.grid, ev.r0
+    weak_full, strong_full, _, _ = CELLS[full_cell]
+    weak_fail = CELLS[3 - full_cell][0]
+    qtol = 1e-9 * max(1.0, r0)
+    L = grid.levels
+    full = [grid.index[w, L - w] for w in range(1, L)]
+    fail = [grid.index[1, s] for s in range(1, L)]
+    rows, cols = (fail, full) if full_cell == 2 else (full, fail)
+    certs = []
+    for i in rows:
+        for j in cols:
+            k_full, k_fail = (j, i) if full_cell == 2 else (i, j)
+            pj, r, _ = oracle_entry(ev, i, j)
+            if not (r[weak_full] >= r0 - qtol and r[strong_full] >= r0 - qtol):
+                continue
+            if r[weak_fail] >= r0 - qtol:
+                continue
+            a_fail = grid.actions[k_fail]
+            t_fail = a_fail[0] + a_fail[1]
+            best_case = [0.0] * 4
+            best_case[weak_fail], best_case[strong_full] = t_fail, grid.p_bs_max
+            if rates4(ch, *best_case, pj)[weak_fail] >= r0:
+                continue
+            w_full = grid.action_levels[k_full][0]
+            if w_full > 1:
+                k = grid.index[w_full - 1, L - w_full + 1]
+                alt = oracle_entry(ev, i, k) if full_cell == 2 else oracle_entry(ev, k, j)
+                if alt[1][weak_full] >= r0 - qtol:
+                    continue
+            slope = _full_power_slope_factor(ch, full_cell, t_fail, grid.p_bs_max, pj, r0)
+            if slope < -1e-9 * max(1.0, abs(slope)):
+                continue
+            cert = oracle_certificate(ev, i, j, NE_L2 if full_cell == 2 else NE_L3, 2, eps_ne)
+            if cert is not None:
+                certs.append(cert)
+    if certs:
+        x_bar = _full_power_root(ch, grid, ev.jcfg, r0, full_cell)
+        fail_total = [c.profile.p_bs1 if full_cell == 2 else c.profile.p_bs2 for c in certs]
+        min(zip(certs, fail_total),
+            key=lambda ct: (abs(ct[1] - x_bar), ct[0].a1_index, ct[0].a2_index))[0].pareto = True
+    return certs
+
+
+# Hand-built gains (rows UE1..UE4; columns BS1, BS2, jammer) on which a
+# rule no default channel decides does decide a certificate, with their
+# grid levels, r0 and NE_L1 indices.  First: UE2 hears no jammer and one
+# level below s = 2 its SINR is 8 * 0.0625 = 0.5 = 2 ** r0 - 1 exactly, so
+# its QoS holds there and does not bind, which drops (8, 7).  Second: mood 2,
+# where only the full cell's lower-split rule keeps (2, 5) out of NE_L2.
+RULE_EDGE_CASES = [
+    (5, math.log2(1.5), [
+        [9.143332182256888, 8.802600787252318, 0.052343472223450115],
+        [0.0625, 0.009205144624541094, 0.0],
+        [608.5842753428844, 748.4904768734258, 0.0018501574812907465],
+        [0.06502689833696186, 9.309781562988219, 0.03230232397740549],
+    ], [(4, 4), (7, 8), (9, 9)]),
+    (4, 0.9, [
+        [0.021550137416990012, 0.5266837195975571, 0.06512761377569913],
+        [676.5663658770239, 6.473798999125686, 0.0528999539032062],
+        [0.16157663917162027, 275.79831168895123, 0.006468074270493801],
+        [0.04195401500318768, 0.2764736747808961, 0.06249984889493844],
+    ], []),
+]
+
+
+def finders_and_oracle(ch, grid, jcfg, r0, eps_ne=1e-9):
+    """Each class's certificates as dicts: the finders' and the oracle's."""
+    ev = GridEvaluator(ch, grid, jcfg, r0, GAMMA, Z)
+    mood = mood_classify(ch, grid, jcfg, r0)
+    args = (ch, grid, jcfg, r0, GAMMA, Z, eps_ne, mood, ev)
+    got = (find_ne_l1(*args), find_ne_l2(*args)[0], find_ne_l3(*args)[0])
+    want = (oracle_ne_l1(ev, mood, eps_ne), oracle_full_power(ev, mood, eps_ne, 2),
+            oracle_full_power(ev, mood, eps_ne, 1))
+    return ([[c.to_dict() for c in certs] for certs in got],
+            [[c.to_dict() for c in certs] for certs in want])
+
+
+@pytest.mark.parametrize("levels", [4, 6, 8])
+def test_finders_match_the_per_entry_oracle(levels):
+    # every certificate of the table-mask finders, field for field, against
+    # the per-entry loops, on seeds 0..39 and their cell mirrors
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=levels)
+    grid, jcfg = cfg.grid(), cfg.jammer_config()
+    found = [0, 0, 0]
+    for seed in range(40):
+        ch = channel_for_seed(cfg, seed)
+        for c in (ch, mirror_channel(ch)):
+            got, want = finders_and_oracle(c, grid, jcfg, cfg.r0, cfg.eps_ne)
+            assert got == want, (seed, c is ch)
+            found = [n + len(certs) for n, certs in zip(found, want)]
+    assert min(found) > 0, found
+
+
+@pytest.mark.parametrize("levels, r0, gains, l1", RULE_EDGE_CASES)
+def test_finders_match_the_oracle_where_an_edge_rule_decides(levels, r0, gains, l1):
+    grid, jcfg = StrategyGrid.build(levels, 40.0), JammerConfig()
+    ch = make_channel(gains)
+    for c, want_l1 in ((ch, l1), (mirror_channel(ch), [(j, i) for i, j in l1])):
+        got, want = finders_and_oracle(c, grid, jcfg, r0)
+        assert got == want
+        assert [(d["a1_index"], d["a2_index"]) for d in got[0]] == want_l1
+        assert got[1] == got[2] == []
 
 
 def test_leader_slopes_on_feasible_set(geom, jcfg):

@@ -830,6 +830,40 @@ def test_cli_names_the_position_of_an_overflowing_gain_or_a_zero_distance(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p_bs_max", ["1e150", "1e200", "1e250"])
+def test_cli_ne_analysis_runs_where_the_leader_utility_reaches_1024_bits(
+    tmp_path, p_bs_max, capsys
+):
+    # monotonicity_check's 2.0 ** u overflowed once the leader utility reached
+    # 1024, and the run exited 2; those curvature triples are now skipped
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scheme = NE-ANALYSIS\np_bs_max = {p_bs_max}\n", encoding="utf-8")
+    argv = ["--config", str(cfgfile), "--seeds", "1", "--out-dir", str(tmp_path)]
+    assert cli_main(argv) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "ne_analysis_seed0.json").read_text(encoding="utf-8"))
+    assert report["p_bs_max"] == float(p_bs_max)
+    assert report["verification"]["monotonicity"]["skipped"] > 0
+
+
+@pytest.mark.parametrize("lines, key", [
+    # the weak user of cell 1 sits 1 m from BS1 and 1 m from BS2
+    ("grid_levels = 4\nxl_bs2 = 2\nxl_ue1 = 1\nxl_ue2 = -100\nxl_ue3 = 50\nxl_ue4 = 60\n"
+     "p_bs_max = 8.5660004992452e+295\n", "p_bs_max"),
+    # UE3 hears the jammer 50 m away, its largest gain of any user
+    ("xl_jammer = 350\np_bs_max = 1e300\np_j_max = 2.3259e302\n", "p_j_max"),
+])
+def test_cli_names_the_budget_of_an_infinite_weak_user_denominator(
+    tmp_path, lines, key, capsys
+):
+    # each budget times each gain is finite, but their sum overflowed, so the
+    # r0 bound skipped its check, and the run exited 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scheme = NE-ANALYSIS\n{lines}", encoding="utf-8")
+    assert cli_main(["--config", str(cfgfile), "--seeds", "1"]) == 1
+    assert f"{key} must keep the largest weak-user denominator finite" in (
+        capsys.readouterr().err)
+
+
 def test_gain_bound_names_the_jammer_budget():
     # at the stock geometry the jammer's largest gain at UE3 is about 300,
     # which p_j_max = 1e306 takes past the float range
