@@ -253,7 +253,7 @@ def mood_classify(
     strong-user power.
     """
     levels = np.arange(2, grid.levels + 1)
-    pairs = np.stack(np.meshgrid(levels, levels, indexing="ij"), axis=-1).reshape(-1, 2)
+    pairs = np.column_stack((np.repeat(levels, len(levels)), np.tile(levels, len(levels))))
     alloc, pj, ok = _stackelberg_fixed_points(ch, jcfg, pairs * grid.step, r0)
     kept = ok & (alloc[:, 1] > 0) & (alloc[:, 3] > 0)
     r = rate_rows(ch, alloc[kept], pj[kept])

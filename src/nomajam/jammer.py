@@ -9,10 +9,11 @@ s_i g_i / ((d_i + p g_i)(d_i + s_i + p g_i)) falls as p grows.  So a coarse
 sweep brackets the maximizer and golden-section search refines it inside
 the bracket; printed closed-form optimality conditions are not trusted.
 ``best_responses`` keeps each allocation's twelve link terms as one flat
-tuple, runs the sweep for a block of allocations in one numpy pass, and
-runs the search on each of them on plain floats in one module-level
-function that writes the utility out at every point, with no closure and
-no call per point; a block's rows are bit-identical to batches of one.
+tuple, runs the sweep for a block of allocations in one
+``rates.sum_rate_curve`` call, and runs the search on each of them on plain
+floats in one module-level function that writes the utility out at every
+point, with no closure and no call per point; a block's rows are
+bit-identical to batches of one.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from .rates import link_terms, sum_rate_curve
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Points of the sweep that brackets the best response on [0, p_j_max].
 PROBE_POINTS = 65
-# Allocations per sweep block.  The block's one buffer holds 9 * BLOCK * 65
-# floats (150 kB), whatever the number of allocations solved: two slabs of
-# four users' sweeps and one row of sums per allocation.
+# Allocations per sweep block: it bounds the follower's working memory, whatever
+# the number of allocations solved, to a few (4, BLOCK, 65) arrays of 66.6 kB.
 BLOCK = 32
 
 
@@ -47,13 +47,12 @@ class JammerConfig:
             raise ValueError(f"p_j_max must be positive and finite, got {self.p_j_max}")
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
-        # best_response's sweep, built once per config: the read-only grid, its
-        # points as plain floats for the bracket ends, and the cost on it.
+        # best_response's sweep, built once per config: the read-only grid and
+        # its points as plain floats for the bracket ends.
         grid = np.linspace(0.0, self.p_j_max, PROBE_POINTS)
         grid.setflags(write=False)
         object.__setattr__(self, "probe_grid", grid)
         object.__setattr__(self, "_probe_floats", tuple(grid.tolist()))
-        object.__setattr__(self, "_probe_cost", self.gamma * grid)
 
 
 @dataclass(frozen=True)
@@ -125,55 +124,30 @@ def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[fl
     the larger power.
 
     Each allocation's ``link_terms`` are kept as one flat tuple of twelve
-    floats.  The sweep runs for up to ``BLOCK`` allocations at a time in one
-    reused buffer, built from one (n, 12) array of those tuples, each element
-    by the same float operations as a block of one, so no answer depends on
-    the block it was solved in.  Deterministic in its inputs; allocations are
-    read lazily, one block at a time.
+    floats.  The sweep is ``rates.sum_rate_curve`` of up to ``BLOCK`` such
+    tuples at a time plus the cost, each element by the same float
+    operations as a block of one, so no answer depends on the block it was
+    solved in.  Deterministic in its inputs; allocations are read lazily, one
+    block at a time.  A negative or non-finite power, or powers whose link
+    terms overflow, raise ValueError.
     """
-    grid, cost, ends = cfg.probe_grid, cfg._probe_cost, cfg._probe_floats
+    grid, ends = cfg.probe_grid, cfg._probe_floats
     gamma, pmax = cfg.gamma, cfg.p_j_max
     tol = max(1e-5, 1e-12 * pmax)
     top = len(ends) - 1
     lanes = iter(allocs)
     out: list[float] = []
-    work = None
     while block := list(islice(lanes, BLOCK)):
         rows = []
         for alloc in block:
             # Plain floats: numpy scalars would slow every step of the search.
             p1, p2, p3, p4 = map(float, alloc)
             if min(p1, p2, p3, p4) < 0:
-                raise ValueError("allocations must be non-negative")
+                raise ValueError("allocations must be finite and non-negative")
             t1, t2, t3, t4 = link_terms(ch, p1, p2, p3, p4)
             rows.append((*t1, *t2, *t3, *t4))
-        n = len(rows)
-        if work is None:
-            work = np.empty(9 * n * PROBE_POINTS)
-        # Contiguous user-major views of the one buffer: every ufunc below
-        # pairs same-shape contiguous operands (or a scalar), which numpy runs
-        # without buffers of its own; broadcasts are copies into ``w``.
-        x, w = work[:8 * n * PROBE_POINTS].reshape(2, 4, n, PROBE_POINTS)
-        a = work[8 * n * PROBE_POINTS:9 * n * PROBE_POINTS].reshape(n, PROBE_POINTS)
-        s, d, g = np.array(rows).reshape(n, 4, 3).T[:, :, :, None]
-        # Each user's rate log2(1 + s / (d + p g)) on the sweep, then the sum
-        # over users in user order plus the cost; its minimum is the best
-        # utility.
-        np.copyto(x, g)
-        np.copyto(w, grid)
-        np.multiply(x, w, out=x)
-        np.copyto(w, d)
-        np.add(w, x, out=x)
-        np.copyto(w, s)
-        np.divide(w, x, out=x)
-        np.add(1.0, x, out=x)
-        np.log2(x, out=x)
-        np.add(x[0], x[1], out=a)
-        np.add(a, x[2], out=a)
-        np.add(a, x[3], out=a)
-        np.copyto(w[0], cost)
-        np.add(a, w[0], out=a)
-        for k, terms in zip(a.argmin(axis=1).tolist(), rows):
+        sweep = sum_rate_curve(rows, grid) + gamma * grid
+        for k, terms in zip(sweep.argmin(axis=1).tolist(), rows):
             out.append(_best_power(terms, ends[max(0, k - 1)], ends[min(top, k + 1)],
                                    gamma, pmax, tol))
     return out

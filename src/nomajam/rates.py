@@ -84,11 +84,18 @@ def sinrs(terms, p_j: float) -> list[float]:
 def sum_rate_curve(terms, p_j: np.ndarray) -> np.ndarray:
     """Sum rate from ``link_terms`` at each power of a 1-D array, in one broadcast.
 
-    The users' terms form (4, 1) columns against the row of powers; the sum
-    over the user axis adds the rows in user order.
+    ``terms`` is one allocation's terms, (4, 3) or flat, or n allocations'
+    as (n, 4, 3) or (n, 12); the result is (len(p_j),) or (n, len(p_j)).
+    The users' terms form (4, n, 1) columns against the row of powers; the
+    sum over the user axis adds the rows in user order, so each row is the
+    same bits whatever the other rows.  Non-finite terms raise ValueError.
     """
-    s, d, g = np.array(terms).T[:, :, None]
-    return np.log2(1.0 + s / (d + p_j * g)).sum(axis=0)
+    x = np.array(terms)
+    if not np.isfinite(x).all():
+        raise ValueError("allocations must be finite and non-negative, with finite link terms")
+    lead = x.shape[:-2] if x.shape[-2:] == (4, 3) else x.shape[:-1]
+    s, d, g = x.reshape(-1, 4, 3).T[..., None]
+    return np.log2(1.0 + s / (d + p_j * g)).sum(axis=0).reshape(lead + np.shape(p_j))
 
 
 def sinr_vector(ch: ChannelRealization, prof: StrategyProfile) -> np.ndarray:

@@ -588,6 +588,92 @@ def test_composed_condition_falls_along_each_lane():
     assert sampled > 250
 
 
+def model_links(g, p1, p2, p3, p4):
+    """Each user's (signal, interference plus noise, jammer gain), restated
+    from the gains and the SIC rule for ``test_game_table_matches_the_model_at_50_digits``:
+    a weak user (UE1, UE3) hears its cell's strong-user power and the other
+    BS's total; a strong user (UE2, UE4) cancels the weak user's signal and
+    hears noise alone.  Gain columns are BS1, BS2 and the jammer."""
+    return (
+        (p1 * g[0][0], 1 + p2 * g[0][0] + (p3 + p4) * g[0][1], g[0][2]),
+        (p2 * g[1][0], 1, g[1][2]),
+        (p3 * g[2][1], 1 + p4 * g[2][1] + (p1 + p2) * g[2][0], g[2][2]),
+        (p4 * g[3][1], 1, g[3][2]),
+    )
+
+
+def test_game_table_matches_the_model_at_50_digits():
+    # ROADMAP item 10's oracle: the grid-4 table of seeds 0..11 (moods 1 and
+    # 2) against the model written out again in mpmath, with no link_terms,
+    # rate_rows or follower.  The exact follower is u'(p) = 0, bracketed by
+    # u's concavity: 0 when u'(0) <= 0, p_j_max when u'(p_j_max) >= 0.
+    mpmath = pytest.importorskip("mpmath")
+    cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=4)
+    grid, jcfg = cfg.grid(), cfg.jammer_config()
+    n = len(grid.actions)
+    # the follower's own stopping width: golden-section search cannot do better
+    p_tol = max(1e-5, 1e-12 * jcfg.p_j_max)
+    moods, near_ties = set(), []
+    with mpmath.workdps(50):
+        mpf, ln2 = mpmath.mpf, mpmath.log(2)
+        gamma, r0, pmax = mpf(cfg.gamma), mpf(cfg.r0), mpf(jcfg.p_j_max)
+
+        def rates(links, p):
+            return [mpmath.log(1 + s / (d + p * gj)) / ln2 for s, d, gj in links]
+
+        def utility(links, p):
+            r1, r2, r3, r4 = rates(links, p)
+            i1 = 1 if min(r1, r2) >= r0 else mpf(cfg.z)
+            i2 = 1 if min(r3, r4) >= r0 else mpf(cfg.z)
+            return i1 * i2 * (r1 + r2 + r3 + r4 + gamma * p)
+
+        def follower(links):
+            def du(p):  # the jammer's marginal utility
+                return sum(s * gj / ((d + p * gj) * (d + s + p * gj))
+                           for s, d, gj in links) / ln2 - gamma
+            if du(0) <= 0:
+                return mpf(0)
+            if du(pmax) >= 0:
+                return pmax
+            return mpmath.findroot(du, (mpf(0), pmax), solver="anderson")
+
+        for seed in range(12):
+            ch = channel_for_seed(cfg, seed)
+            moods.add(mood_classify(ch, grid, jcfg, cfg.r0).mood)
+            g = [[mpf(x) for x in row] for row in ch.gains.tolist()]
+            ev = GridEvaluator(ch, grid, jcfg, cfg.r0, cfg.gamma, cfg.z)
+            ev.u_matrix()
+            table = ev._table
+            u = [[None] * n for _ in range(n)]
+            for i, j in product(range(n), repeat=2):
+                links = model_links(g, *(mpf(x) for x in grid.actions[i] + grid.actions[j]))
+                p_j, r_table, u_table = table[i, j, 0], table[i, j, 1:5], table[i, j, 5]
+                p_star = follower(links)
+                assert abs(p_j - float(p_star)) <= p_tol, (seed, i, j)
+                # rates and utility at the table's own jamming power
+                r = [float(x) for x in rates(links, mpf(p_j))]
+                assert r_table.tolist() == pytest.approx(r, rel=1e-12, abs=0), (seed, i, j)
+                assert u_table == pytest.approx(float(utility(links, mpf(p_j))), rel=1e-12,
+                                                abs=0), (seed, i, j)
+                u[i][j] = utility(links, p_star)
+            # the brute-force NE set, from the model's utilities at the exact
+            # follower, equals the table's wherever the margin is no near-tie
+            table_ne = {p.as_tuple()[:4] for p in
+                        brute_force_ne(ch, grid, jcfg, cfg.r0, cfg.gamma, cfg.z, evaluator=ev)}
+            for i, j in product(range(n), repeat=2):
+                best = max([u[k][j] for k in range(n) if k != i]
+                           + [u[i][k] for k in range(n) if k != j])
+                margin = u[i][j] - best
+                if abs(margin) <= 1e-6:
+                    near_ties.append((seed, i, j, float(margin)))
+                    continue
+                in_table = grid.actions[i] + grid.actions[j] in table_ne
+                assert in_table == (margin >= -cfg.eps_ne), (seed, i, j, float(margin))
+    assert moods == {1, 2}
+    # no profile of these seeds is left undecided by a near-tie
+    assert near_ties == []
+
+
 def test_fixed_point_edge_lanes(jcfg):
     # a lane with no binding split even at p_j = 0, or whose condition is
     # still positive where its strong user's power runs out short of p_j_max,

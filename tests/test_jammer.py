@@ -22,6 +22,7 @@ from nomajam.rates import (
     link_terms,
     rates_from_sinr,
     sinr_vector,
+    sum_rate_curve,
 )
 
 from conftest import make_channel
@@ -239,6 +240,7 @@ def test_best_response_equals_reference_bit_for_bit(geom):
         for gamma in (0.0, 0.5, 50.0)
     ]
     sweep = {cfg: np.linspace(0.0, cfg.p_j_max, 201) for cfg in configs}
+    blocks = {cfg: [] for cfg in configs}
     for i in range(2000):
         ch, cfg = channels[i % len(channels)], configs[i % len(configs)]
         p = rng.uniform(0.0, 40.0, size=4)
@@ -255,10 +257,20 @@ def test_best_response_equals_reference_bit_for_bit(geom):
         )
         assert type(br.p_j_star) is float
         curve = jammer_utility_curve(ch, a1, a2, cfg.gamma, sweep[cfg])
-        reference = reference_utility_curve(
-            link_terms(ch, *powers), cfg.gamma, sweep[cfg]
-        )
+        terms = link_terms(ch, *powers)
+        reference = reference_utility_curve(terms, cfg.gamma, sweep[cfg])
         assert np.array_equal(curve, reference), (i, p.tolist(), cfg)
+        blocks[cfg].append(terms)
+    # one sum_rate_curve call over many allocations, as (n, 4, 3) and as
+    # best_responses' flat (n, 12) rows, equals the reference row by row
+    for cfg, block in blocks.items():
+        flat = [sum(terms, ()) for terms in block]
+        for rows in (block, flat):
+            curves = -(sum_rate_curve(rows, sweep[cfg]) + cfg.gamma * sweep[cfg])
+            assert curves.shape == (len(block), 201)
+            for k, (curve, terms) in enumerate(zip(curves, block)):
+                reference = reference_utility_curve(terms, cfg.gamma, sweep[cfg])
+                assert np.array_equal(curve, reference), (k, cfg)
 
 
 def test_best_responses_rows_equal_batches_of_one(geom):
@@ -285,6 +297,32 @@ def test_best_responses_rejects_a_negative_lane(geom, jcfg):
     allocs = [(1.0, 2.0, 3.0, 4.0)] * (BLOCK + 1) + [(1.0, 2.0, -3.0, 4.0)]
     with pytest.raises(ValueError, match="non-negative"):
         best_responses(ch, allocs, jcfg)
+
+
+NON_FINITE = {
+    "nan": (math.nan, 1.0, 1.0, 1.0),
+    "+inf": (math.inf, 1.0, 1.0, 1.0),
+    "-inf": (1.0, 1.0, -math.inf, 1.0),
+    # each power is finite, but p1 + p2 overflows UE3's interference term
+    "overflowing pair": (1e308, 1e308, 1.0, 1.0),
+}
+FOLLOWER_CALLS = {
+    "best_responses": lambda ch, p, cfg: best_responses(ch, [p], cfg),
+    "best_response": lambda ch, p, cfg: best_response(ch, p[:2], p[2:], cfg),
+    "jammer_utility_curve": lambda ch, p, cfg: jammer_utility_curve(
+        ch, p[:2], p[2:], cfg.gamma, cfg.probe_grid),
+    "concavity_probe": lambda ch, p, cfg: concavity_probe(ch, p[:2], p[2:], cfg),
+}
+
+
+@pytest.mark.parametrize("call", FOLLOWER_CALLS)
+@pytest.mark.parametrize("alloc", NON_FINITE.values(), ids=NON_FINITE)
+def test_follower_rejects_a_non_finite_allocation(geom, jcfg, call, alloc):
+    # NaN passes a bare `< 0` check; unchecked, a NaN or infinite power gets
+    # a quiet answer (0.0 or p_j_max) and a NaN utility curve reads unimodal
+    ch = draw_channels(geom, 0)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        FOLLOWER_CALLS[call](ch, alloc, jcfg)
 
 
 def test_probe_grid_is_read_only():
