@@ -297,8 +297,10 @@ class GridEvaluator:
     """One table of every joint grid profile's jammer response, rates, utility and margin.
 
     The first call to ``u_matrix`` (every other method makes it) solves the
-    follower at all n^2 profiles, ``BLOCK`` profiles per ``best_responses``
-    call, and fills the table; nothing is solved later.
+    follower at all n^2 profiles and fills the table; nothing is solved
+    later.  Each block of ``BLOCK`` row-major profiles is one (B, 4) array,
+    indexed out of the (n, 2) action array, that ``best_responses`` solves in
+    one block and ``rate_rows`` reads.
     """
 
     def __init__(
@@ -321,14 +323,14 @@ class GridEvaluator:
 
     def u_matrix(self) -> np.ndarray:
         if self._table is None:
-            actions = self.grid.actions
+            actions = np.array(self.grid.actions)
             n = len(actions)
             table = np.empty((n, n, 7))
             rows = table.reshape(n * n, 7)
             # Row-major profiles, one follower block at a time.
             for start in range(0, n * n, BLOCK):
-                block = [actions[k // n] + actions[k % n]
-                         for k in range(start, min(start + BLOCK, n * n))]
+                k = np.arange(start, min(start + BLOCK, n * n))
+                block = np.concatenate((actions[k // n], actions[k % n]), axis=1)
                 pj = best_responses(self.ch, block, self.jcfg)
                 r = rate_rows(self.ch, block, pj)
                 filled = rows[start:start + len(block)]
@@ -440,8 +442,9 @@ def find_ne_l1(
 
     Candidates carry their totals in the feasible set, weak users at the
     lowest admissible grid split, and leader-utility slopes that are either
-    non-negative or blocked by a QoS-binding strong user; each one is then
-    confirmed by the independent no-deviation check.
+    non-negative or blocked by a QoS-binding strong user; each one must also
+    pass the independent no-deviation check, which is tested before the
+    slopes.
     """
     mood = mood_report or mood_classify(ch, grid, jcfg, r0)
     if mood.mood != 1:
@@ -465,9 +468,10 @@ def find_ne_l1(
         np.minimum.at(least, (k[own], other), w[own])
         return w[:, None] == least[k[:, None], np.arange(n)]
 
+    # the deviation margin first: only its survivors need slopes
     ij = np.argwhere(
         feasible[k[:, None], k] & meet.all(axis=2) & lowest_split(meet[:, :, 0])
-        & lowest_split(meet[:, :, 2].T).T
+        & lowest_split(meet[:, :, 2].T).T & (table[:, :, 6] >= -eps_ne)
     )
     i, j = ij.T
     pj = table[i, j, 0]

@@ -8,19 +8,18 @@ s_i, g_i >= 0, is concave in p: each term's marginal rate loss
 s_i g_i / ((d_i + p g_i)(d_i + s_i + p g_i)) falls as p grows.  So a coarse
 sweep brackets the maximizer and golden-section search refines it inside
 the bracket; printed closed-form optimality conditions are not trusted.
-``best_responses`` keeps each allocation's twelve link terms as one flat
-tuple, runs the sweep for a block of allocations in one
-``rates.sum_rate_curve`` call, and runs the search on each of them on plain
-floats in one module-level function that writes the utility out at every
-point, with no closure and no call per point; a block's rows are
-bit-identical to batches of one.
+``best_responses`` takes a block of allocations' twelve link terms each
+from one array pass, runs the block's sweep in one ``rates.sum_rate_curve``
+call, and runs the search on each row on plain floats in one module-level
+function that writes the utility out at every point, with no closure and
+no call per point; a block's rows are bit-identical to batches of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import log2
 
 import numpy as np
@@ -31,9 +30,10 @@ from .rates import link_terms, sum_rate_curve
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Points of the sweep that brackets the best response on [0, p_j_max].
 PROBE_POINTS = 65
-# Allocations per sweep block: it bounds the follower's working memory, whatever
-# the number of allocations solved, to a few (4, BLOCK, 65) arrays of 66.6 kB.
-BLOCK = 32
+# Allocations per block: one (BLOCK, 4) array of powers, one array pass of link
+# terms and one in-place (4, BLOCK, 65) sweep buffer of 133 kB.  It bounds the
+# follower's working memory, whatever the number of allocations solved.
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ def jammer_utility_curve(
 ) -> np.ndarray:
     """Vectorized jammer utility over a 1-D array of jamming powers."""
     pj = np.asarray(p_j_values, dtype=float)
-    return -(sum_rate_curve(link_terms(ch, *alloc1, *alloc2), pj) + gamma * pj)
+    rows = _link_rows(ch, np.array([(*alloc1, *alloc2)], dtype=float))
+    return -(sum_rate_curve(rows[0], pj) + gamma * pj)
 
 
 def _best_power(terms, a: float, b: float, gamma: float, pmax: float, tol: float) -> float:
@@ -112,6 +113,40 @@ def _best_power(terms, a: float, b: float, gamma: float, pmax: float, tol: float
     return best[1]
 
 
+def _checked(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows``, the link terms of allocations ``p``, unless a power is negative
+    or a term not finite (ValueError; NaN fails both comparisons).  With the
+    powers and gains non-negative, so is every term: the largest is finite
+    unless one is NaN or infinite.  Every follower entry point checks here."""
+    if not (p.min() >= 0 and rows.max() < math.inf):
+        raise ValueError("allocations must be finite and non-negative")
+    return rows
+
+
+def _link_rows(ch: ChannelRealization, p: np.ndarray) -> np.ndarray:
+    """The (B, 12) link terms of a (B, 4) allocation array in one array pass,
+    each row the bits of a scalar ``link_terms`` call; ``_checked``, not a
+    numpy warning, reports an overflowing or undefined term."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        users = link_terms(ch, *p.T)
+    rows = np.empty((len(p), 12))
+    for k, col in enumerate(chain.from_iterable(users)):
+        rows[:, k] = col
+    return _checked(p, rows)
+
+
+def _solve(rows: np.ndarray, cfg: JammerConfig) -> list[float]:
+    """The best responses to a block of allocations, their (B, 12) link terms."""
+    grid, ends = cfg.probe_grid, cfg._probe_floats
+    gamma, pmax = cfg.gamma, cfg.p_j_max
+    tol = max(1e-5, 1e-12 * pmax)
+    top = len(ends) - 1
+    sweep = sum_rate_curve(rows, grid)
+    sweep += gamma * grid
+    return [_best_power(terms, ends[max(0, k - 1)], ends[min(top, k + 1)], gamma, pmax, tol)
+            for k, terms in zip(sweep.argmin(axis=1).tolist(), rows.tolist())]
+
+
 def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[float]:
     """Utility-maximizing jamming power on [0, p_j_max] for each (p1, p2, p3, p4).
 
@@ -123,33 +158,18 @@ def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[fl
     are the clamp points: the best utility wins outright, and a tie goes to
     the larger power.
 
-    Each allocation's ``link_terms`` are kept as one flat tuple of twelve
-    floats.  The sweep is ``rates.sum_rate_curve`` of up to ``BLOCK`` such
-    tuples at a time plus the cost, each element by the same float
-    operations as a block of one, so no answer depends on the block it was
-    solved in.  Deterministic in its inputs; allocations are read lazily, one
-    block at a time.  A negative or non-finite power, or powers whose link
-    terms overflow, raise ValueError.
+    Allocations are read lazily, ``BLOCK`` at a time, each block as one
+    (B, 4) array whose (B, 12) link terms come from one array pass.  The
+    sweep is ``rates.sum_rate_curve`` of the block plus the cost, and the
+    search runs on each row's twelve plain floats; every element takes the
+    same float operations as in a block of one, so no answer depends on the
+    block it was solved in.  A negative or non-finite power, or powers whose
+    link terms overflow, raise ValueError.
     """
-    grid, ends = cfg.probe_grid, cfg._probe_floats
-    gamma, pmax = cfg.gamma, cfg.p_j_max
-    tol = max(1e-5, 1e-12 * pmax)
-    top = len(ends) - 1
     lanes = iter(allocs)
     out: list[float] = []
     while block := list(islice(lanes, BLOCK)):
-        rows = []
-        for alloc in block:
-            # Plain floats: numpy scalars would slow every step of the search.
-            p1, p2, p3, p4 = map(float, alloc)
-            if min(p1, p2, p3, p4) < 0:
-                raise ValueError("allocations must be finite and non-negative")
-            t1, t2, t3, t4 = link_terms(ch, p1, p2, p3, p4)
-            rows.append((*t1, *t2, *t3, *t4))
-        sweep = sum_rate_curve(rows, grid) + gamma * grid
-        for k, terms in zip(sweep.argmin(axis=1).tolist(), rows):
-            out.append(_best_power(terms, ends[max(0, k - 1)], ends[min(top, k + 1)],
-                                   gamma, pmax, tol))
+        out += _solve(_link_rows(ch, np.array(block, dtype=float)), cfg)
     return out
 
 
@@ -159,8 +179,14 @@ def best_response(
     alloc2: tuple[float, float],
     cfg: JammerConfig,
 ) -> BestResponse:
-    """The follower's answer to one BS power pair: ``best_responses`` of one."""
-    return BestResponse(p_j_star=best_responses(ch, ((*alloc1, *alloc2),), cfg)[0])
+    """The follower's answer to one BS power pair, by ``best_responses``' solver.
+
+    One pair takes the scalar ``link_terms``, cheaper than an array pass of one.
+    """
+    p = (*alloc1, *alloc2)
+    t1, t2, t3, t4 = link_terms(ch, *map(float, p))
+    rows = _checked(np.array(p, dtype=float), np.array([(*t1, *t2, *t3, *t4)]))
+    return BestResponse(p_j_star=_solve(rows, cfg)[0])
 
 
 @dataclass(frozen=True)

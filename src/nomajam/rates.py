@@ -86,16 +86,20 @@ def sum_rate_curve(terms, p_j: np.ndarray) -> np.ndarray:
 
     ``terms`` is one allocation's terms, (4, 3) or flat, or n allocations'
     as (n, 4, 3) or (n, 12); the result is (len(p_j),) or (n, len(p_j)).
-    The users' terms form (4, n, 1) columns against the row of powers; the
-    sum over the user axis adds the rows in user order, so each row is the
-    same bits whatever the other rows.  Non-finite terms raise ValueError.
+    The users' terms form (4, n, 1) columns against the row of powers, all
+    in one (4, n, len(p_j)) buffer worked in place; the sum over the user
+    axis adds the rows in user order, so each row is the same bits whatever
+    the other rows.
     """
-    x = np.array(terms)
-    if not np.isfinite(x).all():
-        raise ValueError("allocations must be finite and non-negative, with finite link terms")
+    x = np.asarray(terms, dtype=float)
     lead = x.shape[:-2] if x.shape[-2:] == (4, 3) else x.shape[:-1]
     s, d, g = x.reshape(-1, 4, 3).T[..., None]
-    return np.log2(1.0 + s / (d + p_j * g)).sum(axis=0).reshape(lead + np.shape(p_j))
+    rates = p_j * g
+    rates += d
+    np.divide(s, rates, out=rates)
+    rates += 1.0
+    np.log2(rates, out=rates)
+    return rates.sum(axis=0).reshape(lead + np.shape(p_j))
 
 
 def sinr_vector(ch: ChannelRealization, prof: StrategyProfile) -> np.ndarray:

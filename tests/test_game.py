@@ -1245,14 +1245,15 @@ def oracle_binding_strong(ev, p_j, cell, level):
     return rates4(ev.ch, 0.0, p, 0.0, p, p_j)[CELLS[cell][1]] < ev.r0
 
 
-def oracle_ne_l1(ev, mood, eps_ne):
-    """find_ne_l1 as the per-entry double loop its table masks replaced."""
+def oracle_l1_candidates(ev, mood):
+    """(i, j, p_j) of each profile that passes find_ne_l1's table tests, as the
+    per-entry double loop its table masks replaced: totals in the feasible
+    set, every user meeting QoS, and weak users at the lowest split that does."""
     if mood.mood != 1:
-        return []
+        return
     grid, r0 = ev.grid, ev.r0
     ps_levels = set(mood.ps_levels)
     qtol = 1e-9 * max(1.0, r0)
-    certs = []
     for i, (w1, s1) in enumerate(grid.action_levels):
         for j, (w2, s2) in enumerate(grid.action_levels):
             k1, k2 = w1 + s1, w2 + s2
@@ -1267,16 +1268,25 @@ def oracle_ne_l1(ev, mood, eps_ne):
                    oracle_entry(ev, i, grid.index[w, k2 - w])[1][2] >= r0 - qtol
                    for w in range(1, w2)):
                 continue
-            a1, a2 = grid.actions[i], grid.actions[j]
-            slopes = leader_slopes(ev.ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0)
-            d1, d2 = slopes or (math.nan, math.nan)
-            stol = 1e-9 * max(1.0, abs(d1), abs(d2))
-            if not ((d1 >= -stol or oracle_binding_strong(ev, pj, 1, s1))
-                    and (d2 >= -stol or oracle_binding_strong(ev, pj, 2, s2))):
-                continue
-            cert = oracle_certificate(ev, i, j, NE_L1, 1, eps_ne)
-            if cert is not None:
-                certs.append(cert)
+            yield i, j, pj
+
+
+def oracle_ne_l1(ev, mood, eps_ne):
+    """find_ne_l1 as the per-entry double loop its table masks replaced."""
+    grid, r0 = ev.grid, ev.r0
+    certs = []
+    for i, j, pj in oracle_l1_candidates(ev, mood):
+        (_, s1), (_, s2) = grid.action_levels[i], grid.action_levels[j]
+        a1, a2 = grid.actions[i], grid.actions[j]
+        slopes = leader_slopes(ev.ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0)
+        d1, d2 = slopes or (math.nan, math.nan)
+        stol = 1e-9 * max(1.0, abs(d1), abs(d2))
+        if not ((d1 >= -stol or oracle_binding_strong(ev, pj, 1, s1))
+                and (d2 >= -stol or oracle_binding_strong(ev, pj, 2, s2))):
+            continue
+        cert = oracle_certificate(ev, i, j, NE_L1, 1, eps_ne)
+        if cert is not None:
+            certs.append(cert)
     return certs
 
 
@@ -1436,35 +1446,49 @@ def central_difference_slopes(ch, p_bs1, p_bs2, p_j, r0):
 
 
 def test_leader_slopes_match_central_differences(monkeypatch):
-    # every slope find_ne_l1 takes, for seeds 0..39 at grid levels 4, 6 and 8
-    calls = []
+    # leader_slopes at every profile that passes find_ne_l1's table tests
+    # (oracle_l1_candidates), for seeds 0..39 at grid levels 4, 6 and 8;
+    # find_ne_l1 tests the deviation margin first, so it asks for a subset
+    asked = []
 
     def recorded(ch, p_bs1, p_bs2, p_j, r0):
         # find_ne_l1 asks for a realization's candidates in one array call;
-        # record each as the scalar call it stands for, whose bits it must be
+        # each lane must be the bits of the scalar call it stands for
         slopes = leader_slopes(ch, p_bs1, p_bs2, p_j, r0)
         for k, pair in enumerate(zip(*slopes)):
             args = (ch, float(p_bs1[k]), float(p_bs2[k]), float(p_j[k]), r0)
-            scalar = leader_slopes(*args)
-            assert scalar == (None if math.isnan(pair[0]) else pair)
-            calls.append((args, scalar))
+            assert leader_slopes(*args) == (None if math.isnan(pair[0]) else pair)
+            asked.append(args)
         return slopes
 
     monkeypatch.setattr(game, "leader_slopes", recorded)
+    swept = []
     for levels in (4, 6, 8):
         cfg = ExperimentConfig(grid_levels=levels)
         grid, jcfg = cfg.grid(), cfg.jammer_config()
         for seed in range(40):
             ch = channel_for_seed(cfg, seed)
-            find_ne_l1(ch, grid, jcfg, cfg.r0, cfg.gamma, cfg.z, cfg.eps_ne)
+            mood = mood_classify(ch, grid, jcfg, cfg.r0)
+            ev = GridEvaluator(ch, grid, jcfg, cfg.r0, cfg.gamma, cfg.z)
+            find_ne_l1(ch, grid, jcfg, cfg.r0, cfg.gamma, cfg.z, cfg.eps_ne, mood, ev)
+            for i, j, pj in oracle_l1_candidates(ev, mood):
+                a1, a2 = grid.actions[i], grid.actions[j]
+                swept.append((ch, a1[0] + a1[1], a2[0] + a2[1], pj, cfg.r0))
+
+    def key(args):
+        # every realization stays alive in ``swept``, so ids are not reused
+        return (id(args[0]),) + args[1:]
+
+    assert asked and set(map(key, asked)) <= set(map(key, swept))
 
     def signs(slopes):
         # find_ne_l1's sign test; equal signs give equal ok1/ok2 decisions
         stol = 1e-9 * max(1.0, *map(abs, slopes))
         return [d >= -stol for d in slopes]
 
-    assert len(calls) > 1000
-    for args, closed in calls:
+    assert len(swept) > 1000
+    for args in swept:
+        closed = leader_slopes(*args)
         oracle = central_difference_slopes(*args)
         assert (closed is None) == (oracle is None)
         if closed is not None:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from math import log2
 
 import numpy as np
 import pytest
 
+from nomajam import jammer
 from nomajam.channel import draw_channels
 from nomajam.harness import CSV_HEADER, ExperimentConfig, TwoCellEnv
 from nomajam.game import StrategyGrid
@@ -273,14 +275,22 @@ def test_best_response_equals_reference_bit_for_bit(geom):
                 assert np.array_equal(curve, reference), (k, cfg)
 
 
+def grid8_allocs():
+    """Every joint profile of grid 8, as (p1, p2, p3, p4) tuples."""
+    actions = StrategyGrid.build(8, 40.0).actions
+    return [a1 + a2 for a1 in actions for a2 in actions]
+
+
+FOLLOWER_CONFIGS = ((0, JammerConfig()), (3, JammerConfig(p_j_max=1e6, gamma=50.0)))
+
+
 def test_best_responses_rows_equal_batches_of_one(geom):
     # every joint profile of grid 8: each row of a batch equals a batch of
     # one, bit for bit, whatever the row order and wherever the block
     # boundaries fall
-    actions = StrategyGrid.build(8, 40.0).actions
-    allocs = [a1 + a2 for a1 in actions for a2 in actions]
+    allocs = grid8_allocs()
     assert len(allocs) == 784 and len(allocs) % BLOCK
-    for seed, cfg in ((0, JammerConfig()), (3, JammerConfig(p_j_max=1e6, gamma=50.0))):
+    for seed, cfg in FOLLOWER_CONFIGS:
         ch = draw_channels(geom, seed)
         alone = [best_responses(ch, [a], cfg)[0] for a in allocs]
         assert alone == [best_response(ch, a[:2], a[2:], cfg).p_j_star for a in allocs]
@@ -292,6 +302,40 @@ def test_best_responses_rows_equal_batches_of_one(geom):
     assert best_responses(ch, [], cfg) == []
 
 
+def test_best_responses_do_not_depend_on_the_block_size(geom, monkeypatch):
+    # the same answers whatever the block size, from a list, an iterator or
+    # an array of the allocations
+    allocs = grid8_allocs()
+    for seed, cfg in FOLLOWER_CONFIGS:
+        ch = draw_channels(geom, seed)
+        want = best_responses(ch, allocs, cfg)
+        for size in (1, 7, 64, 1000):
+            monkeypatch.setattr(jammer, "BLOCK", size)
+            for given in (allocs, iter(allocs), np.array(allocs)):
+                assert best_responses(ch, given, cfg) == want, (size, type(given))
+            monkeypatch.undo()
+
+
+def test_best_responses_read_one_block_at_a_time(geom, jcfg):
+    # the working memory is one block's, whatever the number of allocations:
+    # past one block, the peak grows by no more than each answer's float and
+    # list slot (32 B), with room to spare
+    ch = draw_channels(geom, 0)
+    allocs = [(1.0 + k % 5, 2.0, 3.0, 4.0 + k % 3) for k in range(8 * BLOCK)]
+    best_responses(ch, allocs[:1], jcfg)
+
+    def peak(n):
+        lanes = iter(allocs[:n])
+        tracemalloc.start()
+        try:
+            best_responses(ch, lanes, jcfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * BLOCK) - peak(BLOCK) <= 64 * 7 * BLOCK
+
+
 def test_best_responses_rejects_a_negative_lane(geom, jcfg):
     ch = draw_channels(geom, 0)
     allocs = [(1.0, 2.0, 3.0, 4.0)] * (BLOCK + 1) + [(1.0, 2.0, -3.0, 4.0)]
@@ -300,6 +344,10 @@ def test_best_responses_rejects_a_negative_lane(geom, jcfg):
 
 
 NON_FINITE = {
+    # a negative power gave jammer_utility_curve and concavity_probe a
+    # finite curve, or at -50 a NaN one with a numpy warning
+    "negative": (-1.0, 1.0, 1.0, 1.0),
+    "-50": (-50.0, 1.0, 1.0, 1.0),
     "nan": (math.nan, 1.0, 1.0, 1.0),
     "+inf": (math.inf, 1.0, 1.0, 1.0),
     "-inf": (1.0, 1.0, -math.inf, 1.0),
