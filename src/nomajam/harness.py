@@ -43,15 +43,22 @@ from .learn.agents import (
     TabularAgent,
     observation_for,
     quantize_sinr,
+    sinr_thresholds,
 )
 from .rates import (
     StrategyProfile,
     bs_utility,
+    bs_utility_rows,
     jammer_utility,
+    jammer_utility_rows,
+    link_terms,
     objective_p2,
+    objective_rows,
     rates_from_sinr,
     selfish_reward,
+    selfish_rows,
     sinr_vector,
+    sinrs,
 )
 
 log = logging.getLogger(__name__)
@@ -79,6 +86,9 @@ MAX_SEED = 2**63 - 1  # the records' int64 seed column
 MAX_SEEDS = 2**20  # seeds per run, checked before a count becomes a tuple
 # Outcomes a TwoCellEnv memoizes per channel realization before it starts
 # over; at the defaults a realization has at most 15**2 * 11 = 2,475 keys.
+# A learning-jammer realization with at most this many keys is also scored
+# in one outcome table (see ``TwoCellEnv``), whose fill peaks at about 415 B
+# per key: at most 27 MiB, below MAX_ARRAY_BYTES.
 OUTCOME_MEMO_ENTRIES = 2**16
 
 
@@ -483,7 +493,12 @@ class TwoCellEnv:
 
     On a fixed realization a slot's outcome is a pure function of the BS
     actions, and of the learning jammer's action when there is one, so
-    ``step`` memoizes ``_outcome`` by that key until the next redraw.
+    ``step`` memoizes it by that key until the next redraw.  Against the
+    learning jammer, a realization that serves at least n^2 slots (n actions
+    per BS) and has at most ``OUTCOME_MEMO_ENTRIES`` keys scores all its
+    n^2 (J + 1) outcomes at its first slot, in one array pass
+    (``_outcome_table``), and a memo miss reads its row; every other miss is
+    scored alone by ``_outcome``.  Both give the same bits.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed) -> None:
@@ -503,10 +518,24 @@ class TwoCellEnv:
                 bins, bins, 2, cfg.alpha_ql, cfg.discount, cfg.eps_schedule(),
                 (jam_ss,),
             )
+            # each action's BS total, binned as the jammer observes it
+            self._jam_bins = [
+                min(max(int(round((w + s) / cfg.p_bs_max * cfg.jammer_grid_levels)), 0),
+                    cfg.jammer_grid_levels)
+                for w, s in self.grid.actions
+            ]
         self.slot = 0
         self._obs = ((0, 0, 0, 0), (0, 0, 0, 0))
         self._jam_obs = ((0, 0),)
         self._outcomes: dict[tuple[int, ...], tuple] = {}
+        # Slots one realization serves; a hot-boot scenario plays hot_boot_slots.
+        run = cfg.hot_boot_slots if isinstance(seed, np.random.SeedSequence) else cfg.slots
+        served = min(cfg.redraw_period or run, run)
+        pairs = cfg.n_actions**2
+        self._tabulate = self.jammer is not None and served >= pairs and (
+            pairs * (cfg.jammer_grid_levels + 1) <= OUTCOME_MEMO_ENTRIES
+        )
+        self._table = None
 
     def observations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The two BSs' observations, one object per slot (see ``TabularAgent``)."""
@@ -522,7 +551,11 @@ class TwoCellEnv:
         if outcome is None:
             if len(self._outcomes) >= OUTCOME_MEMO_ENTRIES:
                 self._outcomes.clear()
-            outcome = self._outcomes[key] = self._outcome(*key)
+            if self._tabulate:
+                outcome = self._tabled(*key)
+            else:
+                outcome = self._outcome(*key)
+            self._outcomes[key] = outcome
         self._obs, rewards, tail, jam_reward, jam_obs = outcome
         if self.jammer is not None:
             self.jammer.learn(key[2:], (jam_reward,), jam_obs)
@@ -533,7 +566,58 @@ class TwoCellEnv:
             new_seed = int(self._redraw_rng.integers(2**63))
             self.ch = draw_channels(self.geometry, new_seed, cfg.fading)
             self._outcomes.clear()
+            self._table = None
         return self._obs, rewards, row
+
+    def _tabled(self, a1_idx: int, a2_idx: int, a_j: int) -> tuple:
+        """``_outcome(a1_idx, a2_idx, a_j)``, read from the realization's table."""
+        if self._table is None:
+            self._table = self._outcome_table()
+        floats, ints = self._table
+        f, q = floats[a1_idx, a2_idx, a_j].tolist(), ints[a1_idx, a2_idx, a_j].tolist()
+        rewards = (f[12], f[13]) if self.selfish else (f[11], f[11])
+        return ((tuple(q[4:8]), tuple(q[8:12])), rewards, (*f[:14], *q[:4]), f[14],
+                ((q[12], q[13]),))
+
+    def _outcome_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every learning-jammer outcome of the current realization in one
+        array pass, as (n, n, J + 1, 15) floats and (n, n, J + 1, 14) ints.
+
+        A key's floats are its 14 float tail fields, then the jammer's reward;
+        its ints are its 4 QoS flags, the two BSs' observations and the
+        jammer's.  The SINRs take ``link_terms``' and ``sinrs``' operations,
+        the rates are one ``rates_from_sinr`` call (its ``np.log2`` gives the
+        same bits at any array size), the scores are the row forms of the
+        scalar scorers, and an SINR's level is its count of
+        ``sinr_thresholds``.  So every key is ``_outcome``'s, bit for bit.
+        """
+        cfg = self.cfg
+        shape = (cfg.n_actions, cfg.n_actions, cfg.jammer_grid_levels + 1)
+        a1, a2, a_j = np.unravel_index(np.arange(math.prod(shape)), shape)
+        acts = np.array(self.grid.actions)
+        p = np.hstack((acts[a1], acts[a2]))
+        pj = a_j * cfg.p_j_max / cfg.jammer_grid_levels
+        sinr = np.array(sinrs(link_terms(self.ch, *p.T), pj))
+        rates = rates_from_sinr(sinr)
+        r = rates.T  # the row forms' (N, 4)
+        floats = np.column_stack((
+            p, pj, r, ((r[:, 0] + r[:, 1]) + r[:, 2]) + r[:, 3],
+            objective_rows(r, cfg.r0),
+            bs_utility_rows(r, pj, cfg.r0, cfg.gamma, cfg.z),
+            selfish_rows(r, 1, pj, cfg.r0, cfg.gamma, cfg.z),
+            selfish_rows(r, 2, pj, cfg.r0, cfg.gamma, cfg.z),
+            jammer_utility_rows(r, pj, cfg.gamma),
+        ))
+        q = np.searchsorted(
+            sinr_thresholds(cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db),
+            sinr, side="right",
+        )
+        bins = np.array(self._jam_bins)
+        ints = np.column_stack((
+            *(rates >= cfg.r0), *observation_for(1, q), *observation_for(2, q),
+            bins[a1], bins[a2],
+        ))
+        return floats.reshape(*shape, -1), ints.reshape(*shape, -1)
 
     def _outcome(self, a1_idx: int, a2_idx: int, a_j: int | None = None) -> tuple:
         """(BS observations, BS rewards, row after seed and slot, jammer reward,
@@ -562,11 +646,7 @@ class TwoCellEnv:
         )
         jam_reward = jam_obs = None
         if a_j is not None:
-            levels = cfg.jammer_grid_levels
-            jam_obs = (tuple(
-                min(max(int(round(p / cfg.p_bs_max * levels)), 0), levels)
-                for p in (prof.p_bs1, prof.p_bs2)
-            ),)
+            jam_obs = ((self._jam_bins[a1_idx], self._jam_bins[a2_idx]),)
             jam_reward = jammer_utility(rates, p_j, cfg.gamma)
         q = tuple(
             quantize_sinr(s, cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db)

@@ -158,18 +158,25 @@ def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[fl
     are the clamp points: the best utility wins outright, and a tie goes to
     the larger power.
 
-    Allocations are read lazily, ``BLOCK`` at a time, each block as one
-    (B, 4) array whose (B, 12) link terms come from one array pass.  The
-    sweep is ``rates.sum_rate_curve`` of the block plus the cost, and the
-    search runs on each row's twelve plain floats; every element takes the
-    same float operations as in a block of one, so no answer depends on the
-    block it was solved in.  A negative or non-finite power, or powers whose
-    link terms overflow, raise ValueError.
+    Allocations are read ``BLOCK`` at a time, each block as one (B, 4) array
+    whose (B, 12) link terms come from one array pass: an (N, 4) ndarray is
+    sliced, anything else is read lazily.  The sweep is
+    ``rates.sum_rate_curve`` of the block plus the cost, and the search runs
+    on each row's twelve plain floats; every element takes the same float
+    operations as in a block of one, so no answer depends on the block it
+    was solved in.  A negative or non-finite power, or powers whose link
+    terms overflow, raise ValueError.
     """
-    lanes = iter(allocs)
+    if isinstance(allocs, np.ndarray):
+        p = allocs.astype(float, copy=False)
+        blocks = (p[lo:lo + BLOCK] for lo in range(0, len(p), BLOCK))
+    else:
+        lanes = iter(allocs)
+        blocks = (np.array(b, dtype=float)
+                  for b in iter(lambda: list(islice(lanes, BLOCK)), []))
     out: list[float] = []
-    while block := list(islice(lanes, BLOCK)):
-        out += _solve(_link_rows(ch, np.array(block, dtype=float)), cfg)
+    for block in blocks:
+        out += _solve(_link_rows(ch, block), cfg)
     return out
 
 

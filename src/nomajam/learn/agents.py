@@ -12,7 +12,11 @@ over the binned BS total powers of the previous slot.
 from __future__ import annotations
 
 import math
+import struct
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +42,38 @@ def quantize_sinr(
     db = 10.0 * math.log10(sinr)
     idx = int(math.floor((db - lo_db) / (hi_db - lo_db) * levels))
     return min(max(idx, 0), levels - 1)
+
+
+# The bit patterns of the non-negative finite floats, which order as the floats do.
+_FINITE_BITS = range(struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0] + 1)
+
+
+def _float_of(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@lru_cache(maxsize=64)
+def sinr_thresholds(
+    levels: int = SINR_LEVELS, lo_db: float = SINR_LO_DB, hi_db: float = SINR_HI_DB
+) -> np.ndarray:
+    """The read-only thresholds t_1 <= ... <= t_{levels-1} of ``quantize_sinr``.
+
+    t_k is the smallest positive float at which ``quantize_sinr``, which
+    does not fall as the SINR grows, reaches level k (inf if no finite float
+    does).  It is found by bisection over the floats' bit patterns against
+    ``quantize_sinr`` itself.  So for a non-negative finite SINR x,
+    ``np.searchsorted(t, x, side="right")`` is ``quantize_sinr(x, levels,
+    lo_db, hi_db)``, with no ``log10`` of its own.
+    """
+    def level(bits: int) -> int:
+        return quantize_sinr(_float_of(bits), levels, lo_db, hi_db)
+
+    firsts = [bisect_left(_FINITE_BITS, k, key=level) for k in range(1, levels)]
+    thresholds = np.array(
+        [_float_of(b) if b < len(_FINITE_BITS) else math.inf for b in firsts]
+    )
+    thresholds.setflags(write=False)
+    return thresholds
 
 
 def observation_for(cell: int, q_sinr: tuple[int, int, int, int]) -> tuple[int, ...]:

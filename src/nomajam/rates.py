@@ -171,6 +171,13 @@ def objective_p2(rates, r0: float) -> float:
     return 0.0
 
 
+def objective_rows(r: np.ndarray, r0: float) -> np.ndarray:
+    """``objective_p2`` of each row of an (N, 4) rate array, bit for bit."""
+    r1, r2, r3, r4 = r.T
+    met = (r1 >= r0) & (r2 >= r0) & (r3 >= r0) & (r4 >= r0)
+    return np.where(met, ((r1 + r2) + r3) + r4, 0.0)
+
+
 def bs_utility(rates, p_j: float, r0: float, gamma: float, z: float) -> float:
     """Shared utility of both base stations.
 
@@ -212,7 +219,25 @@ def selfish_reward(
     return float(indicator * ((weak + strong) + gamma * p_j))
 
 
+def selfish_rows(
+    r: np.ndarray, own_cell: int, p_j: np.ndarray, r0: float, gamma: float, z: float
+) -> np.ndarray:
+    """``selfish_reward`` of each row of an (N, 4) rate array at its jamming
+    power, bit for bit."""
+    w, s, _, _ = CELLS[own_cell]
+    weak, strong = r[:, w], r[:, s]
+    indicator = np.where((weak >= r0) & (strong >= r0), 1.0, z)
+    return indicator * ((weak + strong) + gamma * p_j)
+
+
 def jammer_utility(rates, p_j: float, gamma: float) -> float:
     """Jammer utility: negated sum rate minus the cost of the spent power."""
     r1, r2, r3, r4 = rates
     return float(-((((r1 + r2) + r3) + r4) + gamma * p_j))
+
+
+def jammer_utility_rows(r: np.ndarray, p_j: np.ndarray, gamma: float) -> np.ndarray:
+    """``jammer_utility`` of each row of an (N, 4) rate array at its jamming
+    power, bit for bit."""
+    r1, r2, r3, r4 = r.T
+    return -((((r1 + r2) + r3) + r4) + gamma * p_j)

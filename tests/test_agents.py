@@ -10,6 +10,7 @@ from nomajam.learn.agents import (
     observation_for,
     quantize_sinr,
     select_action,
+    sinr_thresholds,
 )
 from nomajam.learn.nn import MlpParams, dqn_train_step, init_mlp, mlp_forward
 from nomajam.rates import selfish_reward
@@ -28,6 +29,39 @@ def test_quantize_bin_midpoints():
         mid_db = lo + (k + 0.5) * width
         sinr = 10.0 ** (mid_db / 10.0)
         assert quantize_sinr(sinr, levels, lo, hi) == k
+
+
+def threshold_configs():
+    """The default quantizer, one whose lowest levels all start at the
+    smallest subnormal, and 10 seeded (levels, lo_db, hi_db), one of them
+    with levels above the largest float (an infinite threshold)."""
+    rng = np.random.default_rng(2024)
+    yield 8, -20.0, 30.0
+    yield 4, -3300.0, -3200.0
+    for _ in range(10):
+        lo = float(rng.uniform(-3600.0, 3300.0))
+        yield int(rng.integers(2, 40)), lo, lo + float(10.0 ** rng.uniform(-3.0, 3.7))
+
+
+def test_sinr_thresholds_count_the_levels_of_quantize_sinr():
+    # searchsorted over the thresholds is quantize_sinr on every float probed:
+    # 200 ulps either side of each threshold, log-uniform SINRs, and the ends
+    # of the float range
+    rng = np.random.default_rng(7)
+    spread = np.arange(-200, 201)
+    sinrs = np.concatenate((
+        10.0 ** rng.uniform(-6.0, 10.0, size=10_000),
+        [0.0, 5e-324, 1e-300, 1e300, np.finfo(float).max],
+    ))
+    for levels, lo, hi in threshold_configs():
+        t = sinr_thresholds(levels, lo, hi)
+        assert t.shape == (levels - 1,) and not t.flags.writeable
+        assert np.all(t[:-1] <= t[1:]) and t.min() > 0
+        bits = t[np.isfinite(t)].view(np.int64)[:, None] + spread
+        probes = np.concatenate((sinrs, bits[bits >= 0].view(float)))
+        found = np.searchsorted(t, probes, side="right").tolist()
+        want = [quantize_sinr(x, levels, lo, hi) for x in probes.tolist()]
+        assert found == want, (levels, lo, hi)
 
 
 def test_quantize_rejects_single_level():

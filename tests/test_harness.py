@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -622,6 +623,112 @@ def test_records_do_not_depend_on_the_outcome_memo_bound(mode, monkeypatch):
     expected = run_seed(cfg, 0)
     monkeypatch.setattr(harness, "OUTCOME_MEMO_ENTRIES", 1)
     assert run_seed(cfg, 0).tobytes() == expected.tobytes()
+
+
+def outcome_bits(outcome) -> list:
+    """An outcome tuple flattened to (type, value) pairs, each float as its bits."""
+    if isinstance(outcome, tuple):
+        return [b for x in outcome for b in outcome_bits(x)]
+    if isinstance(outcome, float):
+        return [("float", outcome.hex() if outcome == outcome else "nan")]
+    return [(type(outcome).__name__, outcome)]
+
+
+def assert_table_is_the_scalar_outcomes(env):
+    cfg = env.cfg
+    shape = (cfg.n_actions, cfg.n_actions, cfg.jammer_grid_levels + 1)
+    floats, ints = env._outcome_table()
+    assert floats.shape == (*shape, 15) and ints.shape == (*shape, 14)
+    for key in np.ndindex(shape):
+        assert outcome_bits(env._tabled(*key)) == outcome_bits(env._outcome(*key)), key
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"scheme": "QLS"}, {"grid_levels": 4, "sinr_levels": 5},
+    {"jammer_grid_levels": 3, "p_j_max": 7.0}, {"fading": False},
+], ids=["default", "QLS", "grid4", "jammer3", "no-fading"])
+@pytest.mark.parametrize("seed", range(5))
+def test_outcome_table_is_the_scalar_outcome_of_every_key(changes, seed):
+    # observations, rewards, row tail, jammer reward and jammer observation,
+    # bit for bit and of the same types
+    env = TwoCellEnv(ExperimentConfig(**changes), seed)
+    assert env._tabulate
+    assert_table_is_the_scalar_outcomes(env)
+
+
+def test_outcome_table_of_a_redrawn_realization_is_its_scalar_outcomes():
+    cfg = ExperimentConfig(redraw_period=300, seeds=(0,))
+    env = TwoCellEnv(cfg, 0)
+    agents = greedy_agents(env)
+    g0 = env.ch.gains.copy()
+    for _ in range(cfg.redraw_period):
+        run_slot(env, agents)
+    assert env._table is None and not np.array_equal(env.ch.gains, g0)
+    assert_table_is_the_scalar_outcomes(env)
+
+
+def count_outcome_paths(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("_outcome", "_tabled"):
+        def counted(self, *key, _name=name, _fn=getattr(TwoCellEnv, name)):
+            calls[_name] += 1
+            return _fn(self, *key)
+        monkeypatch.setattr(TwoCellEnv, name, counted)
+    return calls
+
+
+def memo_misses(records, period: int) -> int:
+    """Distinct slot outcomes per realization: the memo's misses."""
+    realization = records.slot // period if period else np.zeros(len(records), int)
+    return len({(k, r.p1, r.p2, r.p3, r.p4, r.p_j) for k, r in zip(realization, records)})
+
+
+@pytest.mark.parametrize("changes, tabled", [
+    ({}, True),
+    ({"redraw_period": 25}, False),
+    ({"jammer_mode": "best-response"}, False),
+    ({"slots": 224}, False),  # fewer slots than the 15**2 action pairs
+], ids=["learning", "redraw-25", "best-response", "short-run"])
+def test_outcome_table_serves_long_learning_jammer_realizations(changes, tabled, monkeypatch):
+    # a table is filled only for the learning jammer on realizations that
+    # serve at least n**2 slots; every other memo miss is scored by _outcome
+    calls = count_outcome_paths(monkeypatch)
+    cfg = ExperimentConfig(**{"slots": 2000, "seeds": (0,), **changes})
+    records = run_seed(cfg, 0)
+    misses = memo_misses(records, cfg.redraw_period)
+    assert calls == ({"_tabled": misses} if tabled else {"_outcome": misses})
+
+
+def test_hot_boot_scenarios_fill_outcome_tables(monkeypatch):
+    calls = count_outcome_paths(monkeypatch)
+    cfg = ExperimentConfig(scheme="HBDQLU", slots=20, hot_boot_scenarios=1,
+                           hot_boot_slots=240, seeds=(0,))
+    run_seed(cfg, 0)
+    # the run's 20 slots are scored alone, its boot scenario's 240 from a table
+    assert 0 < calls["_outcome"] <= cfg.slots and 0 < calls["_tabled"] <= cfg.hot_boot_slots
+
+
+# The tracemalloc peak of filling a realization's outcome table, per key:
+# 412-415 B measured at 2,475 to 47,916 keys, plus about 5 KiB.
+OUTCOME_TABLE_BYTES_PER_KEY = 420
+
+
+def test_outcome_table_stays_within_its_byte_bound():
+    # the figure behind OUTCOME_MEMO_ENTRIES' comment, at grid 4, 6 and 12 and
+    # with 41 jammer levels; 16 KiB covers the fixed part
+    for changes in ({"grid_levels": 4, "jammer_grid_levels": 3}, {}, {"grid_levels": 12},
+                    {"jammer_grid_levels": 40}):
+        cfg = ExperimentConfig(**changes)
+        env = TwoCellEnv(cfg, 0)
+        env._outcome_table()  # the thresholds, cached per process, outside the trace
+        keys = cfg.n_actions**2 * (cfg.jammer_grid_levels + 1)
+        tracemalloc.start()
+        try:
+            env._outcome_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= OUTCOME_TABLE_BYTES_PER_KEY * keys + 16 * 1024, changes
 
 
 def test_best_response_runs_once_per_distinct_joint_action(monkeypatch):

@@ -6,11 +6,14 @@ from nomajam.rates import (
     bs_utility,
     bs_utility_rows,
     jammer_utility,
+    jammer_utility_rows,
     objective_p2,
+    objective_rows,
     qos_binding_split,
     rate_rows,
     rates_from_sinr,
     selfish_reward,
+    selfish_rows,
     sinr_vector,
 )
 
@@ -199,7 +202,8 @@ def hexes(values) -> list[str]:
 def test_rate_rows_equal_scalar_rates_bit_for_bit(seed):
     # random allocations with zero weak powers, p_j = 0 and p_j = p_j_max
     # among them; every row equals rates4 and bs_utility of its allocation,
-    # in the batch and as a batch of one
+    # in the batch and as a batch of one, and the other row scorers equal
+    # their scalar forms
     rng = np.random.default_rng(seed)
     ch = make_channel(rng.exponential(1.0, (4, 3)) * rng.choice([1e-3, 1.0, 1e3]))
     n = 200
@@ -219,6 +223,19 @@ def test_rate_rows_equal_scalar_rates_bit_for_bit(seed):
         assert hexes(rows[k]) == hexes(want), k
         assert hexes(rate_rows(ch, [alloc], [pj])[0]) == hexes(want), k
         assert float.hex(float(u[k])) == float.hex(bs_utility(want, pj, r0, gamma, z)), k
+    # r0 = 0 meets every QoS threshold, so each indicator takes both values
+    for t in (r0, 0.0):
+        scored = (
+            (objective_rows(rows, t), lambda r, pj: objective_p2(r, t)),
+            (selfish_rows(rows, 1, p_j, t, gamma, z),
+             lambda r, pj: selfish_reward(r, 1, pj, t, gamma, z)),
+            (selfish_rows(rows, 2, p_j, t, gamma, z),
+             lambda r, pj: selfish_reward(r, 2, pj, t, gamma, z)),
+            (jammer_utility_rows(rows, p_j, gamma), lambda r, pj: jammer_utility(r, pj, gamma)),
+        )
+        for got, scalar in scored:
+            want = [scalar(r, pj) for r, pj in zip(rows.tolist(), p_j.tolist())]
+            assert hexes(got) == hexes(want)
 
 
 def test_binding_split_arrays_equal_scalar_calls():
