@@ -20,10 +20,11 @@ from .channel import CELLS, SRC_JAM, ChannelRealization
 from .jammer import BLOCK, JammerConfig, best_responses, concavity_probe
 from .rates import (
     StrategyProfile,
-    bs_utility_rows,
+    bs_utility,
     link_terms,
     qos_binding_split,
     rate_rows,
+    sum_rate,
 )
 
 EPS_NE = 1e-9
@@ -331,12 +332,12 @@ class GridEvaluator:
             for start in range(0, n * n, BLOCK):
                 k = np.arange(start, min(start + BLOCK, n * n))
                 block = np.concatenate((actions[k // n], actions[k % n]), axis=1)
-                pj = best_responses(self.ch, block, self.jcfg)
+                pj = np.array(best_responses(self.ch, block, self.jcfg))
                 r = rate_rows(self.ch, block, pj)
                 filled = rows[start:start + len(block)]
                 filled[:, 0] = pj
                 filled[:, 1:5] = r
-                filled[:, 5] = bs_utility_rows(r, pj, self.r0, self.gamma, self.z)
+                filled[:, 5] = bs_utility(r.T, pj, self.r0, self.gamma, self.z)
             table[:, :, 6] = deviation_margins(table[:, :, 5])
             self._table = table
         return self._table[:, :, 5]
@@ -715,7 +716,7 @@ def monotonicity_check(
     p = np.concatenate(moved)
     pjs = np.tile(pj_base, len(moved))
     r = rate_rows(ch, p, pjs)
-    u = bs_utility_rows(r, pjs, r0, gamma, z).reshape(-1, 2, n_samples)
+    u = bs_utility(r.T, pjs, r0, gamma, z).reshape(-1, 2, n_samples)
     flags = np.stack((np.minimum(r[:, 0], r[:, 1]) >= r0,
                       np.minimum(r[:, 2], r[:, 3]) >= r0)).reshape(2, -1, 2, n_samples)
     u_up, u_dn = u[:, 0], u[:, 1]
@@ -744,7 +745,7 @@ def monotonicity_check(
     pj = np.repeat(pj, 6)
     p, ok = _binding_allocs(ch, x1, x2, pj, r0)
     r = rate_rows(ch, p[ok], pj[ok])
-    u = (((r[:, 0] + r[:, 1]) + r[:, 2]) + r[:, 3]) + gamma * pj[ok]
+    u = sum_rate(r.T) + gamma * pj[ok]
     # The indicator-free leader utility, scaled exponentially by Python's
     # ``**``: np.power's bits change with numpy's SIMD level.  A triple with
     # a utility of 1023 or more is skipped: 2 ** u overflows from 1024 on, and

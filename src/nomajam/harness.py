@@ -48,17 +48,14 @@ from .learn.agents import (
 from .rates import (
     StrategyProfile,
     bs_utility,
-    bs_utility_rows,
     jammer_utility,
-    jammer_utility_rows,
     link_terms,
     objective_p2,
-    objective_rows,
     rates_from_sinr,
     selfish_reward,
-    selfish_rows,
     sinr_vector,
     sinrs,
+    sum_rate,
 )
 
 log = logging.getLogger(__name__)
@@ -587,8 +584,8 @@ class TwoCellEnv:
         its ints are its 4 QoS flags, the two BSs' observations and the
         jammer's.  The SINRs take ``link_terms``' and ``sinrs``' operations,
         the rates are one ``rates_from_sinr`` call (its ``np.log2`` gives the
-        same bits at any array size), the scores are the row forms of the
-        scalar scorers, and an SINR's level is its count of
+        same bits at any array size), the scores are ``_outcome``'s scorers
+        called on the (4, N) rate array, and an SINR's level is its count of
         ``sinr_thresholds``.  So every key is ``_outcome``'s, bit for bit.
         """
         cfg = self.cfg
@@ -599,14 +596,13 @@ class TwoCellEnv:
         pj = a_j * cfg.p_j_max / cfg.jammer_grid_levels
         sinr = np.array(sinrs(link_terms(self.ch, *p.T), pj))
         rates = rates_from_sinr(sinr)
-        r = rates.T  # the row forms' (N, 4)
         floats = np.column_stack((
-            p, pj, r, ((r[:, 0] + r[:, 1]) + r[:, 2]) + r[:, 3],
-            objective_rows(r, cfg.r0),
-            bs_utility_rows(r, pj, cfg.r0, cfg.gamma, cfg.z),
-            selfish_rows(r, 1, pj, cfg.r0, cfg.gamma, cfg.z),
-            selfish_rows(r, 2, pj, cfg.r0, cfg.gamma, cfg.z),
-            jammer_utility_rows(r, pj, cfg.gamma),
+            p, pj, rates.T, sum_rate(rates),
+            objective_p2(rates, cfg.r0),
+            bs_utility(rates, pj, cfg.r0, cfg.gamma, cfg.z),
+            selfish_reward(rates, 1, pj, cfg.r0, cfg.gamma, cfg.z),
+            selfish_reward(rates, 2, pj, cfg.r0, cfg.gamma, cfg.z),
+            jammer_utility(rates, pj, cfg.gamma),
         ))
         q = np.searchsorted(
             sinr_thresholds(cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db),
@@ -638,9 +634,8 @@ class TwoCellEnv:
         u = bs_utility(rates, p_j, cfg.r0, cfg.gamma, cfg.z)
         s1 = selfish_reward(rates, 1, p_j, cfg.r0, cfg.gamma, cfg.z)
         s2 = selfish_reward(rates, 2, p_j, cfg.r0, cfg.gamma, cfg.z)
-        r1, r2, r3, r4 = rates
         tail = (
-            *prof.as_tuple(), *rates, ((r1 + r2) + r3) + r4,  # as objective_p2 adds
+            *prof.as_tuple(), *rates, sum_rate(rates),
             objective_p2(rates, cfg.r0), u, s1, s2,
             *(int(r >= cfg.r0) for r in rates),
         )

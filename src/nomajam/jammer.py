@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from math import log2
 
 import numpy as np
@@ -158,25 +158,18 @@ def best_responses(ch: ChannelRealization, allocs, cfg: JammerConfig) -> list[fl
     are the clamp points: the best utility wins outright, and a tie goes to
     the larger power.
 
-    Allocations are read ``BLOCK`` at a time, each block as one (B, 4) array
-    whose (B, 12) link terms come from one array pass: an (N, 4) ndarray is
-    sliced, anything else is read lazily.  The sweep is
+    ``allocs`` is an (N, 4) array-like, read ``BLOCK`` rows at a time: each
+    block's (B, 12) link terms come from one array pass.  The sweep is
     ``rates.sum_rate_curve`` of the block plus the cost, and the search runs
     on each row's twelve plain floats; every element takes the same float
     operations as in a block of one, so no answer depends on the block it
     was solved in.  A negative or non-finite power, or powers whose link
     terms overflow, raise ValueError.
     """
-    if isinstance(allocs, np.ndarray):
-        p = allocs.astype(float, copy=False)
-        blocks = (p[lo:lo + BLOCK] for lo in range(0, len(p), BLOCK))
-    else:
-        lanes = iter(allocs)
-        blocks = (np.array(b, dtype=float)
-                  for b in iter(lambda: list(islice(lanes, BLOCK)), []))
+    p = np.asarray(allocs, dtype=float)
     out: list[float] = []
-    for block in blocks:
-        out += _solve(_link_rows(ch, block), cfg)
+    for lo in range(0, len(p), BLOCK):
+        out += _solve(_link_rows(ch, p[lo:lo + BLOCK]), cfg)
     return out
 
 

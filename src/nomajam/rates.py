@@ -4,6 +4,9 @@ All functions are pure and operate on noise-normalized quantities: transmit
 powers are expressed in units of the noise power, so every SINR denominator
 starts at exactly 1.  ``link_terms`` is the only place the link model is
 written; every SINR, rate and utility here and in the solvers derives from it.
+Each score (the objective and the three utilities) is written once, for
+plain floats and for arrays of rates alike, and each adds the four users'
+rates through ``sum_rate``.
 """
 
 from __future__ import annotations
@@ -84,22 +87,21 @@ def sinrs(terms, p_j: float) -> list[float]:
 def sum_rate_curve(terms, p_j: np.ndarray) -> np.ndarray:
     """Sum rate from ``link_terms`` at each power of a 1-D array, in one broadcast.
 
-    ``terms`` is one allocation's terms, (4, 3) or flat, or n allocations'
-    as (n, 4, 3) or (n, 12); the result is (len(p_j),) or (n, len(p_j)).
+    ``terms`` is one allocation's twelve terms, flat as (12,), or n
+    allocations' as (n, 12); the result is (len(p_j),) or (n, len(p_j)).
     The users' terms form (4, n, 1) columns against the row of powers, all
     in one (4, n, len(p_j)) buffer worked in place; the sum over the user
     axis adds the rows in user order, so each row is the same bits whatever
     the other rows.
     """
     x = np.asarray(terms, dtype=float)
-    lead = x.shape[:-2] if x.shape[-2:] == (4, 3) else x.shape[:-1]
     s, d, g = x.reshape(-1, 4, 3).T[..., None]
     rates = p_j * g
     rates += d
     np.divide(s, rates, out=rates)
     rates += 1.0
     np.log2(rates, out=rates)
-    return rates.sum(axis=0).reshape(lead + np.shape(p_j))
+    return rates.sum(axis=0).reshape(x.shape[:-1] + np.shape(p_j))
 
 
 def sinr_vector(ch: ChannelRealization, prof: StrategyProfile) -> np.ndarray:
@@ -125,6 +127,18 @@ def rate_rows(ch: ChannelRealization, allocs, p_j) -> np.ndarray:
     p = np.asarray(allocs, dtype=float)
     x = 1.0 + np.array(sinrs(link_terms(ch, *p.T), np.asarray(p_j, dtype=float)))
     return np.array(list(map(log2, x.T.ravel().tolist()))).reshape(p.shape)
+
+
+def _pick(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``: a branch on a bool, ``np.where``
+    on an array.  No arithmetic, so a -0.0 comes back as it went in."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def sum_rate(rates):
+    """The four users' rates added in user order, as numpy's sum of four does."""
+    r1, r2, r3, r4 = rates
+    return ((r1 + r2) + r3) + r4
 
 
 def qos_binding_split(
@@ -153,60 +167,37 @@ def qos_binding_split(
     _, d, g_jam = link_terms(ch, 0.0, p_bs1, 0.0, p_bs2)[weak]
     t = 2.0 ** r0
     p_weak = (t - 1.0) * (d + p_j_star * g_jam) / (g_own * t)
-    over = p_weak > total + 1e-12 * np.maximum(1.0, total)
-    if np.ndim(p_weak):
-        return np.where(over, math.inf, p_weak)
-    return math.inf if over else p_weak
+    return _pick(p_weak > total + 1e-12 * np.maximum(1.0, total), math.inf, p_weak)
 
 
-def objective_p2(rates, r0: float) -> float:
-    """Network objective: the sum rate if every user meets QoS, else 0.
+# The scorers below take ``rates`` as the four users' rates, either four
+# plain floats (a float comes out) or four equal-length arrays, the columns of
+# an (N, 4) rate array (an array comes out).  An array entry takes the plain
+# call's float operations in the same order, so it is the same bits.
 
-    ``rates`` holds the four users' rates; the sum adds them in user order,
-    as numpy's sum of four does.
-    """
+
+def objective_p2(rates, r0: float):
+    """Network objective: the sum rate if every user meets QoS, else 0."""
     r1, r2, r3, r4 = rates
-    if r1 >= r0 and r2 >= r0 and r3 >= r0 and r4 >= r0:
-        return float(((r1 + r2) + r3) + r4)
-    return 0.0
-
-
-def objective_rows(r: np.ndarray, r0: float) -> np.ndarray:
-    """``objective_p2`` of each row of an (N, 4) rate array, bit for bit."""
-    r1, r2, r3, r4 = r.T
     met = (r1 >= r0) & (r2 >= r0) & (r3 >= r0) & (r4 >= r0)
-    return np.where(met, ((r1 + r2) + r3) + r4, 0.0)
+    return _pick(met, sum_rate(rates), 0.0)
 
 
-def bs_utility(rates, p_j: float, r0: float, gamma: float, z: float) -> float:
+def bs_utility(rates, p_j, r0: float, gamma: float, z: float):
     """Shared utility of both base stations.
 
-    Each cell contributes a soft QoS indicator: 1 when its worse user meets
+    Each cell contributes a soft QoS indicator: 1 when both its users meet
     the rate threshold (inclusive), z otherwise.  The base value is the sum
     rate plus the jamming cost gamma * p_j the jammer was forced to spend.
     Both indicators failing multiplies the base by z^2.
     """
     r1, r2, r3, r4 = rates
-    i1 = 1.0 if min(r1, r2) >= r0 else z
-    i2 = 1.0 if min(r3, r4) >= r0 else z
-    return float(i1 * i2 * (r1 + r2 + r3 + r4 + gamma * p_j))
+    i1 = _pick((r1 >= r0) & (r2 >= r0), 1.0, z)
+    i2 = _pick((r3 >= r0) & (r4 >= r0), 1.0, z)
+    return i1 * i2 * (sum_rate(rates) + gamma * p_j)
 
 
-def bs_utility_rows(r: np.ndarray, p_j, r0: float, gamma: float, z: float) -> np.ndarray:
-    """``bs_utility`` of each row of an (N, 4) rate array at its jamming power.
-
-    The same float operations in the same order, so each entry equals the
-    scalar utility bit for bit.
-    """
-    r1, r2, r3, r4 = r.T
-    i1 = np.where(np.minimum(r1, r2) >= r0, 1.0, z)
-    i2 = np.where(np.minimum(r3, r4) >= r0, 1.0, z)
-    return i1 * i2 * ((((r1 + r2) + r3) + r4) + gamma * np.asarray(p_j, dtype=float))
-
-
-def selfish_reward(
-    rates, own_cell: int, p_j: float, r0: float, gamma: float, z: float
-) -> float:
+def selfish_reward(rates, own_cell: int, p_j, r0: float, gamma: float, z: float):
     """Single-cell reward: own QoS indicator times own sum rate plus jam cost.
 
     Ignores the other cell's rates entirely; used by the selfish baseline.
@@ -215,29 +206,10 @@ def selfish_reward(
         raise ValueError(f"own_cell must be 1 or 2, got {own_cell}")
     w, s, _, _ = CELLS[own_cell]
     weak, strong = rates[w], rates[s]
-    indicator = 1.0 if weak >= r0 and strong >= r0 else z
-    return float(indicator * ((weak + strong) + gamma * p_j))
-
-
-def selfish_rows(
-    r: np.ndarray, own_cell: int, p_j: np.ndarray, r0: float, gamma: float, z: float
-) -> np.ndarray:
-    """``selfish_reward`` of each row of an (N, 4) rate array at its jamming
-    power, bit for bit."""
-    w, s, _, _ = CELLS[own_cell]
-    weak, strong = r[:, w], r[:, s]
-    indicator = np.where((weak >= r0) & (strong >= r0), 1.0, z)
+    indicator = _pick((weak >= r0) & (strong >= r0), 1.0, z)
     return indicator * ((weak + strong) + gamma * p_j)
 
 
-def jammer_utility(rates, p_j: float, gamma: float) -> float:
+def jammer_utility(rates, p_j, gamma: float):
     """Jammer utility: negated sum rate minus the cost of the spent power."""
-    r1, r2, r3, r4 = rates
-    return float(-((((r1 + r2) + r3) + r4) + gamma * p_j))
-
-
-def jammer_utility_rows(r: np.ndarray, p_j: np.ndarray, gamma: float) -> np.ndarray:
-    """``jammer_utility`` of each row of an (N, 4) rate array at its jamming
-    power, bit for bit."""
-    r1, r2, r3, r4 = r.T
-    return -((((r1 + r2) + r3) + r4) + gamma * p_j)
+    return -(sum_rate(rates) + gamma * p_j)

@@ -26,8 +26,8 @@ def test_path_loss_powers_of_ten():
 def test_path_loss_at_250m_matches_high_precision_oracle():
     assert path_loss(250.0) == pytest.approx(PATH_LOSS_250, rel=1e-12)
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    oracle = float(mp.mpf(10) ** mp.mpf("-3.53") / mp.mpf(250) ** mp.mpf("3.76"))
+    with mp.workdps(50):
+        oracle = float(mp.mpf(10) ** mp.mpf("-3.53") / mp.mpf(250) ** mp.mpf("3.76"))
     assert path_loss(250.0) == pytest.approx(oracle, rel=1e-13)
 
 

@@ -263,16 +263,15 @@ def test_best_response_equals_reference_bit_for_bit(geom):
         reference = reference_utility_curve(terms, cfg.gamma, sweep[cfg])
         assert np.array_equal(curve, reference), (i, p.tolist(), cfg)
         blocks[cfg].append(terms)
-    # one sum_rate_curve call over many allocations, as (n, 4, 3) and as
-    # best_responses' flat (n, 12) rows, equals the reference row by row
+    # one sum_rate_curve call over many allocations, as best_responses'
+    # flat (n, 12) rows, equals the reference row by row
     for cfg, block in blocks.items():
-        flat = [sum(terms, ()) for terms in block]
-        for rows in (block, flat):
-            curves = -(sum_rate_curve(rows, sweep[cfg]) + cfg.gamma * sweep[cfg])
-            assert curves.shape == (len(block), 201)
-            for k, (curve, terms) in enumerate(zip(curves, block)):
-                reference = reference_utility_curve(terms, cfg.gamma, sweep[cfg])
-                assert np.array_equal(curve, reference), (k, cfg)
+        rows = [sum(terms, ()) for terms in block]
+        curves = -(sum_rate_curve(rows, sweep[cfg]) + cfg.gamma * sweep[cfg])
+        assert curves.shape == (len(block), 201)
+        for k, (curve, terms) in enumerate(zip(curves, block)):
+            reference = reference_utility_curve(terms, cfg.gamma, sweep[cfg])
+            assert np.array_equal(curve, reference), (k, cfg)
 
 
 def grid8_allocs():
@@ -296,22 +295,22 @@ def test_best_responses_rows_equal_batches_of_one(geom):
         assert alone == [best_response(ch, a[:2], a[2:], cfg).p_j_star for a in allocs]
         assert all(type(p) is float for p in alone)
         assert best_responses(ch, allocs, cfg) == alone
-        assert best_responses(ch, iter(allocs[::-1]), cfg) == alone[::-1]
+        assert best_responses(ch, allocs[::-1], cfg) == alone[::-1]
         shift = BLOCK // 2 + 3
         assert best_responses(ch, allocs[shift:], cfg) == alone[shift:]
     assert best_responses(ch, [], cfg) == []
 
 
 def test_best_responses_do_not_depend_on_the_block_size(geom, monkeypatch):
-    # the same answers whatever the block size, from a list, an iterator or
-    # an array of the allocations
+    # the same answers whatever the block size, from a list or an array of
+    # the allocations
     allocs = grid8_allocs()
     for seed, cfg in FOLLOWER_CONFIGS:
         ch = draw_channels(geom, seed)
         want = best_responses(ch, allocs, cfg)
         for size in (1, 7, 64, 1000):
             monkeypatch.setattr(jammer, "BLOCK", size)
-            for given in (allocs, iter(allocs), np.array(allocs)):
+            for given in (allocs, np.array(allocs)):
                 assert best_responses(ch, given, cfg) == want, (size, type(given))
             monkeypatch.undo()
 
@@ -325,7 +324,7 @@ def test_best_responses_read_one_block_at_a_time(geom, jcfg):
     best_responses(ch, allocs[:1], jcfg)
 
     def peak(n):
-        lanes = iter(allocs[:n])
+        lanes = np.array(allocs[:n])
         tracemalloc.start()
         try:
             best_responses(ch, lanes, jcfg)

@@ -1,19 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from nomajam.rates import (
     StrategyProfile,
     bs_utility,
-    bs_utility_rows,
     jammer_utility,
-    jammer_utility_rows,
     objective_p2,
-    objective_rows,
     qos_binding_split,
     rate_rows,
     rates_from_sinr,
     selfish_reward,
-    selfish_rows,
     sinr_vector,
 )
 
@@ -126,7 +124,6 @@ def test_strong_users_ignore_other_cell_and_weak_powers():
 
 def test_rates_match_high_precision_reference():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
     rng = np.random.default_rng(7)
     for _ in range(25):
         g = rng.exponential(1.0, (4, 3)) * rng.uniform(0.01, 1000)
@@ -134,15 +131,16 @@ def test_rates_match_high_precision_reference():
         p = rng.uniform(0, 30, size=5)
         prof = StrategyProfile(*p)
         fast = rates_from_sinr(sinr_vector(ch, prof))
-        gm = [[mp.mpf(x) for x in row] for row in g]
-        p1, p2, p3, p4, pj = (mp.mpf(x) for x in p)
-        sinr = [
-            p1 * gm[0][0] / (1 + p2 * gm[0][0] + (p3 + p4) * gm[0][1] + pj * gm[0][2]),
-            p2 * gm[1][0] / (1 + pj * gm[1][2]),
-            p3 * gm[2][1] / (1 + p4 * gm[2][1] + (p1 + p2) * gm[2][0] + pj * gm[2][2]),
-            p4 * gm[3][1] / (1 + pj * gm[3][2]),
-        ]
-        ref = [float(mp.log(1 + s) / mp.log(2)) for s in sinr]
+        with mp.workdps(50):
+            gm = [[mp.mpf(x) for x in row] for row in g]
+            p1, p2, p3, p4, pj = (mp.mpf(x) for x in p)
+            sinr = [
+                p1 * gm[0][0] / (1 + p2 * gm[0][0] + (p3 + p4) * gm[0][1] + pj * gm[0][2]),
+                p2 * gm[1][0] / (1 + pj * gm[1][2]),
+                p3 * gm[2][1] / (1 + p4 * gm[2][1] + (p1 + p2) * gm[2][0] + pj * gm[2][2]),
+                p4 * gm[3][1] / (1 + pj * gm[3][2]),
+            ]
+            ref = [float(mp.log(1 + s) / mp.log(2)) for s in sinr]
         for a, b in zip(fast, ref):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
@@ -154,24 +152,29 @@ def test_selfish_reward_rejects_unknown_cell(cell):
         selfish_reward([1.0, 1.0, 1.0, 1.0], cell, 0.0, 0.5, 0.5, 0.01)
 
 
+# The scores of one (4,) rate array by numpy's sum and min and an if per
+# indicator: the references the scorers are compared with bit for bit.
+def objective(r, r0):
+    return float(r.sum()) if float(r.min()) >= r0 else 0.0
+
+
+def utility(r, p_j, r0, gamma, z):
+    i1 = 1.0 if float(r[:2].min()) >= r0 else z
+    i2 = 1.0 if float(r[2:].min()) >= r0 else z
+    return float(i1 * i2 * (float(r.sum()) + gamma * p_j))
+
+
+def selfish(r, cell, p_j, r0, gamma, z):
+    own = r[0:2] if cell == 1 else r[2:4]
+    return (1.0 if float(own.min()) >= r0 else z) * (float(own.sum()) + gamma * p_j)
+
+
+def jammer(r, p_j, gamma):
+    return -(float(r.sum()) + gamma * p_j)
+
+
 def test_plain_float_scores_equal_the_array_formulas():
-    # The scores add four Python floats in numpy's order; these are the
-    # numpy-array formulas they replace, compared bit for bit.
-    def objective(r, r0):
-        return float(r.sum()) if float(r.min()) >= r0 else 0.0
-
-    def utility(r, p_j, r0, gamma, z):
-        i1 = 1.0 if float(r[:2].min()) >= r0 else z
-        i2 = 1.0 if float(r[2:].min()) >= r0 else z
-        return float(i1 * i2 * (float(r.sum()) + gamma * p_j))
-
-    def selfish(r, cell, p_j, r0, gamma, z):
-        own = r[0:2] if cell == 1 else r[2:4]
-        return (1.0 if float(own.min()) >= r0 else z) * (float(own.sum()) + gamma * p_j)
-
-    def jammer(r, p_j, gamma):
-        return -(float(r.sum()) + gamma * p_j)
-
+    # The scores add four Python floats in numpy's order
     rng = np.random.default_rng(11)
     r0 = 0.9
     for k in range(10_000):
@@ -201,9 +204,9 @@ def hexes(values) -> list[str]:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rate_rows_equal_scalar_rates_bit_for_bit(seed):
     # random allocations with zero weak powers, p_j = 0 and p_j = p_j_max
-    # among them; every row equals rates4 and bs_utility of its allocation,
-    # in the batch and as a batch of one, and the other row scorers equal
-    # their scalar forms
+    # among them; every row equals rates4 of its allocation, in the batch and
+    # as a batch of one, and every scorer on the rate columns equals its
+    # plain-float calls and the references above, the sign of zero included
     rng = np.random.default_rng(seed)
     ch = make_channel(rng.exponential(1.0, (4, 3)) * rng.choice([1e-3, 1.0, 1e3]))
     n = 200
@@ -213,29 +216,36 @@ def test_rate_rows_equal_scalar_rates_bit_for_bit(seed):
     p_j = rng.uniform(0.0, 20.0, n)
     p_j[::5] = 0.0
     p_j[1::5] = 20.0
-    r0, gamma, z = 0.9, 0.5, 0.01
+    r0 = 0.9
     rows = rate_rows(ch, allocs, p_j)
-    u = bs_utility_rows(rows, p_j, r0, gamma, z)
-    assert rows.shape == (n, 4) and u.shape == (n,)
+    assert rows.shape == (n, 4)
     for k in range(n):
         alloc, pj = allocs[k].tolist(), float(p_j[k])
         want = rates4(ch, *alloc, pj)
         assert hexes(rows[k]) == hexes(want), k
         assert hexes(rate_rows(ch, [alloc], [pj])[0]) == hexes(want), k
-        assert float.hex(float(u[k])) == float.hex(bs_utility(want, pj, r0, gamma, z)), k
-    # r0 = 0 meets every QoS threshold, so each indicator takes both values
-    for t in (r0, 0.0):
+    # some rates exactly at r0; r0 = 0 meets every QoS threshold, so each
+    # indicator takes both values
+    rows[rng.random((n, 4)) < 0.2] = r0
+    pjs = p_j.tolist()
+    for t, gamma, z in itertools.product((r0, 0.0), (0.0, 0.5), (0.0, -0.0, 0.01, 1.0)):
         scored = (
-            (objective_rows(rows, t), lambda r, pj: objective_p2(r, t)),
-            (selfish_rows(rows, 1, p_j, t, gamma, z),
-             lambda r, pj: selfish_reward(r, 1, pj, t, gamma, z)),
-            (selfish_rows(rows, 2, p_j, t, gamma, z),
-             lambda r, pj: selfish_reward(r, 2, pj, t, gamma, z)),
-            (jammer_utility_rows(rows, p_j, gamma), lambda r, pj: jammer_utility(r, pj, gamma)),
+            (lambda r, pj: objective_p2(r, t), lambda r, pj: objective(r, t)),
+            (lambda r, pj: bs_utility(r, pj, t, gamma, z),
+             lambda r, pj: utility(r, pj, t, gamma, z)),
+            (lambda r, pj: selfish_reward(r, 1, pj, t, gamma, z),
+             lambda r, pj: selfish(r, 1, pj, t, gamma, z)),
+            (lambda r, pj: selfish_reward(r, 2, pj, t, gamma, z),
+             lambda r, pj: selfish(r, 2, pj, t, gamma, z)),
+            (lambda r, pj: jammer_utility(r, pj, gamma), lambda r, pj: jammer(r, pj, gamma)),
         )
-        for got, scalar in scored:
-            want = [scalar(r, pj) for r, pj in zip(rows.tolist(), p_j.tolist())]
-            assert hexes(got) == hexes(want)
+        for score, reference in scored:
+            want = [score(r, pj) for r, pj in zip(rows.tolist(), pjs)]
+            assert all(type(w) is float for w in want)
+            assert hexes(want) == hexes(reference(r, pj) for r, pj in zip(rows, pjs))
+            assert hexes(score(rows.T, p_j)) == hexes(want), (t, gamma, z)
+    with pytest.raises(ValueError, match="own_cell must be 1 or 2, got 3"):
+        selfish_reward(rows.T, 3, p_j, r0, 0.5, 0.01)
 
 
 def test_binding_split_arrays_equal_scalar_calls():
