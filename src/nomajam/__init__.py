@@ -50,7 +50,6 @@ from .rates import (
     objective_p2,
     qos_binding_split,
     rates_from_sinr,
-    sinr_vector,
 )
 
 __version__ = "0.1.0"
@@ -91,5 +90,4 @@ __all__ = [
     "run_experiment",
     "run_ne_analysis",
     "run_slot",
-    "sinr_vector",
 ]

@@ -42,18 +42,15 @@ from .learn.agents import (
     EpsSchedule,
     TabularAgent,
     observation_for,
-    quantize_sinr,
     sinr_thresholds,
 )
 from .rates import (
-    StrategyProfile,
     bs_utility,
     jammer_utility,
     link_terms,
     objective_p2,
     rates_from_sinr,
     selfish_reward,
-    sinr_vector,
     sinrs,
     sum_rate,
 )
@@ -84,8 +81,8 @@ MAX_SEEDS = 2**20  # seeds per run, checked before a count becomes a tuple
 # Outcomes a TwoCellEnv memoizes per channel realization before it starts
 # over; at the defaults a realization has at most 15**2 * 11 = 2,475 keys.
 # A learning-jammer realization with at most this many keys is also scored
-# in one outcome table (see ``TwoCellEnv``), whose fill peaks at about 415 B
-# per key: at most 27 MiB, below MAX_ARRAY_BYTES.
+# in one outcome table (see ``TwoCellEnv``), whose fill peaks at about 380 B
+# per key: at most 24 MiB, below MAX_ARRAY_BYTES.
 OUTCOME_MEMO_ENTRIES = 2**16
 
 
@@ -495,7 +492,10 @@ class TwoCellEnv:
     per BS) and has at most ``OUTCOME_MEMO_ENTRIES`` keys scores all its
     n^2 (J + 1) outcomes at its first slot, in one array pass
     (``_outcome_table``), and a memo miss reads its row; every other miss is
-    scored alone by ``_outcome``.  Both give the same bits.
+    scored alone by ``_outcome``.  Both are one statement of the outcome: the
+    same two halves (``_float_half``, ``_int_half``) score one key's plain
+    floats or all keys' columns, and ``_unpacked`` reads either's values, so
+    both give the same bits.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed) -> None:
@@ -516,11 +516,11 @@ class TwoCellEnv:
                 (jam_ss,),
             )
             # each action's BS total, binned as the jammer observes it
-            self._jam_bins = [
+            self._jam_bins = np.array([
                 min(max(int(round((w + s) / cfg.p_bs_max * cfg.jammer_grid_levels)), 0),
                     cfg.jammer_grid_levels)
                 for w, s in self.grid.actions
-            ]
+            ])
         self.slot = 0
         self._obs = ((0, 0, 0, 0), (0, 0, 0, 0))
         self._jam_obs = ((0, 0),)
@@ -571,85 +571,84 @@ class TwoCellEnv:
         if self._table is None:
             self._table = self._outcome_table()
         floats, ints = self._table
-        f, q = floats[a1_idx, a2_idx, a_j].tolist(), ints[a1_idx, a2_idx, a_j].tolist()
-        rewards = (f[12], f[13]) if self.selfish else (f[11], f[11])
-        return ((tuple(q[4:8]), tuple(q[8:12])), rewards, (*f[:14], *q[:4]), f[14],
-                ((q[12], q[13]),))
+        key = (a1_idx, a2_idx, a_j)
+        return self._unpacked(floats[key].tolist(), ints[key].tolist())
 
     def _outcome_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every learning-jammer outcome of the current realization in one
-        array pass, as (n, n, J + 1, 15) floats and (n, n, J + 1, 14) ints.
-
-        A key's floats are its 14 float tail fields, then the jammer's reward;
-        its ints are its 4 QoS flags, the two BSs' observations and the
-        jammer's.  The SINRs take ``link_terms``' and ``sinrs``' operations,
-        the rates are one ``rates_from_sinr`` call (its ``np.log2`` gives the
-        same bits at any array size), the scores are ``_outcome``'s scorers
-        called on the (4, N) rate array, and an SINR's level is its count of
-        ``sinr_thresholds``.  So every key is ``_outcome``'s, bit for bit.
-        """
+        array pass, as (n, n, J + 1, 15) floats and (n, n, J + 1, 14) ints:
+        the two halves on the columns of all keys.  The float columns are
+        stacked before the int half runs, which reads the rates back from
+        them, so no float temporary outlives the stacking."""
         cfg = self.cfg
         shape = (cfg.n_actions, cfg.n_actions, cfg.jammer_grid_levels + 1)
         a1, a2, a_j = np.unravel_index(np.arange(math.prod(shape)), shape)
         acts = np.array(self.grid.actions)
-        p = np.hstack((acts[a1], acts[a2]))
+        p = np.hstack((acts[a1], acts[a2])).T
         pj = a_j * cfg.p_j_max / cfg.jammer_grid_levels
-        sinr = np.array(sinrs(link_terms(self.ch, *p.T), pj))
-        rates = rates_from_sinr(sinr)
-        floats = np.column_stack((
-            p, pj, rates.T, sum_rate(rates),
-            objective_p2(rates, cfg.r0),
-            bs_utility(rates, pj, cfg.r0, cfg.gamma, cfg.z),
-            selfish_reward(rates, 1, pj, cfg.r0, cfg.gamma, cfg.z),
-            selfish_reward(rates, 2, pj, cfg.r0, cfg.gamma, cfg.z),
-            jammer_utility(rates, pj, cfg.gamma),
-        ))
-        q = np.searchsorted(
-            sinr_thresholds(cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db),
-            sinr, side="right",
-        )
-        bins = np.array(self._jam_bins)
-        ints = np.column_stack((
-            *(rates >= cfg.r0), *observation_for(1, q), *observation_for(2, q),
-            bins[a1], bins[a2],
-        ))
-        return floats.reshape(*shape, -1), ints.reshape(*shape, -1)
+        sinr = np.array(sinrs(link_terms(self.ch, *p), pj))
+        floats = np.column_stack(self._float_half(p, pj, sinr))
+        ints = self._int_half(floats[:, 5:9].T, sinr, a1, a2)
+        return floats.reshape(*shape, -1), ints.T.reshape(*shape, -1)
 
     def _outcome(self, a1_idx: int, a2_idx: int, a_j: int | None = None) -> tuple:
         """(BS observations, BS rewards, row after seed and slot, jammer reward,
         jammer observation) of a slot on the current realization; the jammer's
         two are None without a learning jammer."""
         cfg = self.cfg
-        alloc1 = self.grid.actions[a1_idx]
-        alloc2 = self.grid.actions[a2_idx]
+        p = self.grid.actions[a1_idx] + self.grid.actions[a2_idx]
         if a_j is None:
-            p_j = best_response(self.ch, alloc1, alloc2, self.jcfg).p_j_star
+            p_j = best_response(self.ch, p[:2], p[2:], self.jcfg).p_j_star
         else:
             p_j = a_j * cfg.p_j_max / cfg.jammer_grid_levels
-        prof = StrategyProfile(
-            p1=alloc1[0], p2=alloc1[1], p3=alloc2[0], p4=alloc2[1], p_j=p_j
-        )
-        sinr = sinr_vector(self.ch, prof)
-        rates = rates_from_sinr(sinr).tolist()
-        u = bs_utility(rates, p_j, cfg.r0, cfg.gamma, cfg.z)
-        s1 = selfish_reward(rates, 1, p_j, cfg.r0, cfg.gamma, cfg.z)
-        s2 = selfish_reward(rates, 2, p_j, cfg.r0, cfg.gamma, cfg.z)
+        sinr = np.array(sinrs(link_terms(self.ch, *p), p_j))
+        f = self._float_half(p, p_j, sinr)
+        return self._unpacked(f, self._int_half(f[5:9], sinr, a1_idx, a2_idx).tolist())
+
+    # The two halves of the one statement of a slot's outcome.  They take one
+    # key's plain floats (four powers and p_j, its four SINRs as an array) or
+    # the columns of N keys.  Each array entry takes the plain call's float
+    # operations, so it is the same bits: ``rates_from_sinr``'s ``np.log2``
+    # gives the same bits at any array size, and ``rates``' scorers are
+    # written for both.
+
+    def _float_half(self, p, p_j, sinr) -> tuple:
+        """The 14 float fields of a row's tail (powers, p_j, rates, sum rate,
+        objective, shared and selfish utilities), then the learning jammer's
+        reward when there is one."""
+        cfg = self.cfg
+        rates = rates_from_sinr(sinr)
+        if rates.ndim == 1:  # one key: plain floats in, plain floats out
+            rates = rates.tolist()
         tail = (
-            *prof.as_tuple(), *rates, sum_rate(rates),
-            objective_p2(rates, cfg.r0), u, s1, s2,
-            *(int(r >= cfg.r0) for r in rates),
+            *p, p_j, *rates, sum_rate(rates), objective_p2(rates, cfg.r0),
+            bs_utility(rates, p_j, cfg.r0, cfg.gamma, cfg.z),
+            selfish_reward(rates, 1, p_j, cfg.r0, cfg.gamma, cfg.z),
+            selfish_reward(rates, 2, p_j, cfg.r0, cfg.gamma, cfg.z),
         )
-        jam_reward = jam_obs = None
-        if a_j is not None:
-            jam_obs = ((self._jam_bins[a1_idx], self._jam_bins[a2_idx]),)
-            jam_reward = jammer_utility(rates, p_j, cfg.gamma)
-        q = tuple(
-            quantize_sinr(s, cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db)
-            for s in sinr.tolist()
+        if self.jammer is None:
+            return tail
+        return (*tail, jammer_utility(rates, p_j, cfg.gamma))
+
+    def _int_half(self, rates, sinr, a1, a2) -> np.ndarray:
+        """The 4 QoS flags of ``rates``, the two BSs' observations (each SINR's
+        level is its count of ``sinr_thresholds``), then the learning jammer's
+        observation when there is one: a (14,) or (14, N) int array, 12 rows
+        without a learning jammer."""
+        cfg = self.cfg
+        q = np.searchsorted(
+            sinr_thresholds(cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db),
+            sinr, side="right",
         )
-        obs = (observation_for(1, q), observation_for(2, q))
-        rewards = (s1, s2) if self.selfish else (u, u)
-        return obs, rewards, tail, jam_reward, jam_obs
+        jam = () if self.jammer is None else (self._jam_bins[a1], self._jam_bins[a2])
+        return np.array((*np.greater_equal(rates, cfg.r0), *observation_for(1, q),
+                         *observation_for(2, q), *jam), dtype=np.int64)
+
+    def _unpacked(self, f: list, q: list) -> tuple:
+        """The outcome (see ``_outcome``) of one key's float and int values."""
+        rewards = (f[12], f[13]) if self.selfish else (f[11], f[11])
+        jam = (None, None) if self.jammer is None else (f[14], ((q[12], q[13]),))
+        return ((tuple(q[4:8]), tuple(q[8:12])), rewards, (*f[:14], *q[:4]), *jam)
 
 
 def run_slot(env: TwoCellEnv, agents) -> tuple:

@@ -9,9 +9,6 @@ from .agents import (
     observation_for,
     quantize_sinr,
     select_action,
-    SINR_HI_DB,
-    SINR_LEVELS,
-    SINR_LO_DB,
 )
 from .nn import (
     MlpParams,
@@ -27,9 +24,6 @@ __all__ = [
     "EpsSchedule",
     "MlpParams",
     "QTable",
-    "SINR_HI_DB",
-    "SINR_LEVELS",
-    "SINR_LO_DB",
     "TabularAgent",
     "dqn_train_step",
     "encode_observation",

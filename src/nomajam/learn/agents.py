@@ -23,17 +23,7 @@ import numpy as np
 from ..channel import CELLS
 from .nn import MlpParams, _forward_cached, dqn_train_step, init_mlp, target_sync
 
-SINR_LEVELS = 8
-SINR_LO_DB = -20.0
-SINR_HI_DB = 30.0
-
-
-def quantize_sinr(
-    sinr: float,
-    levels: int = SINR_LEVELS,
-    lo_db: float = SINR_LO_DB,
-    hi_db: float = SINR_HI_DB,
-) -> int:
+def quantize_sinr(sinr: float, levels: int, lo_db: float, hi_db: float) -> int:
     """Uniform-in-dB quantization of a linear SINR, clamped at both ends."""
     if levels < 2:
         raise ValueError("levels must be at least 2")
@@ -53,9 +43,7 @@ def _float_of(bits: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def sinr_thresholds(
-    levels: int = SINR_LEVELS, lo_db: float = SINR_LO_DB, hi_db: float = SINR_HI_DB
-) -> np.ndarray:
+def sinr_thresholds(levels: int, lo_db: float, hi_db: float) -> np.ndarray:
     """The read-only thresholds t_1 <= ... <= t_{levels-1} of ``quantize_sinr``.
 
     t_k is the smallest positive float at which ``quantize_sinr``, which

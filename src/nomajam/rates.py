@@ -104,11 +104,6 @@ def sum_rate_curve(terms, p_j: np.ndarray) -> np.ndarray:
     return rates.sum(axis=0).reshape(x.shape[:-1] + np.shape(p_j))
 
 
-def sinr_vector(ch: ChannelRealization, prof: StrategyProfile) -> np.ndarray:
-    """SINRs of the four users under successive interference cancellation."""
-    return np.array(sinrs(link_terms(ch, prof.p1, prof.p2, prof.p3, prof.p4), prof.p_j))
-
-
 def rates_from_sinr(sinr) -> np.ndarray:
     """Shannon rates log2(1 + SINR), elementwise, in bit/s/Hz."""
     return np.log2(1.0 + np.asarray(sinr, dtype=float))

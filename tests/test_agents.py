@@ -17,9 +17,9 @@ from nomajam.rates import selfish_reward
 
 
 def test_quantize_clamps():
-    assert quantize_sinr(1e-9, levels=8) == 0
-    assert quantize_sinr(0.0, levels=8) == 0
-    assert quantize_sinr(1e9, levels=8) == 7
+    assert quantize_sinr(1e-9, 8, -20.0, 30.0) == 0
+    assert quantize_sinr(0.0, 8, -20.0, 30.0) == 0
+    assert quantize_sinr(1e9, 8, -20.0, 30.0) == 7
 
 
 def test_quantize_bin_midpoints():
@@ -66,7 +66,7 @@ def test_sinr_thresholds_count_the_levels_of_quantize_sinr():
 
 def test_quantize_rejects_single_level():
     with pytest.raises(ValueError):
-        quantize_sinr(1.0, levels=1)
+        quantize_sinr(1.0, 1, -20.0, 30.0)
 
 
 def test_observation_ordering():

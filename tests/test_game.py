@@ -39,13 +39,18 @@ from nomajam.game import (
 )
 from nomajam.harness import CSV_HEADER, ExperimentConfig, TwoCellEnv, channel_for_seed
 from nomajam.jammer import JammerConfig, best_response
-from nomajam.rates import StrategyProfile, rates_from_sinr, sinr_vector
+from nomajam.rates import StrategyProfile, link_terms, rates_from_sinr, sinrs
 
 from conftest import binding_profile, make_channel, rates4
 
 R0 = 0.9
 GAMMA = 0.5
 Z = 0.01
+
+
+def profile_rates(ch, prof):
+    """Per-user rates of a profile: log2(1 + SINR) of ``sinrs`` of its ``link_terms``."""
+    return rates_from_sinr(sinrs(link_terms(ch, *prof.as_tuple()[:4]), prof.p_j))
 
 
 def interference_free_channel():
@@ -149,11 +154,11 @@ def test_binding_split_substitution(channel):
         if not math.isfinite(p_weak):
             continue
         if cell == 1:
-            prof = StrategyProfile(p_weak, 30.0 - p_weak, 12.0, 13.0, 4.0)
-            rate = rates_from_sinr(sinr_vector(channel, prof))[0]
+            terms = link_terms(channel, p_weak, 30.0 - p_weak, 12.0, 13.0)
+            rate = rates_from_sinr(sinrs(terms, 4.0))[0]
         else:
-            prof = StrategyProfile(15.0, 15.0, p_weak, 25.0 - p_weak, 4.0)
-            rate = rates_from_sinr(sinr_vector(channel, prof))[2]
+            terms = link_terms(channel, 15.0, 15.0, p_weak, 25.0 - p_weak)
+            rate = rates_from_sinr(sinrs(terms, 4.0))[2]
         assert rate == pytest.approx(R0, abs=1e-10)
 
 
@@ -168,8 +173,7 @@ def test_binding_split_matches_bisection(geom):
             continue
 
         def rate1(p1):
-            prof = StrategyProfile(p1, t1 - p1, 0.6 * t2, 0.4 * t2, pj)
-            return rates_from_sinr(sinr_vector(ch, prof))[0]
+            return rates_from_sinr(sinrs(link_terms(ch, p1, t1 - p1, 0.6 * t2, 0.4 * t2), pj))[0]
 
         lo, hi = 0.0, t1
         if rate1(hi) < R0:
@@ -226,9 +230,8 @@ def test_mood_agrees_with_split_grid_search(geom, jcfg):
                                            f2 * t2, (1 - f2) * t2)
                     br = best_response(ch, (prof.p1, prof.p2),
                                        (prof.p3, prof.p4), jcfg)
-                    check = StrategyProfile(prof.p1, prof.p2, prof.p3, prof.p4,
-                                            br.p_j_star)
-                    if float(rates_from_sinr(sinr_vector(ch, check)).min()) >= R0:
+                    check = sinrs(link_terms(ch, *prof.as_tuple()[:4]), br.p_j_star)
+                    if float(rates_from_sinr(check).min()) >= R0:
                         oracle_feasible = True
                         break
                 if oracle_feasible:
@@ -238,7 +241,7 @@ def test_mood_agrees_with_split_grid_search(geom, jcfg):
     for (t1, t2) in ps:
         prof = fixed_point(ch, jcfg, t1, t2)
         assert prof is not None
-        rates = rates_from_sinr(sinr_vector(ch, prof))
+        rates = profile_rates(ch, prof)
         assert rates[0] == pytest.approx(R0, abs=1e-7)
         assert rates[2] == pytest.approx(R0, abs=1e-7)
         assert rates[1] >= R0 - 1e-9 and rates[3] >= R0 - 1e-9
@@ -588,54 +591,27 @@ def test_composed_condition_falls_along_each_lane():
     assert sampled > 250
 
 
-def model_links(g, p1, p2, p3, p4):
-    """Each user's (signal, interference plus noise, jammer gain), restated
-    from the gains and the SIC rule for ``test_game_table_matches_the_model_at_50_digits``:
-    a weak user (UE1, UE3) hears its cell's strong-user power and the other
-    BS's total; a strong user (UE2, UE4) cancels the weak user's signal and
-    hears noise alone.  Gain columns are BS1, BS2 and the jammer."""
-    return (
-        (p1 * g[0][0], 1 + p2 * g[0][0] + (p3 + p4) * g[0][1], g[0][2]),
-        (p2 * g[1][0], 1, g[1][2]),
-        (p3 * g[2][1], 1 + p4 * g[2][1] + (p1 + p2) * g[2][0], g[2][2]),
-        (p4 * g[3][1], 1, g[3][2]),
-    )
-
-
 def test_game_table_matches_the_model_at_50_digits():
     # ROADMAP item 10's oracle: the grid-4 table of seeds 0..11 (moods 1 and
-    # 2) against the model written out again in mpmath, with no link_terms,
-    # rate_rows or follower.  The exact follower is u'(p) = 0, bracketed by
-    # u's concavity: 0 when u'(0) <= 0, p_j_max when u'(p_j_max) >= 0.
+    # 2) against the model written out again in mpmath (tests/slot_model.py),
+    # with no link_terms, rate_rows or follower.  The exact follower is
+    # u'(p) = 0, bracketed by u's concavity: 0 when u'(0) <= 0, p_j_max when
+    # u'(p_j_max) >= 0.
     mpmath = pytest.importorskip("mpmath")
+    from slot_model import DIGITS, follower, model_links, model_rates, model_scores
     cfg = ExperimentConfig(scheme="NE-ANALYSIS", grid_levels=4)
     grid, jcfg = cfg.grid(), cfg.jammer_config()
     n = len(grid.actions)
     # the follower's own stopping width: golden-section search cannot do better
     p_tol = max(1e-5, 1e-12 * jcfg.p_j_max)
     moods, near_ties = set(), []
-    with mpmath.workdps(50):
-        mpf, ln2 = mpmath.mpf, mpmath.log(2)
+    with mpmath.workdps(DIGITS):
+        mpf = mpmath.mpf
         gamma, r0, pmax = mpf(cfg.gamma), mpf(cfg.r0), mpf(jcfg.p_j_max)
 
-        def rates(links, p):
-            return [mpmath.log(1 + s / (d + p * gj)) / ln2 for s, d, gj in links]
-
         def utility(links, p):
-            r1, r2, r3, r4 = rates(links, p)
-            i1 = 1 if min(r1, r2) >= r0 else mpf(cfg.z)
-            i2 = 1 if min(r3, r4) >= r0 else mpf(cfg.z)
-            return i1 * i2 * (r1 + r2 + r3 + r4 + gamma * p)
-
-        def follower(links):
-            def du(p):  # the jammer's marginal utility
-                return sum(s * gj / ((d + p * gj) * (d + s + p * gj))
-                           for s, d, gj in links) / ln2 - gamma
-            if du(0) <= 0:
-                return mpf(0)
-            if du(pmax) >= 0:
-                return pmax
-            return mpmath.findroot(du, (mpf(0), pmax), solver="anderson")
+            rates = model_rates(links, p)
+            return model_scores(rates, p, [r >= r0 for r in rates], gamma, mpf(cfg.z))[2]
 
         for seed in range(12):
             ch = channel_for_seed(cfg, seed)
@@ -648,10 +624,10 @@ def test_game_table_matches_the_model_at_50_digits():
             for i, j in product(range(n), repeat=2):
                 links = model_links(g, *(mpf(x) for x in grid.actions[i] + grid.actions[j]))
                 p_j, r_table, u_table = table[i, j, 0], table[i, j, 1:5], table[i, j, 5]
-                p_star = follower(links)
+                p_star = follower(links, gamma, pmax)
                 assert abs(p_j - float(p_star)) <= p_tol, (seed, i, j)
                 # rates and utility at the table's own jamming power
-                r = [float(x) for x in rates(links, mpf(p_j))]
+                r = [float(x) for x in model_rates(links, mpf(p_j))]
                 assert r_table.tolist() == pytest.approx(r, rel=1e-12, abs=0), (seed, i, j)
                 assert u_table == pytest.approx(float(utility(links, mpf(p_j))), rel=1e-12,
                                                 abs=0), (seed, i, j)
@@ -830,7 +806,7 @@ def test_analytic_ne_l1_confirmed_by_brute_force(geom, jcfg):
         assert c.profile.as_tuple() in bf
         assert c.deviation_margin >= -1e-9
         # every certified profile meets QoS for all four users
-        assert float(rates_from_sinr(sinr_vector(ch, c.profile)).min()) >= R0 - 1e-9
+        assert float(profile_rates(ch, c.profile).min()) >= R0 - 1e-9
 
 
 def test_certificates_use_follower_best_response(geom, jcfg):
@@ -907,7 +883,7 @@ def test_pareto_never_dominated_by_brute_force(geom, jcfg):
         for j in range(n)
         if ev.profile(i, j).as_tuple() in {p.as_tuple() for p in bf}
         and ev.profile(i, j).as_tuple()[:4] != best.profile.as_tuple()[:4]
-        and float(rates_from_sinr(sinr_vector(ch, ev.profile(i, j))).min()) >= R0 - 1e-9
+        and float(profile_rates(ch, ev.profile(i, j)).min()) >= R0 - 1e-9
     ]
     assert all(best.utility >= v - 1e-9 for v in bf_utils)
 
@@ -930,7 +906,7 @@ def test_ne_l2_structure_and_brute_force(geom, jcfg):
     bf = {p.as_tuple() for p in brute_force_ne(ch, grid, jcfg, R0, GAMMA, Z)}
     for c in l2:
         assert c.profile.p_bs2 == pytest.approx(grid.p_bs_max)
-        rates = rates_from_sinr(sinr_vector(ch, c.profile))
+        rates = profile_rates(ch, c.profile)
         assert rates[0] < R0  # cell 1 is the write-off side
         assert rates[2] >= R0 - 1e-9 and rates[3] >= R0 - 1e-9
         assert c.profile.as_tuple() in bf

@@ -9,11 +9,13 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nomajam import harness
+from nomajam.channel import SRC_BS1, ChannelRealization
 from nomajam.cli import main as cli_main
 from nomajam.game import GridEvaluator, StrategyGrid
 from nomajam.harness import (
@@ -37,7 +39,7 @@ from nomajam.harness import (
 )
 from nomajam.jammer import best_response
 from nomajam.learn.agents import DqnAgent, EpsSchedule, QTable, TabularAgent
-from nomajam.rates import StrategyProfile, bs_utility, rates_from_sinr, sinr_vector
+from nomajam.rates import bs_utility, link_terms, rates_from_sinr, sinrs
 
 FAST = dict(slots=50, seeds=(0,), summary_window=20)
 
@@ -437,8 +439,7 @@ def test_logged_utilities_replay_from_channel_seed():
     records = run_seed(cfg, 5)
     ch = channel_for_seed(cfg, 5)
     for rec in records:
-        prof = StrategyProfile(rec.p1, rec.p2, rec.p3, rec.p4, rec.p_j)
-        rates = rates_from_sinr(sinr_vector(ch, prof))
+        rates = rates_from_sinr(sinrs(link_terms(ch, rec.p1, rec.p2, rec.p3, rec.p4), rec.p_j))
         assert float(rates[0]) == rec.r1 and float(rates[3]) == rec.r4
         assert bs_utility(rates, rec.p_j, cfg.r0, cfg.gamma, cfg.z) == rec.u_bs
 
@@ -556,7 +557,7 @@ def test_export_writes_the_row_format_of_every_record(tmp_path, n):
 def test_slot_outcomes_call_the_traced_rates_helpers(mode, monkeypatch):
     # perfbench times these names on the harness module; a slot loop that
     # stopped calling one would leave its per-layer metrics at 0
-    names = ["sinr_vector", "rates_from_sinr", "bs_utility", "objective_p2"]
+    names = ["rates_from_sinr", "bs_utility", "objective_p2"]
     if mode == "learning":
         names.append("jammer_utility")
     calls = Counter()
@@ -571,7 +572,7 @@ def test_slot_outcomes_call_the_traced_rates_helpers(mode, monkeypatch):
         monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
     run_seed(ExperimentConfig(jammer_mode=mode, slots=200, seeds=(0,)), 0)
     assert set(calls) == set(names)
-    assert len(set(calls.values())) == 1 and calls["sinr_vector"] > 0
+    assert len(set(calls.values())) == 1 and calls["rates_from_sinr"] > 0
 
 
 def test_replay_determinism_bytes(tmp_path):
@@ -709,7 +710,7 @@ def test_hot_boot_scenarios_fill_outcome_tables(monkeypatch):
 
 
 # The tracemalloc peak of filling a realization's outcome table, per key:
-# 412-415 B measured at 2,475 to 47,916 keys, plus about 5 KiB.
+# 380-382 B measured at 2,475 to 47,916 keys, plus about 4 KiB.
 OUTCOME_TABLE_BYTES_PER_KEY = 420
 
 
@@ -729,6 +730,109 @@ def test_outcome_table_stays_within_its_byte_bound():
         finally:
             tracemalloc.stop()
         assert peak <= OUTCOME_TABLE_BYTES_PER_KEY * keys + 16 * 1024, changes
+
+
+def outcomes_against_the_model(env, keys, p_tol=0.0) -> list:
+    """Each slot outcome of ``env`` against the 50-digit model of
+    tests/slot_model.py; the near ties found, as (key, field) pairs.
+
+    A three-part key is read from the learning jammer's table, whose p_j
+    must lie on the jammer's grid; a two-part key is ``_outcome``'s, whose
+    p_j must lie within ``p_tol`` of the exact follower.  At the outcome's
+    own powers, its rates, scores and rewards agree with the model to 1e-12
+    relative, and its QoS flags, SINR levels and jammer observation exactly.
+    A flag or level that is a near tie (``slot_model.NEAR``) takes the
+    outcome's decision and is reported, not dropped.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    from slot_model import (DIGITS, Edge, follower, model_level, model_links, model_rate,
+                            model_scores, model_sinrs, model_thresholds)
+
+    cfg, ties, links_of = env.cfg, [], {}
+    with mpmath.workdps(DIGITS):
+        mpf = mpmath.mpf
+        g = [[mpf(x) for x in row] for row in env.ch.gains.tolist()]
+        gamma, z, pmax = map(mpf, (cfg.gamma, cfg.z, cfg.p_j_max))
+        qos = Edge(mpf(cfg.r0))
+        thresholds = model_thresholds(cfg.sinr_levels, mpf(cfg.sinr_lo_db), cfg.sinr_hi_db)
+        for key in keys:
+            a1, a2, *a_j = key
+            obs, rewards, tail, jam_reward, jam_obs = (
+                env._tabled(*key) if a_j else env._outcome(*key))
+            p, p_j = tail[:4], tail[4]
+            assert p == env.grid.actions[a1] + env.grid.actions[a2], key
+            if p not in links_of:
+                links_of[p] = model_links(g, *map(mpf, p))
+            links = links_of[p]
+            if a_j:
+                assert p_j == float(a_j[0] * pmax / cfg.jammer_grid_levels), key
+            else:
+                exact = follower(links, gamma, pmax)
+                assert abs(p_j - exact) <= p_tol, (key, p_j, float(exact))
+            exact_sinrs = model_sinrs(links, mpf(p_j))
+            rates = [model_rate(x) for x in exact_sinrs]
+            met = []
+            for user, (rate, flag) in enumerate(zip(rates, tail[14:])):
+                reached, near = qos.decide(rate)
+                if near:
+                    ties.append((key, f"qos{user + 1}"))
+                met.append(bool(flag) if near else reached)
+            assert list(tail[14:]) == [int(m) for m in met], key
+            levels = []
+            for user, sinr in enumerate(exact_sinrs):
+                level, near = model_level(sinr, thresholds)
+                if near:
+                    ties.append((key, f"level{user + 1}"))
+                levels.append(obs[0][user] if near else level)
+            l1, l2, l3, l4 = levels
+            assert obs == ((l1, l2, l3, l4), (l3, l4, l1, l2)), key
+            total, objective, u, s1, s2, u_jam = model_scores(rates, mpf(p_j), met, gamma, z)
+            want = [*rates, total, objective, u, s1, s2, *((s1, s2) if env.selfish else (u, u))]
+            got = [*tail[5:14], *rewards]
+            if a_j:
+                want.append(u_jam)
+                got.append(jam_reward)
+                # each BS total, on the nearest of the jammer's levels
+                bins = tuple(round(Fraction((w + s) * cfg.jammer_grid_levels, cfg.grid_levels))
+                             for w, s in (env.grid.action_levels[a1], env.grid.action_levels[a2]))
+                assert jam_obs == (bins,), key
+            else:
+                assert jam_reward is None and jam_obs is None, key
+            want = [float(x) for x in want]
+            assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want)), (key, got, want)
+    return ties
+
+
+def test_outcome_table_matches_the_model_at_50_digits():
+    # ROADMAP item 12's oracle for the slot loop: every key of the learning
+    # jammer's table at the defaults (seeds 0..2) and of a QLS one at grid 4
+    # whose UE2 hears BS1 at gain 1/8, so that a strong power of 8 puts its
+    # SINR at exactly 1 when p_j = 0: its rate meets r0 = 1 with equality,
+    # which ">=" decides and ">" would not
+    ties = []
+    for seed in range(3):
+        env = TwoCellEnv(ExperimentConfig(), seed)
+        ties += outcomes_against_the_model(env, np.ndindex(env._outcome_table()[0].shape[:3]))
+    cfg = ExperimentConfig(scheme="QLS", grid_levels=4, sinr_levels=5, p_bs_max=32.0, r0=1.0)
+    env = TwoCellEnv(cfg, 0)
+    gains = env.ch.gains.copy()
+    gains[1, SRC_BS1] = 0.125
+    env.ch = ChannelRealization(gains=gains, seed=0)
+    floats, _ = env._outcome_table()
+    assert (floats[..., 6] == cfg.r0).sum() == 3 * cfg.n_actions  # the exact ties
+    ties += outcomes_against_the_model(env, np.ndindex(floats.shape[:3]))
+    # no flag or level of these realizations is left to a near tie
+    assert ties == []
+
+
+def test_best_response_outcomes_match_the_model_at_50_digits():
+    # every best-response outcome of seed 0's realization: p_j within the
+    # follower's stopping width of the exact root, the rest at that p_j
+    cfg = ExperimentConfig(jammer_mode="best-response")
+    env = TwoCellEnv(cfg, 0)
+    p_tol = max(1e-5, 1e-12 * cfg.p_j_max)
+    keys = np.ndindex(cfg.n_actions, cfg.n_actions)
+    assert outcomes_against_the_model(env, keys, p_tol) == []
 
 
 def test_best_response_runs_once_per_distinct_joint_action(monkeypatch):

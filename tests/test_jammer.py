@@ -19,11 +19,10 @@ from nomajam.jammer import (
 )
 from nomajam.learn.agents import EpsSchedule, TabularAgent, encode_observation
 from nomajam.rates import (
-    StrategyProfile,
     jammer_utility,
     link_terms,
     rates_from_sinr,
-    sinr_vector,
+    sinrs,
     sum_rate_curve,
 )
 
@@ -90,7 +89,7 @@ def test_best_response_u_value_consistent(geom, jcfg):
     ch = draw_channels(geom, 5)
     a1, a2 = (22.0, 11.0), (18.0, 9.0)
     br = best_response(ch, a1, a2, jcfg)
-    rates = rates_from_sinr(sinr_vector(ch, StrategyProfile(*a1, *a2, p_j=br.p_j_star)))
+    rates = rates_from_sinr(sinrs(link_terms(ch, *a1, *a2), br.p_j_star))
     u_star = jammer_utility_curve(ch, a1, a2, jcfg.gamma, np.array([br.p_j_star]))
     assert u_star[0] == pytest.approx(
         jammer_utility(rates, br.p_j_star, jcfg.gamma), rel=1e-12
@@ -408,7 +407,7 @@ def test_jql_converges_to_best_response(geom, jcfg):
     for _ in range(10_000):
         (k,) = agent.act(obs)
         pj = k * jcfg.p_j_max / levels
-        rates = rates_from_sinr(sinr_vector(ch, StrategyProfile(*a1, *a2, p_j=pj)))
+        rates = rates_from_sinr(sinrs(link_terms(ch, *a1, *a2), pj))
         agent.learn((k,), (jammer_utility(rates, pj, jcfg.gamma),), obs)
         chosen.append(pj)
     assert abs(np.mean(chosen[-1000:]) - br.p_j_star) <= jcfg.p_j_max / levels

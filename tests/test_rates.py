@@ -10,9 +10,10 @@ from nomajam.rates import (
     objective_p2,
     qos_binding_split,
     rate_rows,
+    link_terms,
     rates_from_sinr,
     selfish_reward,
-    sinr_vector,
+    sinrs,
 )
 
 from conftest import make_channel, rates4
@@ -25,8 +26,7 @@ def test_profile_rejects_negative_power():
 
 def test_sinr_all_zero_powers():
     ch = make_channel(np.random.default_rng(0).exponential(1.0, (4, 3)))
-    prof = StrategyProfile(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert np.array_equal(sinr_vector(ch, prof), np.zeros(4))
+    assert sinrs(link_terms(ch, 0.0, 0.0, 0.0, 0.0), 0.0) == [0.0] * 4
 
 
 def test_sinr_strong_user_formula():
@@ -35,8 +35,7 @@ def test_sinr_strong_user_formula():
     g[1, 0] = 1.0
     g[1, 2] = 1.0
     ch = make_channel(g)
-    prof = StrategyProfile(p1=3.0, p2=2.0, p3=4.0, p4=5.0, p_j=1.0)
-    assert sinr_vector(ch, prof)[1] == pytest.approx(1.0, rel=1e-15)
+    assert sinrs(link_terms(ch, 3.0, 2.0, 4.0, 5.0), 1.0)[1] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_sinr_weak_user_formula():
@@ -44,8 +43,7 @@ def test_sinr_weak_user_formula():
     g = np.zeros((4, 3))
     g[0, 0] = 1.0
     ch = make_channel(g)
-    prof = StrategyProfile(p1=3.0, p2=1.0, p3=7.0, p4=2.0, p_j=0.0)
-    assert sinr_vector(ch, prof)[0] == pytest.approx(1.5, rel=1e-15)
+    assert sinrs(link_terms(ch, 3.0, 1.0, 7.0, 2.0), 0.0)[0] == pytest.approx(1.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("sinr,rate", [(0.0, 0.0), (1.0, 1.0), (3.0, 2.0)])
@@ -105,8 +103,8 @@ def test_sinr_decreasing_in_jammer_power():
         pj1, pj2 = sorted(rng.uniform(0, 20, size=2))
         if pj1 == pj2:
             continue
-        lo = sinr_vector(ch, StrategyProfile(*p, p_j=pj2))
-        hi = sinr_vector(ch, StrategyProfile(*p, p_j=pj1))
+        lo = np.array(sinrs(link_terms(ch, *p), pj2))
+        hi = np.array(sinrs(link_terms(ch, *p), pj1))
         assert np.all(lo < hi)
 
 
@@ -114,32 +112,26 @@ def test_strong_users_ignore_other_cell_and_weak_powers():
     rng = np.random.default_rng(6)
     g = rng.exponential(1.0, (4, 3))
     ch = make_channel(g)
-    base = StrategyProfile(p1=5.0, p2=3.0, p3=6.0, p4=2.0, p_j=4.0)
-    moved = StrategyProfile(p1=9.0, p2=3.0, p3=1.0, p4=2.0, p_j=4.0)
-    s0 = sinr_vector(ch, base)
-    s1 = sinr_vector(ch, moved)
+    s0 = sinrs(link_terms(ch, 5.0, 3.0, 6.0, 2.0), 4.0)
+    s1 = sinrs(link_terms(ch, 9.0, 3.0, 1.0, 2.0), 4.0)
     assert s0[1] == s1[1]
     assert s0[3] == s1[3]
 
 
 def test_rates_match_high_precision_reference():
     mp = pytest.importorskip("mpmath")
+    from slot_model import DIGITS, model_links, model_sinrs
+
     rng = np.random.default_rng(7)
     for _ in range(25):
         g = rng.exponential(1.0, (4, 3)) * rng.uniform(0.01, 1000)
         ch = make_channel(g)
         p = rng.uniform(0, 30, size=5)
-        prof = StrategyProfile(*p)
-        fast = rates_from_sinr(sinr_vector(ch, prof))
-        with mp.workdps(50):
+        fast = rates_from_sinr(sinrs(link_terms(ch, *p[:4]), p[4]))
+        with mp.workdps(DIGITS):
             gm = [[mp.mpf(x) for x in row] for row in g]
             p1, p2, p3, p4, pj = (mp.mpf(x) for x in p)
-            sinr = [
-                p1 * gm[0][0] / (1 + p2 * gm[0][0] + (p3 + p4) * gm[0][1] + pj * gm[0][2]),
-                p2 * gm[1][0] / (1 + pj * gm[1][2]),
-                p3 * gm[2][1] / (1 + p4 * gm[2][1] + (p1 + p2) * gm[2][0] + pj * gm[2][2]),
-                p4 * gm[3][1] / (1 + pj * gm[3][2]),
-            ]
+            sinr = model_sinrs(model_links(gm, p1, p2, p3, p4), pj)
             ref = [float(mp.log(1 + s) / mp.log(2)) for s in sinr]
         for a, b in zip(fast, ref):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-300)

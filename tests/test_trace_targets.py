@@ -14,12 +14,14 @@ TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.p
 # Stale targets that only a change to the benchmark itself may drop.  The game
 # calls the follower through ``best_responses``, so it no longer imports
 # ``best_response``; the NE finders read the filled table as arrays, so
-# ``GridEvaluator`` has no per-entry reader.
+# ``GridEvaluator`` has no per-entry reader; the slot loop takes its SINRs
+# from ``link_terms`` and ``sinrs``, so ``sinr_vector`` is gone.
 EXPECTED_MISSING = {
     ("nomajam.jammer", "JammerAgent.step"),
     ("nomajam.game", "slope_sign_disagreements"),
     ("nomajam.game", "best_response"),
     ("nomajam.game", "GridEvaluator.entry"),
+    ("nomajam.harness", "sinr_vector"),
 }
 
 
