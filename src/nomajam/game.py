@@ -134,6 +134,39 @@ def _binding_allocs(
     return np.stack((p1, p2, p3, p4), axis=1), ok
 
 
+def _rtsafe(marginal, c, hi, s, ds, stop) -> np.ndarray:
+    """Each lane's root in (0, hi] of S(p) = c, for an S that falls in p.
+
+    A lane starts at 0, where S = ``s`` > c with slope ``ds``, and S(hi) < c;
+    ``marginal(x)`` returns S and dS/dp at the lanes' powers x.  The lanes
+    run in lockstep through Numerical Recipes' ``rtsafe`` (§9.4): Newton
+    steps on G = 1 - c / S, which flattens a 1/p^2 fall of S, each replaced
+    by a bisection of the bracket where it leaves the bracket or is not half
+    the step before last.  A lane stops at its first step below ``stop`` or
+    where S = c exactly, and its bits do not depend on the batch.  The loop
+    uses only +, -, * and /.
+    """
+    lo = x = np.zeros_like(hi)
+    step = step_old = hi
+    live = np.ones(len(hi), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            newton = x - (s - c) * s / (c * ds)
+            half = 0.5 * (hi - lo)
+            mid = lo + half
+            take = (np.abs(newton - mid) <= half) & (np.abs(newton - x) <= 0.5 * step_old)
+            nxt = np.where(take, newton, mid)
+            step_old, step = step, np.abs(nxt - x)
+            x = np.where(live, nxt, x)
+            live &= step >= stop
+            if not live.any():
+                return x
+            s, ds = marginal(x)
+            above = s > c
+            lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+            live &= s != c
+
+
 def _stackelberg_fixed_points(
     ch: ChannelRealization,
     jcfg: JammerConfig,
@@ -160,15 +193,12 @@ def _stackelberg_fixed_points(
     strong user's term (d = 1) rises in s and falls in p, and s falls in p;
     an unlisted weak user has s = 0.  So p* = 0 where F(0) <= 0, p_j_max
     where the lane is defined there and F(p_j_max) >= 0, none where
-    F(p_hi) > 0 with p_hi < p_j_max, and otherwise the one root in (0, p_hi].
+    F(p_hi) > 0 with p_hi < p_j_max, and otherwise the one root in (0, p_hi],
+    which ``_rtsafe`` finds to within 1e-12 * p_j_max.
 
-    No follower is called.  The lanes run in lockstep through Numerical
-    Recipes' ``rtsafe``: Newton steps on G = F / S = 1 - gamma ln 2 / S (F's
-    root, with S's 1/p^2 fall flattened), each replaced by a bisection of
-    the bracket where it leaves the bracket or is not half the step before
-    last, until a step is below 1e-12 * p_j_max.  With gamma = 0, F = S > 0
-    below p_hi, so a lane with F(p_hi) <= 0 ends at p_hi.  Arrays see only
-    +, -, * and /, so the bits do not depend on numpy's SIMD level.
+    No follower is called.  With gamma = 0, F = S > 0 below p_hi, so a lane
+    with F(p_hi) <= 0 ends at p_hi.  ``marginal`` sees only +, -, * and /,
+    so the bits do not depend on numpy's SIMD level.
     """
     t1, t2 = np.array(totals, dtype=float).reshape(-1, 2).T
     pmax = jcfg.p_j_max
@@ -213,28 +243,10 @@ def _stackelberg_fixed_points(
     ok &= (s_lo <= c) | (s_hi <= c) | (p_hi == pmax)
     lanes = np.flatnonzero(ok & (s_lo > c) & (s_hi < c))
     if c > 0 and len(lanes):
-        a, s0 = big_a[:, lanes], s0[:, lanes]
-        lo, hi = np.zeros(len(lanes)), p_hi[lanes]
-        x, s, ds_x = lo, s_lo[lanes], ds_lo[lanes]
-        step = step_old = hi
-        live = np.ones(len(lanes), dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while True:
-                newton = x - (s - c) * s / (c * ds_x)
-                half = 0.5 * (hi - lo)
-                mid = lo + half
-                take = (np.abs(newton - mid) <= half) & (np.abs(newton - x) <= 0.5 * step_old)
-                nxt = np.where(take, newton, mid)
-                step_old, step = step, np.abs(nxt - x)
-                x = np.where(live, nxt, x)
-                live &= step >= 1e-12 * pmax
-                if not live.any():
-                    break
-                s, ds_x = marginal(x, a, s0)
-                above = s > c
-                lo, hi = np.where(above, x, lo), np.where(above, hi, x)
-                live &= s != c
-        pj[lanes] = x
+        pj[lanes] = _rtsafe(
+            partial(marginal, a=big_a[:, lanes], s0=s0[:, lanes]),
+            c, p_hi[lanes], s_lo[lanes], ds_lo[lanes], 1e-12 * pmax,
+        )
     alloc, defined = _binding_allocs(ch, t1, t2, pj, r0, cells)
     defined &= ok
     return alloc, np.where(defined, pj, math.nan), defined
@@ -390,11 +402,11 @@ def brute_force_ne(
 
 def leader_slopes(
     ch: ChannelRealization,
-    p_bs1: float | np.ndarray,
-    p_bs2: float | np.ndarray,
-    p_j: float | np.ndarray,
+    p_bs1: np.ndarray,
+    p_bs2: np.ndarray,
+    p_j: np.ndarray,
     r0: float,
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Slopes of the leader utility in each total power, in closed form.
 
     Along QoS-binding splits with the jammer power held fixed, both weak
@@ -403,12 +415,11 @@ def leader_slopes(
     is strong user k's marginal rate in its own power, o the other cell and
     w_o its weak user, whose binding power rises with P_c by
     (t - 1) * g[w_o][c] / (g[w_o][o] * t) (``qos_binding_split``'s
-    derivative).  For scalar totals and p_j: the pair of slopes, or None
-    when the binding allocation is undefined.  For equal-length 1-D arrays:
-    the two arrays of slopes, NaN where the allocation is undefined, each
-    entry the scalar call's bits, from one ``_binding_allocs`` pass.
+    derivative).  The totals and p_j are equal-length 1-D arrays; returns
+    the two arrays of slopes, NaN where the allocation is undefined, from
+    one ``_binding_allocs`` pass.
     """
-    x1, x2, pj = np.array([p_bs1, p_bs2, p_j], dtype=float).reshape(3, -1)
+    x1, x2, pj = np.array([p_bs1, p_bs2, p_j], dtype=float)
     p, ok = _binding_allocs(ch, x1, x2, pj, r0)
     g = ch.gain_rows
     terms, pj = link_terms(ch, *p[ok].T), pj[ok]
@@ -423,9 +434,7 @@ def leader_slopes(
         slopes[cell - 1, ok] = (
             m[cell] - m[3 - cell] * (t - 1.0) * g[w_o][own] / g[w_o][other]
         ) / t
-    if np.ndim(p_bs1):
-        return slopes[0], slopes[1]
-    return tuple(slopes[:, 0].tolist()) if ok[0] else None
+    return slopes[0], slopes[1]
 
 
 def find_ne_l1(

@@ -41,7 +41,6 @@ from .learn.agents import (
     DqnAgent,
     EpsSchedule,
     TabularAgent,
-    observation_for,
     sinr_thresholds,
 )
 from .rates import (
@@ -631,18 +630,21 @@ class TwoCellEnv:
         return (*tail, jammer_utility(rates, p_j, cfg.gamma))
 
     def _int_half(self, rates, sinr, a1, a2) -> np.ndarray:
-        """The 4 QoS flags of ``rates``, the two BSs' observations (each SINR's
-        level is its count of ``sinr_thresholds``), then the learning jammer's
-        observation when there is one: a (14,) or (14, N) int array, 12 rows
-        without a learning jammer."""
+        """The 4 QoS flags of ``rates``, the two BSs' observations (each its own
+        cell's weak and strong users' SINR levels first; a level is its count
+        of ``sinr_thresholds``), then the learning jammer's observation when
+        there is one: a (14,) or (14, N) int array, 12 rows without one."""
         cfg = self.cfg
         q = np.searchsorted(
             sinr_thresholds(cfg.sinr_levels, cfg.sinr_lo_db, cfg.sinr_hi_db),
             sinr, side="right",
         )
-        jam = () if self.jammer is None else (self._jam_bins[a1], self._jam_bins[a2])
-        return np.array((*np.greater_equal(rates, cfg.r0), *observation_for(1, q),
-                         *observation_for(2, q), *jam), dtype=np.int64)
+        (w1, s1, _, _), (w2, s2, _, _) = CELLS[1], CELLS[2]
+        cell1, cell2 = q[w1:s1 + 1], q[w2:s2 + 1]
+        jam = () if self.jammer is None else (self._jam_bins[np.array((a1, a2))],)
+        return np.concatenate(
+            (np.greater_equal(rates, cfg.r0), cell1, cell2, cell2, cell1, *jam)
+        )
 
     def _unpacked(self, f: list, q: list) -> tuple:
         """The outcome (see ``_outcome``) of one key's float and int values."""

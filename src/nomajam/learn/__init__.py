@@ -6,7 +6,6 @@ from .agents import (
     QTable,
     TabularAgent,
     encode_observation,
-    observation_for,
     quantize_sinr,
     select_action,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "init_mlp",
     "mlp_backward",
     "mlp_forward",
-    "observation_for",
     "quantize_sinr",
     "select_action",
     "target_sync",

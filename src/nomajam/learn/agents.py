@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..channel import CELLS
 from .nn import MlpParams, _forward_cached, dqn_train_step, init_mlp, target_sync
 
 def quantize_sinr(sinr: float, levels: int, lo_db: float, hi_db: float) -> int:
@@ -62,14 +61,6 @@ def sinr_thresholds(levels: int, lo_db: float, hi_db: float) -> np.ndarray:
     )
     thresholds.setflags(write=False)
     return thresholds
-
-
-def observation_for(cell: int, q_sinr: tuple[int, int, int, int]) -> tuple[int, ...]:
-    """Own-cell-first observation ordering for the given BS (1 or 2)."""
-    if cell not in CELLS:
-        raise ValueError(f"cell must be 1 or 2, got {cell}")
-    (w, s, _, _), (w_o, s_o, _, _) = CELLS[cell], CELLS[3 - cell]
-    return (q_sinr[w], q_sinr[s], q_sinr[w_o], q_sinr[s_o])
 
 
 def encode_observation(obs: tuple[int, ...], levels: int) -> int:

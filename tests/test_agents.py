@@ -7,7 +7,6 @@ from nomajam.learn.agents import (
     QTable,
     TabularAgent,
     encode_observation,
-    observation_for,
     quantize_sinr,
     select_action,
     sinr_thresholds,
@@ -43,6 +42,7 @@ def threshold_configs():
         yield int(rng.integers(2, 40)), lo, lo + float(10.0 ** rng.uniform(-3.0, 3.7))
 
 
+@pytest.mark.simd
 def test_sinr_thresholds_count_the_levels_of_quantize_sinr():
     # searchsorted over the thresholds is quantize_sinr on every float probed:
     # 200 ulps either side of each threshold, log-uniform SINRs, and the ends
@@ -67,14 +67,6 @@ def test_sinr_thresholds_count_the_levels_of_quantize_sinr():
 def test_quantize_rejects_single_level():
     with pytest.raises(ValueError):
         quantize_sinr(1.0, 1, -20.0, 30.0)
-
-
-def test_observation_ordering():
-    q = (1, 2, 3, 4)
-    assert observation_for(1, q) == (1, 2, 3, 4)
-    assert observation_for(2, q) == (3, 4, 1, 2)
-    with pytest.raises(ValueError):
-        observation_for(3, q)
 
 
 def test_encode_observation_mixed_radix():

@@ -35,6 +35,7 @@ from nomajam.game import (
     qos_binding_split,
     _full_power_root,
     _full_power_slope_factor,
+    _rtsafe,
     _stackelberg_fixed_points,
 )
 from nomajam.harness import CSV_HEADER, ExperimentConfig, TwoCellEnv, channel_for_seed
@@ -393,6 +394,36 @@ def test_analysis_report_unchanged_under_damped_reference(monkeypatch, levels, s
         assert got == want
         # mood_classify's (L - 1)^2 totals and the 50 curvature samples at least
         assert len(lanes) >= 2 and sum(lanes) >= (levels - 1) ** 2 + 50
+
+
+def test_rtsafe_roots_of_a_nonlinear_marginal():
+    # S(p) = a / (b + p)^2 crosses c = 1 at sqrt(a) - b, and its G = 1 - 1 / S
+    # is not linear in p.  Each lane's first step from 0 takes one branch of
+    # the loop: lane 0's Newton step 1.5 lies in its bracket [0, 2] but is
+    # not half the step before last, so it bisects to 1, where S = c exactly
+    # and the lane stops; lane 1's Newton step 4 leaves [0, 3], so it bisects
+    # to 1.5; lanes 2 and 3 take their Newton steps 0.5 and 0.75
+    a, b = np.array([4.0, 9.0, 2.0, 1.0]), np.array([1.0, 1.0, 1.0, 0.5])
+    hi, stop = np.array([2.0, 3.0, 2.0, 3.0]), 3e-12
+    calls = []
+
+    def marginal(x, a, b):
+        calls.append(x)
+        return a / (b + x) ** 2, -2.0 * a / (b + x) ** 3
+
+    def solve(lanes):
+        s, ds = marginal(np.zeros(len(lanes)), a[lanes], b[lanes])
+        calls.clear()
+        return _rtsafe(partial(marginal, a=a[lanes], b=b[lanes]), 1.0, hi[lanes], s, ds, stop)
+
+    roots = solve(np.arange(4))
+    assert calls[0].tolist() == [1.0, 1.5, 0.5, 0.75]
+    assert roots[0] == 1.0
+    assert np.abs(roots - (np.sqrt(a) - b)).max() <= 2 * stop
+    for k in range(4):
+        assert solve([k]).tobytes() == roots[k:k + 1].tobytes(), k
+        if k == 0:
+            assert len(calls) == 1
 
 
 def test_lockstep_fixed_points_equal_each_lane_alone(geom, jcfg):
@@ -1247,6 +1278,11 @@ def oracle_l1_candidates(ev, mood):
             yield i, j, pj
 
 
+def lane_slopes(ch, p_bs1, p_bs2, p_j, r0):
+    """leader_slopes of one lane, as a length-1 array call: its (2,) slopes."""
+    return np.concatenate(leader_slopes(ch, *np.array([[p_bs1], [p_bs2], [p_j]]), r0))
+
+
 def oracle_ne_l1(ev, mood, eps_ne):
     """find_ne_l1 as the per-entry double loop its table masks replaced."""
     grid, r0 = ev.grid, ev.r0
@@ -1254,8 +1290,7 @@ def oracle_ne_l1(ev, mood, eps_ne):
     for i, j, pj in oracle_l1_candidates(ev, mood):
         (_, s1), (_, s2) = grid.action_levels[i], grid.action_levels[j]
         a1, a2 = grid.actions[i], grid.actions[j]
-        slopes = leader_slopes(ev.ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0)
-        d1, d2 = slopes or (math.nan, math.nan)
+        d1, d2 = lane_slopes(ev.ch, a1[0] + a1[1], a2[0] + a2[1], pj, r0).tolist()
         stol = 1e-9 * max(1.0, abs(d1), abs(d2))
         if not ((d1 >= -stol or oracle_binding_strong(ev, pj, 1, s1))
                 and (d2 >= -stol or oracle_binding_strong(ev, pj, 2, s2))):
@@ -1384,9 +1419,8 @@ def test_leader_slopes_on_feasible_set(geom, jcfg):
     for t1, t2 in mood.ps_set:
         sol = fixed_point(ch, jcfg, t1, t2)
         assert sol is not None
-        slopes = leader_slopes(ch, t1, t2, sol.p_j, R0)
-        assert slopes is not None
-        assert all(np.isfinite(v) for v in slopes)
+        slopes = lane_slopes(ch, t1, t2, sol.p_j, R0)
+        assert slopes.shape == (2,) and np.isfinite(slopes).all()
 
 
 def _slope_u_binding(ch, p_bs1, p_bs2, p_j, r0, gamma):
@@ -1429,11 +1463,11 @@ def test_leader_slopes_match_central_differences(monkeypatch):
 
     def recorded(ch, p_bs1, p_bs2, p_j, r0):
         # find_ne_l1 asks for a realization's candidates in one array call;
-        # each lane must be the bits of the scalar call it stands for
+        # each lane must be the bits of the one-lane call it stands for
         slopes = leader_slopes(ch, p_bs1, p_bs2, p_j, r0)
-        for k, pair in enumerate(zip(*slopes)):
+        for k, pair in enumerate(np.column_stack(slopes)):
             args = (ch, float(p_bs1[k]), float(p_bs2[k]), float(p_j[k]), r0)
-            assert leader_slopes(*args) == (None if math.isnan(pair[0]) else pair)
+            assert lane_slopes(*args).tobytes() == pair.tobytes()
             asked.append(args)
         return slopes
 
@@ -1464,12 +1498,13 @@ def test_leader_slopes_match_central_differences(monkeypatch):
 
     assert len(swept) > 1000
     for args in swept:
-        closed = leader_slopes(*args)
+        closed = lane_slopes(*args)
         oracle = central_difference_slopes(*args)
-        assert (closed is None) == (oracle is None)
-        if closed is not None:
-            assert closed == pytest.approx(oracle, rel=1e-6, abs=0.0)
-            assert signs(closed) == signs(oracle)
+        # NaN slopes mark an undefined binding allocation
+        assert np.isnan(closed).all() == (oracle is None)
+        if oracle is not None:
+            assert closed.tolist() == pytest.approx(oracle, rel=1e-6, abs=0.0)
+            assert signs(closed.tolist()) == signs(oracle)
 
 
 def per_sample_draws(seed, n_samples, p_bs_max):

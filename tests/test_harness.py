@@ -644,6 +644,7 @@ def assert_table_is_the_scalar_outcomes(env):
         assert outcome_bits(env._tabled(*key)) == outcome_bits(env._outcome(*key)), key
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("changes", [
     {}, {"scheme": "QLS"}, {"grid_levels": 4, "sinr_levels": 5},
     {"jammer_grid_levels": 3, "p_j_max": 7.0}, {"fading": False},
@@ -657,6 +658,7 @@ def test_outcome_table_is_the_scalar_outcome_of_every_key(changes, seed):
     assert_table_is_the_scalar_outcomes(env)
 
 
+@pytest.mark.simd
 def test_outcome_table_of_a_redrawn_realization_is_its_scalar_outcomes():
     cfg = ExperimentConfig(redraw_period=300, seeds=(0,))
     env = TwoCellEnv(cfg, 0)
@@ -803,6 +805,7 @@ def outcomes_against_the_model(env, keys, p_tol=0.0) -> list:
     return ties
 
 
+@pytest.mark.simd
 def test_outcome_table_matches_the_model_at_50_digits():
     # ROADMAP item 12's oracle for the slot loop: every key of the learning
     # jammer's table at the defaults (seeds 0..2) and of a QLS one at grid 4
@@ -825,6 +828,7 @@ def test_outcome_table_matches_the_model_at_50_digits():
     assert ties == []
 
 
+@pytest.mark.simd
 def test_best_response_outcomes_match_the_model_at_50_digits():
     # every best-response outcome of seed 0's realization: p_j within the
     # follower's stopping width of the exact root, the rest at that p_j

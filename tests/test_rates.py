@@ -165,6 +165,7 @@ def jammer(r, p_j, gamma):
     return -(float(r.sum()) + gamma * p_j)
 
 
+@pytest.mark.simd
 def test_plain_float_scores_equal_the_array_formulas():
     # The scores add four Python floats in numpy's order
     rng = np.random.default_rng(11)
@@ -193,6 +194,7 @@ def hexes(values) -> list[str]:
     return [float.hex(float(v)) for v in values]
 
 
+@pytest.mark.simd
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rate_rows_equal_scalar_rates_bit_for_bit(seed):
     # random allocations with zero weak powers, p_j = 0 and p_j = p_j_max
